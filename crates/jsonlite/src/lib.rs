@@ -80,6 +80,13 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
 pub trait ToJson {
     /// Build the JSON representation.
     fn to_json(&self) -> Json;
+
+    /// Append the compact JSON text of `self` to `out`. Must produce
+    /// exactly the bytes of `write_value(&self.to_json(), out)`, which
+    /// is the default; hot types override it to skip the value tree.
+    fn write_json(&self, out: &mut String) {
+        write_value(&self.to_json(), out);
+    }
 }
 
 /// Types that can be rebuilt from a [`Json`] value.
@@ -91,7 +98,7 @@ pub trait FromJson: Sized {
 /// Encode any [`ToJson`] value to a compact JSON string.
 pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
     let mut out = String::new();
-    write_value(&v.to_json(), &mut out);
+    v.write_json(&mut out);
     out
 }
 
@@ -117,12 +124,15 @@ pub fn parse(s: &str) -> Result<Json, JsonError> {
 // Writer
 // ---------------------------------------------------------------------
 
-fn write_value(v: &Json, out: &mut String) {
+/// Append the compact text of a [`Json`] value to `out` — the writer
+/// behind [`to_string`] and the reference every [`ToJson::write_json`]
+/// override must match byte for byte.
+pub fn write_value(v: &Json, out: &mut String) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::U64(n) => out.push_str(&n.to_string()),
-        Json::I64(n) => out.push_str(&n.to_string()),
+        Json::U64(n) => write_u64(*n, out),
+        Json::I64(n) => write_i64(*n, out),
         Json::F64(x) => {
             if x.is_finite() {
                 let s = x.to_string();
@@ -161,6 +171,28 @@ fn write_value(v: &Json, out: &mut String) {
             out.push('}');
         }
     }
+}
+
+/// Decimal digits of `n`, formatted on the stack.
+fn write_u64(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+fn write_i64(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_u64(n.unsigned_abs(), out);
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -379,6 +411,7 @@ macro_rules! impl_json_uint {
     ($($t:ty),+) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json { Json::U64(*self as u64) }
+            fn write_json(&self, out: &mut String) { write_u64(*self as u64, out) }
         }
         impl FromJson for $t {
             fn from_json(j: &Json) -> Result<Self, JsonError> {
@@ -402,6 +435,7 @@ macro_rules! impl_json_sint {
                 let v = *self as i64;
                 if v >= 0 { Json::U64(v as u64) } else { Json::I64(v) }
             }
+            fn write_json(&self, out: &mut String) { write_i64(*self as i64, out) }
         }
         impl FromJson for $t {
             fn from_json(j: &Json) -> Result<Self, JsonError> {
@@ -549,6 +583,9 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
     }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -636,6 +673,32 @@ mod tests {
         assert_eq!(from_str::<f64>("2.5").unwrap(), 2.5);
         assert!(from_str::<bool>("true").unwrap());
         assert_eq!(from_str::<String>("\"a\\nb\"").unwrap(), "a\nb");
+    }
+
+    #[test]
+    fn integer_writers_match_the_value_tree() {
+        fn check<T: ToJson>(v: T) {
+            let mut tree = String::new();
+            write_value(&v.to_json(), &mut tree);
+            let mut direct = String::new();
+            v.write_json(&mut direct);
+            assert_eq!(direct, tree);
+            assert_eq!(to_string(&v), tree);
+        }
+        for n in [0u64, 1, 9, 10, 99, 100, 12_345, u64::MAX / 10, u64::MAX] {
+            check(n);
+            check(n as usize);
+            check(n as u32);
+            check(n as u8);
+        }
+        for n in [0i64, -1, 1, -10, 10, -987_654_321, i64::MIN, i64::MAX] {
+            check(n);
+            check(n as i32);
+            check(n as i8);
+        }
+        // `&T` forwards to `T`'s writer.
+        let by_ref: &u16 = &7;
+        check(by_ref);
     }
 
     #[test]

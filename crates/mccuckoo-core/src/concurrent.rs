@@ -39,16 +39,18 @@
 //! ascending stripe order — a global total order, so overlapping writers
 //! cannot deadlock. Since the footprint of a cuckoo insert is only fully
 //! known *after* planning it, acquisition is a plan → lock → grow →
-//! re-plan loop: each attempt locks the stripes the previous attempt
-//! discovered, re-plans under those locks, and executes only once the
-//! plan's whole footprint is covered. Walks whose footprint exceeds a
-//! small stripe budget — and the rare shapes the striped executor does
-//! not handle (settling a kick chain's terminal item by overwriting a
-//! redundant copy) — fall back to a **global stripe sweep**: locking
-//! every stripe, which trivially covers any footprint and restores the
-//! old single-writer semantics for that one operation. Batched entry
-//! points take the sweep once per batch, amortising acquisition across
-//! the whole batch.
+//! re-validate loop: a kick chain is planned once, unlocked, and each
+//! attempt locks the footprint the previous one discovered — the chain's
+//! buckets, its terminal item's candidates, and the victim stripes of
+//! the terminal's settling placement — then re-validates the same chain
+//! under those locks. The chain is re-planned only when it went stale.
+//! Terminals settle into an empty candidate or by overwriting a
+//! redundant copy, which never makes that copy's owner unavailable, so
+//! both kinds run under stripes. Walks whose footprint exceeds a small
+//! stripe budget fall back to a **global stripe sweep**: locking every
+//! stripe, which trivially covers any footprint, then running the same
+//! chain executor on the carried plan. Batched entry points take the
+//! sweep once per batch, amortising acquisition across the whole batch.
 //!
 //! Stripe guards are RAII: a writer that panics mid-operation (see
 //! `testhooks`) releases its stripes on unwind, and the mutexes are
@@ -564,6 +566,7 @@ where
             let _guard = self.lock_stripes(self.all_stripes);
             let mut path_buf = Vec::new();
             for &(k, v) in items {
+                path_buf.clear();
                 let r = self.upsert_excl(k, v, UpsertMode::Update, &mut path_buf);
                 match &r {
                     Ok(rep) => tally.record(rep),
@@ -772,6 +775,7 @@ where
             let _guard = self.lock_stripes(self.all_stripes);
             let mut path_buf = Vec::new();
             for &(k, v) in items {
+                path_buf.clear();
                 out.push(self.upsert_excl(k, v, UpsertMode::Update, &mut path_buf));
             }
         }
@@ -971,12 +975,14 @@ where
     // Writers: the striped upsert driver
     // ------------------------------------------------------------------
 
-    /// The striped insert/upsert engine: a plan → lock → grow → re-plan
-    /// loop. Each attempt locks the footprint the previous attempt
-    /// discovered, re-plans under those locks, and only mutates once the
-    /// whole plan is covered by held stripes; anything that exceeds the
-    /// stripe budget (or the attempt limit) escalates to the global
-    /// sweep, which runs the full single-writer logic.
+    /// The striped insert/upsert engine: a plan → lock → grow →
+    /// re-validate loop. Each attempt locks the footprint the previous
+    /// attempt discovered and only mutates once the whole plan is covered
+    /// by held stripes. A kick chain is planned once, unlocked, and kept
+    /// across lock growth; it is re-planned only when re-validation finds
+    /// it stale. A footprint beyond the stripe budget, an attempt limit
+    /// reached, or a failed plan escalates to the global sweep, which
+    /// carries the chain into the same executor.
     fn upsert_striped(&self, key: K, value: V, mode: UpsertMode) -> Result<InsertReport, (K, V)> {
         let cands = self.candidates(&key);
         let base = self.mask_of(&cands);
@@ -984,74 +990,48 @@ where
         let mut path: Vec<usize> = Vec::new();
         for _ in 0..LOCK_ATTEMPTS {
             let guard = self.lock_stripes(want);
-            match mode {
-                UpsertMode::Update => {
-                    if let Some(copies) = self.try_update_excl(&key, &value, &cands) {
-                        return Ok(InsertReport {
-                            outcome: InsertOutcome::Updated,
-                            kickouts: 0,
-                            collision: false,
-                            copies_written: copies,
-                        });
+            if let Some(report) = self.existing_excl(&key, &value, &cands, mode) {
+                return Ok(report);
+            }
+            if path.is_empty() {
+                if let Some(extra) = self.plan_place(&cands) {
+                    let need = base | extra;
+                    if need & !guard.mask == 0 {
+                        // The plan ran entirely under held locks, so the
+                        // executor sees the identical world and must succeed.
+                        let copies = self
+                            .try_place_excl(&key, &value)
+                            .expect("planned placement is executable under its locks");
+                        self.distinct.fetch_add(1, Ordering::AcqRel);
+                        return Ok(InsertReport::clean(copies));
                     }
+                    want |= need;
+                    continue;
                 }
-                UpsertMode::KeepExisting => {
-                    if self.raw_contains_excl(&key) {
-                        return Ok(InsertReport {
-                            outcome: InsertOutcome::Updated,
-                            kickouts: 0,
-                            collision: false,
-                            copies_written: 0,
-                        });
-                    }
-                }
-                UpsertMode::AssertAbsent => {
-                    debug_assert!(!self.raw_contains_excl(&key), "insert_new of a present key");
+                // Real collision: plan a displacement chain through the
+                // configured kick policy (`crate::kick`). The plan is pure
+                // reads; its buckets plus the terminal's settling
+                // footprint are exactly the stripes the executor needs.
+                // A failed plan escalates: the sweep plans once more with
+                // every stripe held, so a reported overflow never comes
+                // from a race with another writer.
+                let mut rng = self.op_rng();
+                if !kick::plan_kick(
+                    self,
+                    self.config.kick,
+                    &key,
+                    &mut rng,
+                    self.maxloop,
+                    &mut path,
+                ) {
+                    path.clear();
+                    break;
                 }
             }
-            if let Some(extra) = self.plan_place(&cands) {
-                let need = base | extra;
-                if need & !guard.mask == 0 {
-                    // The plan ran entirely under held locks, so the
-                    // executor sees the identical world and must succeed.
-                    let copies = self
-                        .try_place_excl(&key, &value)
-                        .expect("planned placement is executable under its locks");
-                    self.distinct.fetch_add(1, Ordering::AcqRel);
-                    return Ok(InsertReport::clean(copies));
-                }
-                want |= need;
+            let Some(need) = self.kick_footprint(&path).map(|m| m | base) else {
+                path.clear(); // the terminal can no longer settle: re-plan
                 continue;
-            }
-            // Real collision: plan a displacement chain through the
-            // configured kick policy (`crate::kick`). The plan is pure
-            // reads, so its slot list is exactly the stripe footprint the
-            // executor needs. The striped executor only settles chains
-            // whose terminal item has an *empty* candidate
-            // (`empty_terminal_only`); overwrite-terminal chains go to
-            // the sweep.
-            let mut rng = self.op_rng();
-            if !kick::plan_kick(
-                self,
-                self.config.kick,
-                &key,
-                &mut rng,
-                true,
-                self.maxloop,
-                &mut path,
-            ) {
-                break;
-            }
-            let mut need = base;
-            for &b in &path {
-                need |= self.stripe_bit(b);
-            }
-            let last = *path.last().expect("path is non-empty");
-            self.access.offchip_read(1);
-            let Some((tk0, _)) = self.cell_read_atomic(last) else {
-                break; // raced a removal of the terminal; escalate
             };
-            need |= self.mask_of(&self.candidates(&tk0));
             if need.count_ones() > STRIPE_BUDGET {
                 break;
             }
@@ -1059,44 +1039,14 @@ where
                 want |= need;
                 continue;
             }
-            // Whole footprint held: re-validate the chain under the
-            // locks (the walk itself ran under them, so this only fails
-            // if the racy terminal read above lied) and execute.
-            let Some((tk, tv)) = self.validate_path(&key, &path) else {
-                continue;
-            };
-            let tcands = self.candidates(&tk);
-            let tmask = self.mask_of(&tcands);
-            if tmask & !guard.mask != 0 {
-                want |= tmask;
+            // Whole footprint held, so the footprint itself was read
+            // exactly; re-check the chain the unlocked plan walked.
+            if !self.validate_path(&key, &path) {
+                path.clear();
                 continue;
             }
-            if !(0..self.d).any(|i| self.counters[tcands[i]].load(Ordering::Acquire) == 0) {
-                break; // terminal can no longer settle into an empty
-            }
-            #[cfg(feature = "testhooks")]
-            crate::testhooks::fire_panic_in_kick();
-            // Settle the terminal into its empty candidates, then shift
-            // the chain backwards (MemC3 ordering: destination before
-            // source, so no item is ever absent).
-            let settled = self.place_empties_excl(&tk, &tv);
-            debug_assert!(settled > 0, "validated terminal had an empty candidate");
-            for w in path.windows(2).rev() {
-                let (src, dst) = (w[0], w[1]);
-                let item = self.cell_read_metered(src).expect("validated path bucket");
-                self.write_bucket(dst, Some(item), Some(1));
-            }
-            self.write_bucket(path[0], Some((key, value)), Some(1));
-            self.distinct.fetch_add(1, Ordering::AcqRel);
-            return Ok(InsertReport {
-                outcome: InsertOutcome::Placed,
-                kickouts: path.len() as u32,
-                collision: true,
-                copies_written: 1,
-            });
+            return Ok(self.kick_excl(key, value, &path));
         }
-        // Escalation: the global stripe sweep covers any footprint and
-        // runs the full (overwrite-terminal included) insert logic.
         let _guard = self.lock_stripes(self.all_stripes);
         self.upsert_excl(key, value, mode, &mut path)
     }
@@ -1113,7 +1063,10 @@ where
     /// back into its greedy choices only through the candidate-local
     /// `cvals`, which the simulation updates identically (including the
     /// prior-target skip — a bucket already claimed for the new key
-    /// fails the executor's content check).
+    /// fails the executor's content check). It reads only the candidate
+    /// buckets, through the seqlock, so it is exact once `base` is held
+    /// and a re-validated estimate when called unlocked (the kick
+    /// footprint of a terminal whose stripes are not held yet).
     fn plan_place(&self, cands: &[usize; MAX_D]) -> Option<u64> {
         let mut cvals = [0u8; MAX_D];
         for i in 0..self.d {
@@ -1141,11 +1094,9 @@ where
             if placed_len as u8 + 2 > vcount {
                 break;
             }
-            // Candidate buckets are always locked (base ⊆ held), so the
-            // victim read is stable.
-            let (vkey, _) = self
-                .cell_read_locked(cands[i])
-                .expect("counter ≥ 1 ⇒ occupied");
+            // Under `base` the victim read is stable; unlocked, a raced
+            // removal reads as a collision and the caller re-validates.
+            let (vkey, _) = self.cell_read_atomic(cands[i])?;
             let vcands = self.candidates(&vkey);
             for &s in vcands.iter().take(self.d) {
                 extra |= self.stripe_bit(s);
@@ -1159,7 +1110,7 @@ where
                     if cands[j] != s || taken[j] || cvals[j] != vcount {
                         continue;
                     }
-                    if matches!(self.cell_read_locked(s), Some((k, _)) if k == vkey) {
+                    if matches!(self.cell_read_atomic(s), Some((k, _)) if k == vkey) {
                         cvals[j] = vcount - 1;
                     }
                 }
@@ -1175,23 +1126,39 @@ where
 
     /// Re-check a precomputed kick chain under held locks: every hop
     /// must still be a counter-1 candidate of the previous item.
-    /// Returns the terminal occupant, or `None` if the chain went stale.
-    fn validate_path(&self, key: &K, path: &[usize]) -> Option<(K, V)> {
+    fn validate_path(&self, key: &K, path: &[usize]) -> bool {
         let mut cur = *key;
-        let mut terminal = None;
         for &b in path {
-            let cands = self.candidates(&cur);
-            if !cands.iter().take(self.d).any(|&c| c == b) {
-                return None;
+            if !self.candidates(&cur).iter().take(self.d).any(|&c| c == b)
+                || self.counters[b].load(Ordering::Acquire) != 1
+            {
+                return false;
             }
-            if self.counters[b].load(Ordering::Acquire) != 1 {
-                return None;
+            match self.cell_read_locked(b) {
+                Some((k, _)) => cur = k,
+                None => return false,
             }
-            let occ = self.cell_read_locked(b)?;
-            cur = occ.0;
-            terminal = Some(occ);
         }
-        terminal
+        true
+    }
+
+    /// Stripes executing the kick chain `path` touches beyond the key's
+    /// own candidates: the chain's buckets, the terminal occupant's
+    /// candidates, and the victim stripes its settling placement writes
+    /// ([`Self::plan_place`] — the rule the key's own placement uses).
+    /// Reads through the seqlock, so it is an estimate when called
+    /// unlocked and exact once every returned stripe is held. `None`
+    /// when the terminal can no longer settle (the plan went stale).
+    fn kick_footprint(&self, path: &[usize]) -> Option<u64> {
+        let last = *path.last().expect("planned chains are non-empty");
+        self.access.offchip_read(1);
+        let (tk, _) = self.cell_read_atomic(last)?;
+        let tcands = self.candidates(&tk);
+        let mut need = self.mask_of(&tcands) | self.plan_place(&tcands)?;
+        for &b in path {
+            need |= self.stripe_bit(b);
+        }
+        Some(need)
     }
 
     // ------------------------------------------------------------------
@@ -1199,8 +1166,9 @@ where
     // ------------------------------------------------------------------
 
     /// Full upsert under exclusive access to every bucket it may touch
-    /// (in practice: the global sweep). This is the original
-    /// single-writer path, overwrite-terminal kick walks included.
+    /// (in practice: the global sweep). `path` is empty, or holds a kick
+    /// chain the striped path planned for `key`; that chain is executed
+    /// if it still validates, and re-planned otherwise.
     fn upsert_excl(
         &self,
         key: K,
@@ -1209,75 +1177,81 @@ where
         path: &mut Vec<usize>,
     ) -> Result<InsertReport, (K, V)> {
         let cands = self.candidates(&key);
-        match mode {
-            UpsertMode::Update => {
-                if let Some(copies) = self.try_update_excl(&key, &value, &cands) {
-                    return Ok(InsertReport {
-                        outcome: InsertOutcome::Updated,
-                        kickouts: 0,
-                        collision: false,
-                        copies_written: copies,
-                    });
-                }
+        if let Some(report) = self.existing_excl(&key, &value, &cands, mode) {
+            return Ok(report);
+        }
+        let carried = !path.is_empty()
+            && self.validate_path(&key, path)
+            && self.kick_footprint(path).is_some();
+        if !carried {
+            if let Some(copies) = self.try_place_excl(&key, &value) {
+                self.distinct.fetch_add(1, Ordering::AcqRel);
+                return Ok(InsertReport::clean(copies));
             }
-            UpsertMode::KeepExisting => {
-                if self.raw_contains_excl(&key) {
-                    return Ok(InsertReport {
-                        outcome: InsertOutcome::Updated,
-                        kickouts: 0,
-                        collision: false,
-                        copies_written: 0,
-                    });
-                }
+            let mut rng = self.op_rng();
+            if !kick::plan_kick(self, self.config.kick, &key, &mut rng, self.maxloop, path) {
+                return Err((key, value));
             }
-            UpsertMode::AssertAbsent => {}
         }
-        if let Some(copies) = self.try_place_excl(&key, &value) {
-            self.distinct.fetch_add(1, Ordering::AcqRel);
-            return Ok(InsertReport::clean(copies));
-        }
-        // Real collision: plan a displacement chain through the
-        // configured kick policy, then execute it backwards (MemC3
-        // ordering) so readers never lose an item.
-        let mut rng = self.op_rng();
-        if !kick::plan_kick(
-            self,
-            self.config.kick,
-            &key,
-            &mut rng,
-            false,
-            self.maxloop,
-            path,
-        ) {
-            return Err((key, value));
-        }
-        // Settle the path's terminal occupant first (it has a free or
-        // redundant bucket), then shift the chain backwards.
-        let last = *path.last().expect("path is non-empty");
-        let (terminal_key, terminal_value) = self
+        Ok(self.kick_excl(key, value, path))
+    }
+
+    /// What `mode` does when `key` may already be present: `Some` ends
+    /// the upsert with that report. Caller holds the candidate stripes.
+    fn existing_excl(
+        &self,
+        key: &K,
+        value: &V,
+        cands: &[usize; MAX_D],
+        mode: UpsertMode,
+    ) -> Option<InsertReport> {
+        let copies = match mode {
+            UpsertMode::Update => self.try_update_excl(key, value, cands)?,
+            UpsertMode::KeepExisting if self.raw_contains_excl(key) => 0,
+            UpsertMode::KeepExisting => return None,
+            UpsertMode::AssertAbsent => {
+                debug_assert!(!self.raw_contains_excl(key), "insert_new of a present key");
+                return None;
+            }
+        };
+        Some(InsertReport {
+            outcome: InsertOutcome::Updated,
+            kickouts: 0,
+            collision: false,
+            copies_written: copies,
+        })
+    }
+
+    /// The one kick-chain executor. Caller holds every stripe of the
+    /// chain's footprint ([`Self::kick_footprint`]) and has validated
+    /// the chain under those locks. Settles the terminal occupant by the
+    /// insertion principles — into its empty candidates or over a
+    /// redundant copy — then shifts the chain backwards (MemC3 order:
+    /// destination before source, so no item is ever absent) and writes
+    /// `key` into the freed front bucket as a sole copy.
+    fn kick_excl(&self, key: K, value: V, path: &[usize]) -> InsertReport {
+        let last = *path.last().expect("planned chains are non-empty");
+        let (tk, tv) = self
             .cell_read_metered(last)
-            .expect("path buckets are occupied");
+            .expect("chain buckets hold sole copies");
         #[cfg(feature = "testhooks")]
         crate::testhooks::fire_panic_in_kick();
-        let placed = self
-            .try_place_excl(&terminal_key, &terminal_value)
-            .is_some();
-        debug_assert!(placed, "terminal item was chosen for its free bucket");
+        let settled = self.try_place_excl(&tk, &tv);
+        debug_assert!(settled.is_some(), "validated terminal must settle");
         for w in path.windows(2).rev() {
-            let (src, dst) = (w[0], w[1]);
             let item = self
-                .cell_read_metered(src)
-                .expect("path buckets are occupied");
-            self.write_bucket(dst, Some(item), Some(1));
+                .cell_read_metered(w[0])
+                .expect("chain buckets hold sole copies");
+            self.write_bucket(w[1], Some(item), Some(1));
         }
         self.write_bucket(path[0], Some((key, value)), Some(1));
         self.distinct.fetch_add(1, Ordering::AcqRel);
-        Ok(InsertReport {
+        InsertReport {
             outcome: InsertOutcome::Placed,
             kickouts: path.len() as u32,
             collision: true,
             copies_written: 1,
-        })
+        }
     }
 
     /// In-place update scan: rewrite every live copy of `key`. Returns
@@ -1394,27 +1368,6 @@ where
         }
         self.access.onchip_write(placed_len as u64);
         Some(placed_len as u8)
-    }
-
-    /// Write `key` into every currently-empty candidate bucket, setting
-    /// the copy counters. Returns copies written (0 when no empties).
-    /// Caller holds the candidate stripes.
-    fn place_empties_excl(&self, key: &K, value: &V) -> u8 {
-        let cands = self.candidates(key);
-        let mut placed = [usize::MAX; MAX_D];
-        let mut placed_len = 0usize;
-        for &c in cands.iter().take(self.d) {
-            if self.counters[c].load(Ordering::Acquire) == 0 {
-                self.write_bucket(c, Some((*key, *value)), None);
-                placed[placed_len] = c;
-                placed_len += 1;
-            }
-        }
-        for &p in placed.iter().take(placed_len) {
-            self.counters[p].store(placed_len as u8, Ordering::Release);
-        }
-        self.access.onchip_write(placed_len as u64);
-        placed_len as u8
     }
 
     /// Overwrite the redundant copy at `idx` (count `vcount`), fixing the
@@ -1715,6 +1668,44 @@ mod tests {
             let s = t.stats();
             assert_eq!(s.kick_policy, kind.label());
             assert!(s.kick_hist.count > 0, "{kind:?}: no kick was exercised");
+            t.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn kicked_inserts_plan_once_without_empty_buckets() {
+        // Insert-only fill to 0.80: multi-copy placement fills every
+        // bucket, so every kick chain must end on a redundant copy, and
+        // a kicked insert must cost one short plan — not a `maxloop`
+        // search for an empty terminal followed by a second plan.
+        use crate::config::KickPolicyKind;
+        for kind in KickPolicyKind::ALL {
+            let t: ConcurrentMcCuckoo<u64, u64> =
+                ConcurrentMcCuckoo::new(McConfig::paper(4_096, 41).with_kick_policy(kind));
+            let mut keys = UniqueKeys::new(42);
+            let fill: Vec<(u64, u64)> = keys
+                .take_vec(t.capacity() * 4 / 5)
+                .into_iter()
+                .map(|k| (k, k ^ 3))
+                .collect();
+            assert!(t.insert_batch(&fill).iter().all(|r| r.is_ok()));
+            let fresh = keys.take_vec(1_000);
+            let before = t.mem_stats().offchip_reads;
+            for &k in &fresh {
+                t.insert(k, k ^ 3)
+                    .unwrap_or_else(|_| panic!("{kind:?}: insert rejected"));
+            }
+            let per_insert = (t.mem_stats().offchip_reads - before) as f64 / fresh.len() as f64;
+            assert!(
+                per_insert <= 20.0,
+                "{kind:?}: {per_insert:.1} off-chip reads per insert"
+            );
+            for &(k, v) in &fill {
+                assert_eq!(t.get(&k), Some(v), "{kind:?}: fill key lost");
+            }
+            for &k in &fresh {
+                assert_eq!(t.get(&k), Some(k ^ 3), "{kind:?}: fresh key lost");
+            }
             t.check_invariants().unwrap();
         }
     }

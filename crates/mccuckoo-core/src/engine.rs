@@ -932,15 +932,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
         let mut path = Vec::new();
         // The planner borrows the table immutably; lend it the RNG.
         let mut rng = std::mem::replace(&mut self.rng, SplitMix64::new(0));
-        let planned = kick::plan_kick(
-            &*self,
-            self.kick,
-            &key,
-            &mut rng,
-            false,
-            self.maxloop,
-            &mut path,
-        );
+        let planned = kick::plan_kick(&*self, self.kick, &key, &mut rng, self.maxloop, &mut path);
         self.rng = rng;
         if !planned {
             return self.stash_item(key, value, 0);

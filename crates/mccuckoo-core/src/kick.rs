@@ -14,23 +14,26 @@
 //!   bit-for-bit, so it cannot be expressed as plan-then-execute;
 //! * [`crate::ConcurrentMcCuckoo`] feeds every plan — random-walk
 //!   included — through its policy-agnostic plan→lock→re-validate
-//!   pipeline: the planned displacement path is exactly what the
-//!   striped-lock planner needs to compute its stripe mask up front.
+//!   pipeline: the planned displacement path, plus the terminal's
+//!   settling footprint, is exactly what the striped-lock writer needs
+//!   to compute its stripe mask up front.
 //!
 //! A plan is a `Vec<usize>` of global slot indices: `path[0]` is a
 //! candidate slot of the inserted key, each `path[i+1]` is a candidate
 //! slot of the item occupying `path[i]`, every slot on the chain holds a
 //! sole copy, and the *terminal* occupant is settleable by the ordinary
-//! insertion principles (a counter-0 slot among its candidates, or —
-//! when `empty_terminal_only` is false — a redundant copy with counter
-//! ≥ 2 outside the bucket being vacated). Because planning only reads,
-//! a failed plan is a strict no-op on the table.
+//! insertion principles: a counter-0 slot among its candidates, or a
+//! redundant copy with counter ≥ 2 outside the bucket being vacated.
+//! Overwriting a redundant copy never makes its owner unavailable, so
+//! both terminal kinds are executable under stripe locks (§III.H).
+//! Because planning only reads, a failed plan is a strict no-op on the
+//! table.
 //!
 //! ## Budget semantics (`maxloop`)
 //!
 //! | policy        | `maxloop` counts            | chain shape            |
 //! |---------------|-----------------------------|------------------------|
-//! | `random-walk` | walk hops                   | one random simple path |
+//! | `random-walk` | walk hops (a trapped walk's restart spends one) | one random simple path |
 //! | `bfs`         | expanded (occupant-read) nodes | shortest chain found by breadth-first search |
 //! | `bubble`      | visited (occupant-read) nodes | first chain found by backtracking depth-first eviction |
 //!
@@ -90,22 +93,17 @@ fn bucket_of<G: EvictionGraph>(g: &G, slot: usize) -> usize {
 }
 
 /// Whether the item `key` occupying `from_slot` can settle by the
-/// insertion principles: a counter-0 slot among its candidates, or —
-/// unless `empty_terminal_only` — a redundant (counter ≥ 2) slot
-/// outside the bucket it is vacating. Short-circuits like the counter
-/// scans it models; the caller meters the scan.
+/// insertion principles: a counter-0 slot among its candidates, or a
+/// redundant (counter ≥ 2) slot outside the bucket it is vacating.
+/// Short-circuits like the counter scans it models; the caller meters
+/// the scan.
 #[inline]
-fn settleable<G: EvictionGraph>(
-    g: &G,
-    cands: &[usize; MAX_D],
-    from_slot: usize,
-    empty_terminal_only: bool,
-) -> bool {
+fn settleable<G: EvictionGraph>(g: &G, cands: &[usize; MAX_D], from_slot: usize) -> bool {
     let from_bucket = bucket_of(g, from_slot);
     (0..g.d()).any(|i| {
         (0..g.l()).any(|s| {
             let c = g.counter(g.slot_of(cands[i], s));
-            c == 0 || (!empty_terminal_only && c >= 2 && cands[i] != from_bucket)
+            c == 0 || (c >= 2 && cands[i] != from_bucket)
         })
     })
 }
@@ -119,33 +117,30 @@ pub(crate) fn plan_kick<G: EvictionGraph>(
     kind: KickPolicyKind,
     key: &G::Key,
     rng: &mut SplitMix64,
-    empty_terminal_only: bool,
     maxloop: u32,
     path: &mut Vec<usize>,
 ) -> bool {
     match kind {
-        KickPolicyKind::RandomWalk => {
-            plan_random_walk(g, key, rng, empty_terminal_only, maxloop, path)
-        }
-        KickPolicyKind::Bfs => plan_bfs(g, key, empty_terminal_only, maxloop, path),
-        KickPolicyKind::Bubble => plan_bubble(g, key, rng, empty_terminal_only, maxloop, path),
+        KickPolicyKind::RandomWalk => plan_random_walk(g, key, rng, maxloop, path),
+        KickPolicyKind::Bfs => plan_bfs(g, key, maxloop, path),
+        KickPolicyKind::Bubble => plan_bubble(g, key, rng, maxloop, path),
     }
 }
 
 /// Random-walk planner: one random simple path, never revisiting a
-/// bucket already on the chain, up to `maxloop` hops.
+/// bucket already on the chain, up to `maxloop` iterations.
 ///
-/// For `l = 1` this reproduces the concurrent table's historical
-/// `precompute_path` exactly — same RNG draw sequence (one
-/// `next_below(m)` among the unvisited candidates per hop, no slot
-/// draw), same metering (one off-chip occupant read and one on-chip
-/// `d·l` counter scan per hop), same settleability test — so swapping
-/// the striped-lock path onto this planner is behaviour-preserving.
+/// Each hop draws one `next_below(m)` among the unvisited candidates
+/// (plus a slot draw when `l > 1`) and meters one off-chip occupant read
+/// and one on-chip `d·l` counter scan. A walk that traps itself — every
+/// candidate of the carried item already on the chain — restarts from
+/// the inserted key instead of giving up, spending one iteration of the
+/// same budget; the table may well have room elsewhere. Walks that never
+/// trap draw exactly as before the restart existed.
 pub(crate) fn plan_random_walk<G: EvictionGraph>(
     g: &G,
     key: &G::Key,
     rng: &mut SplitMix64,
-    empty_terminal_only: bool,
     maxloop: u32,
     path: &mut Vec<usize>,
 ) -> bool {
@@ -164,7 +159,9 @@ pub(crate) fn plan_random_walk<G: EvictionGraph>(
             }
         }
         if m == 0 {
-            return false;
+            path.clear();
+            cur_key = key.clone();
+            continue;
         }
         let vb = choices[rng.next_below(m as u64) as usize];
         let vs = if l == 1 {
@@ -179,7 +176,7 @@ pub(crate) fn plan_random_walk<G: EvictionGraph>(
         };
         let ocands = g.cands(&occupant);
         g.meter_onchip((d * l) as u64);
-        if settleable(g, &ocands, next, empty_terminal_only) {
+        if settleable(g, &ocands, next) {
             return true;
         }
         cur_key = occupant;
@@ -196,7 +193,6 @@ pub(crate) fn plan_random_walk<G: EvictionGraph>(
 pub(crate) fn plan_bfs<G: EvictionGraph>(
     g: &G,
     key: &G::Key,
-    empty_terminal_only: bool,
     maxloop: u32,
     path: &mut Vec<usize>,
 ) -> bool {
@@ -229,7 +225,7 @@ pub(crate) fn plan_bfs<G: EvictionGraph>(
         };
         let ocands = g.cands(&occupant);
         g.meter_onchip((d * l) as u64);
-        if settleable(g, &ocands, slot, empty_terminal_only) {
+        if settleable(g, &ocands, slot) {
             // Reconstruct root → goal through the parent pointers.
             let mut at = head;
             while at != usize::MAX {
@@ -274,7 +270,6 @@ pub(crate) fn plan_bubble<G: EvictionGraph>(
     g: &G,
     key: &G::Key,
     rng: &mut SplitMix64,
-    empty_terminal_only: bool,
     maxloop: u32,
     path: &mut Vec<usize>,
 ) -> bool {
@@ -293,15 +288,7 @@ pub(crate) fn plan_bubble<G: EvictionGraph>(
                 continue;
             }
             path.push(slot);
-            if bubble_dfs(
-                g,
-                slot,
-                depth_limit - 1,
-                empty_terminal_only,
-                &mut budget,
-                rng,
-                path,
-            ) {
+            if bubble_dfs(g, slot, depth_limit - 1, &mut budget, rng, path) {
                 return true;
             }
             path.pop();
@@ -317,7 +304,6 @@ fn bubble_dfs<G: EvictionGraph>(
     g: &G,
     slot: usize,
     depth_left: usize,
-    empty_terminal_only: bool,
     budget: &mut u32,
     rng: &mut SplitMix64,
     path: &mut Vec<usize>,
@@ -333,7 +319,7 @@ fn bubble_dfs<G: EvictionGraph>(
     };
     let ocands = g.cands(&occupant);
     g.meter_onchip((d * l) as u64);
-    if settleable(g, &ocands, slot, empty_terminal_only) {
+    if settleable(g, &ocands, slot) {
         return true;
     }
     if depth_left == 0 {
@@ -351,15 +337,7 @@ fn bubble_dfs<G: EvictionGraph>(
                 continue;
             }
             path.push(child);
-            if bubble_dfs(
-                g,
-                child,
-                depth_left - 1,
-                empty_terminal_only,
-                budget,
-                rng,
-                path,
-            ) {
+            if bubble_dfs(g, child, depth_left - 1, budget, rng, path) {
                 return true;
             }
             path.pop();
@@ -430,7 +408,7 @@ mod tests {
     fn bfs_finds_the_shortest_chain() {
         let g = chain_graph();
         let mut path = Vec::new();
-        assert!(plan_bfs(&g, &100, true, 100, &mut path));
+        assert!(plan_bfs(&g, &100, 100, &mut path));
         // Shortest chain: evict 10 from slot 0; 10 settles… no — 10's
         // candidates are {0, 2}, both counter 1, so the chain must
         // continue to slot 2, whose occupant 20 settles into bucket 3.
@@ -442,7 +420,7 @@ mod tests {
         let g = chain_graph();
         let mut rng = SplitMix64::new(7);
         let mut path = Vec::new();
-        assert!(plan_bubble(&g, &100, &mut rng, true, 100, &mut path));
+        assert!(plan_bubble(&g, &100, &mut rng, 100, &mut path));
         assert_eq!(path, vec![0, 2], "only one viable chain exists");
     }
 
@@ -453,14 +431,14 @@ mod tests {
         // One hop cannot complete the two-link chain: hop 1 lands on
         // bucket 0 or 1, neither of whose occupants can settle.
         let mut rng = SplitMix64::new(3);
-        assert!(!plan_random_walk(&g, &100, &mut rng, true, 1, &mut path));
+        assert!(!plan_random_walk(&g, &100, &mut rng, 1, &mut path));
         // With budget, some seed finds a chain ending at slot 2 (whose
         // occupant is the only settleable item); depending on the first
         // draw the walk reaches it as [0, 2] or [1, 0, 2].
         let mut found = false;
         for seed in 0..16 {
             let mut rng = SplitMix64::new(seed);
-            if plan_random_walk(&g, &100, &mut rng, true, 10, &mut path) {
+            if plan_random_walk(&g, &100, &mut rng, 10, &mut path) {
                 assert_eq!(path.last(), Some(&2));
                 assert!(path == vec![0, 2] || path == vec![1, 0, 2]);
                 found = true;
@@ -480,24 +458,73 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         for kind in KickPolicyKind::ALL {
             assert!(
-                !plan_kick(&g, kind, &100, &mut rng, true, 50, &mut path),
+                !plan_kick(&g, kind, &100, &mut rng, 50, &mut path),
                 "{kind:?} must fail on a saturated graph"
             );
         }
     }
 
     #[test]
-    fn bfs_ignores_redundant_copies_when_empty_terminal_only() {
+    fn every_policy_accepts_a_redundant_copy_terminal() {
         let mut g = chain_graph();
         // Bucket 3 now holds a redundant copy (counter 2) instead of
-        // being empty: with empty_terminal_only the chain is rejected,
-        // without it the overwrite terminal is accepted.
+        // being empty: the terminal occupant 20 settles by overwriting
+        // it, so every policy still finds the chain 0 → 2.
         g.counters[3] = 2;
         g.occupants[3] = Some(21);
         g.cands.insert(21, [3usize, 1, usize::MAX, usize::MAX]);
         let mut path = Vec::new();
-        assert!(!plan_bfs(&g, &100, true, 100, &mut path));
-        assert!(plan_bfs(&g, &100, false, 100, &mut path));
-        assert_eq!(path, vec![0, 2]);
+        for kind in KickPolicyKind::ALL {
+            let mut found = false;
+            for seed in 0..16 {
+                let mut rng = SplitMix64::new(seed);
+                if plan_kick(&g, kind, &100, &mut rng, 100, &mut path) {
+                    assert_eq!(path.last(), Some(&2), "{kind:?}: wrong terminal");
+                    found = true;
+                    break;
+                }
+            }
+            assert!(found, "{kind:?} must accept the overwrite terminal");
+        }
+    }
+
+    /// Buckets 0..4, l = 1. Key 100 hashes to {0, 1}. Through bucket 0
+    /// the walk traps: 10 → {0, 2}, 20 → {2, 0}, so after 0 → 2 every
+    /// candidate of 20 is on the chain. Through bucket 1 the occupant
+    /// 11 → {1, 3} settles into the empty bucket 3.
+    fn trap_graph() -> ToyGraph {
+        let mut cands = std::collections::HashMap::new();
+        cands.insert(100u64, [0usize, 1, usize::MAX, usize::MAX]);
+        cands.insert(10u64, [0usize, 2, usize::MAX, usize::MAX]);
+        cands.insert(11u64, [1usize, 3, usize::MAX, usize::MAX]);
+        cands.insert(20u64, [2usize, 0, usize::MAX, usize::MAX]);
+        ToyGraph {
+            d: 2,
+            l: 1,
+            counters: vec![1, 1, 1, 0],
+            occupants: vec![Some(10), Some(11), Some(20), None],
+            cands,
+        }
+    }
+
+    #[test]
+    fn random_walk_restarts_after_trapping_itself() {
+        let g = trap_graph();
+        let mut path = Vec::new();
+        let mut trapped = 0;
+        for seed in 0..16 {
+            // The first draw picks among the key's two candidates; a 0
+            // sends the walk into the trap.
+            if SplitMix64::new(seed).next_below(2) == 0 {
+                trapped += 1;
+            }
+            let mut rng = SplitMix64::new(seed);
+            assert!(
+                plan_random_walk(&g, &100, &mut rng, 50, &mut path),
+                "seed {seed}: a chain exists, the walk must find it"
+            );
+            assert_eq!(path, vec![1], "seed {seed}");
+        }
+        assert!(trapped > 0, "no seed exercised the trap");
     }
 }

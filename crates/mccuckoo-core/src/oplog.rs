@@ -51,6 +51,7 @@
 //! assert_eq!(recovered.shard_count(), table.shard_count());
 //! ```
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -103,6 +104,29 @@ impl<K: ToJson, V: ToJson> ToJson for OpRecord<K, V> {
             ]),
             OpRecord::Clear => Json::Obj(vec![("op".to_owned(), Json::Str("clear".to_owned()))]),
         }
+    }
+
+    /// The log line without the value tree: the same bytes as
+    /// `to_json`, written straight into `out`.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            OpRecord::Insert { key, value } => {
+                out.push_str(r#"{"op":"insert","key":"#);
+                key.write_json(out);
+                out.push_str(r#","value":"#);
+                value.write_json(out);
+            }
+            OpRecord::Remove { key } => {
+                out.push_str(r#"{"op":"remove","key":"#);
+                key.write_json(out);
+            }
+            OpRecord::Split { shard } => {
+                out.push_str(r#"{"op":"split","shard":"#);
+                shard.write_json(out);
+            }
+            OpRecord::Clear => out.push_str(r#"{"op":"clear""#),
+        }
+        out.push('}');
     }
 }
 
@@ -167,10 +191,12 @@ pub trait LogSink {
 
 /// The reference in-memory sink: a shared, thread-safe line buffer.
 /// Clones share the same buffer, so the writer side hands a clone to
-/// the log and keeps one for reading the lines back. Truncation drops
-/// retained lines from the front and remembers how many records (and
-/// bytes) it has dropped, so absolute positions stay meaningful across
-/// compactions.
+/// the log and keeps one for reading the lines back. Retained lines live
+/// in one arena string with a table of end offsets, so an append is a
+/// lock plus a copy, [`LogSink::byte_len`] is O(1), and truncation
+/// drains a prefix of the arena. Truncation remembers how many records
+/// (and bytes) it has dropped, so absolute positions stay meaningful
+/// across compactions.
 #[derive(Clone, Default)]
 pub struct VecSink {
     inner: Arc<Mutex<VecSinkInner>>,
@@ -178,7 +204,12 @@ pub struct VecSink {
 
 #[derive(Default)]
 struct VecSinkInner {
-    lines: Vec<String>,
+    /// Every retained line, concatenated in append order; its first
+    /// byte sits at absolute offset `dropped_bytes`.
+    text: String,
+    /// Absolute end offset of each retained line (bytes ever appended
+    /// through it), so truncation never rewrites the remaining entries.
+    ends: Vec<u64>,
     dropped_records: u64,
     dropped_bytes: u64,
 }
@@ -193,11 +224,18 @@ impl VecSink {
     /// compaction this is exactly the tail to replay over the
     /// compaction snapshot.
     pub fn lines(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .expect("oplog sink poisoned")
-            .lines
-            .clone()
+        let inner = self.inner.lock().expect("oplog sink poisoned");
+        let mut start = 0usize;
+        inner
+            .ends
+            .iter()
+            .map(|&end| {
+                let end = (end - inner.dropped_bytes) as usize;
+                let line = inner.text[start..end].to_owned();
+                start = end;
+                line
+            })
+            .collect()
     }
 
     /// Retained lines (appended and not yet truncated).
@@ -213,25 +251,18 @@ impl VecSink {
 
 impl LogSink for VecSink {
     fn append(&self, line: &str) {
-        self.inner
-            .lock()
-            .expect("oplog sink poisoned")
-            .lines
-            .push(line.to_owned());
+        let mut inner = self.inner.lock().expect("oplog sink poisoned");
+        inner.text.push_str(line);
+        let end = inner.dropped_bytes + inner.text.len() as u64;
+        inner.ends.push(end);
     }
 
     fn record_count(&self) -> usize {
-        self.inner.lock().expect("oplog sink poisoned").lines.len()
+        self.inner.lock().expect("oplog sink poisoned").ends.len()
     }
 
     fn byte_len(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("oplog sink poisoned")
-            .lines
-            .iter()
-            .map(|l| l.len() as u64)
-            .sum()
+        self.inner.lock().expect("oplog sink poisoned").text.len() as u64
     }
 
     fn first_record_index(&self) -> u64 {
@@ -243,10 +274,16 @@ impl LogSink for VecSink {
 
     fn truncate_front(&self, records: usize) -> u64 {
         let mut inner = self.inner.lock().expect("oplog sink poisoned");
-        let n = records.min(inner.lines.len());
-        let bytes: u64 = inner.lines.drain(..n).map(|l| l.len() as u64).sum();
+        let n = records.min(inner.ends.len());
+        if n == 0 {
+            return 0;
+        }
+        let cut = inner.ends[n - 1];
+        let bytes = cut - inner.dropped_bytes;
+        inner.text.drain(..bytes as usize);
+        inner.ends.drain(..n);
         inner.dropped_records += n as u64;
-        inner.dropped_bytes += bytes;
+        inner.dropped_bytes = cut;
         bytes
     }
 }
@@ -264,9 +301,19 @@ impl<S: LogSink> OpLog<S> {
         Self { sink }
     }
 
-    /// Append one record.
+    /// Append one record. The line is serialised into a reused
+    /// per-thread buffer, so a warm append allocates nothing here.
     pub fn record<K: ToJson, V: ToJson>(&self, rec: &OpRecord<K, V>) {
-        self.sink.append(&jsonlite::to_string(rec));
+        thread_local! {
+            static LINE: Cell<String> = const { Cell::new(String::new()) };
+        }
+        // Taken, not borrowed: a sink that logs from inside `append`
+        // just serialises into a fresh buffer.
+        let mut line = LINE.take();
+        line.clear();
+        rec.write_json(&mut line);
+        self.sink.append(&line);
+        LINE.set(line);
     }
 
     /// The sink, for handing to readers.
@@ -361,6 +408,39 @@ mod tests {
     }
 
     #[test]
+    fn direct_lines_match_the_value_tree() {
+        let mut rng = hash_kit::SplitMix64::new(0x10C);
+        let mut keys = vec![0u64, 1, u64::MAX];
+        keys.extend((0..64).map(|_| rng.next_u64()));
+        let sink = VecSink::new();
+        let log = OpLog::new(sink.clone());
+        let mut recs: Vec<OpRecord<u64, u64>> = vec![OpRecord::Clear];
+        for &k in &keys {
+            recs.push(OpRecord::Insert { key: k, value: 0 });
+            recs.push(OpRecord::Insert {
+                key: k,
+                value: u64::MAX,
+            });
+            recs.push(OpRecord::Insert {
+                key: k,
+                value: rng.next_u64(),
+            });
+            recs.push(OpRecord::Remove { key: k });
+            recs.push(OpRecord::Split { shard: k as usize });
+        }
+        let mut want = Vec::new();
+        for rec in &recs {
+            let mut tree = String::new();
+            jsonlite::write_value(&rec.to_json(), &mut tree);
+            assert_eq!(jsonlite::to_string(rec), tree);
+            log.record(rec);
+            want.push(tree);
+        }
+        assert_eq!(sink.lines(), want);
+        assert_eq!(parse_log::<u64, u64>(&want).unwrap(), recs);
+    }
+
+    #[test]
     fn malformed_lines_are_typed_errors() {
         let bad = vec!["{\"op\":\"teleport\",\"key\":1}".to_owned()];
         let err = parse_log::<u64, u64>(&bad).unwrap_err();
@@ -378,6 +458,42 @@ mod tests {
         b.append("y");
         assert_eq!(a.lines(), vec!["x".to_owned(), "y".to_owned()]);
         assert!(!b.is_empty());
+    }
+
+    #[test]
+    fn arena_sink_matches_a_line_vector_across_truncations() {
+        // Lines of varied length, so every arena offset differs; partial
+        // truncations (including zero) interleave with appends, and the
+        // last one empties the sink.
+        let sink = VecSink::new();
+        let mut model: Vec<String> = Vec::new();
+        let mut dropped = 0u64;
+        let mut next = 0usize;
+        let check = |sink: &VecSink, model: &[String], dropped: u64| {
+            assert_eq!(sink.lines(), model);
+            assert_eq!(sink.record_count(), model.len());
+            assert_eq!(
+                sink.byte_len(),
+                model.iter().map(|l| l.len() as u64).sum::<u64>()
+            );
+            assert_eq!(sink.first_record_index(), dropped);
+        };
+        for (appends, cut) in [(7, 3), (0, 0), (5, 1), (2, 6), (4, 4), (3, 100)] {
+            for _ in 0..appends {
+                let line = "x".repeat(next % 5) + &format!("rec-{next}");
+                next += 1;
+                sink.append(&line);
+                model.push(line);
+            }
+            check(&sink, &model, dropped);
+            let n = cut.min(model.len());
+            let bytes: u64 = model.drain(..n).map(|l| l.len() as u64).sum();
+            assert_eq!(sink.truncate_front(cut), bytes);
+            dropped += n as u64;
+            check(&sink, &model, dropped);
+        }
+        assert!(sink.is_empty());
+        assert_eq!(sink.first_record_index(), next as u64);
     }
 
     #[test]

@@ -1089,9 +1089,6 @@ where
     pub fn insert_batch(&self, items: &[(K, V)]) -> Vec<Result<bool, (K, V)>> {
         self.obs.record_batch(items.len());
         let ntables = self.shard_count();
-        if ntables == 1 {
-            return self.table(0).insert_batch(items);
-        }
         let (routes, entry_snap, gids) = self.plan_batch(items, |&(k, _)| k, ntables);
         let (order, offsets) = Self::group_positions(&gids, ntables + 1);
         // Every slot is overwritten: `order` is a permutation.
@@ -1158,9 +1155,6 @@ where
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
         let ntables = self.shard_count();
-        if ntables == 1 {
-            return self.table(0).get_batch(keys);
-        }
         let (routes, entry_snap, gids) = self.plan_batch(keys, |&k| k, ntables);
         let (order, offsets) = Self::group_positions(&gids, ntables + 1);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
@@ -1207,9 +1201,6 @@ where
     pub fn remove_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
         let ntables = self.shard_count();
-        if ntables == 1 {
-            return self.table(0).remove_batch(keys);
-        }
         let (routes, entry_snap, gids) = self.plan_batch(keys, |&k| k, ntables);
         let (order, offsets) = Self::group_positions(&gids, ntables + 1);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
@@ -1961,6 +1952,36 @@ mod tests {
             assert!(v == k || v == k + 1_000_000);
         }
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn lookup_batch_never_misses_during_the_first_split() {
+        // A one-table directory must still re-validate routes: a batch
+        // that starts before the first split and runs through its drain
+        // would otherwise probe only the draining parent.
+        for seed in 0..6 {
+            let t = std::sync::Arc::new(table(1, 1_024, 400 + seed));
+            let keys: Vec<u64> = UniqueKeys::new(500 + seed).take_vec(2_400);
+            for &k in &keys {
+                t.insert(k, k ^ seed).unwrap();
+            }
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    while !stop.load(Ordering::Acquire) {
+                        for (k, v) in keys.iter().zip(t.lookup_batch(&keys)) {
+                            assert_eq!(v, Some(k ^ seed), "seed {seed}: live key {k} missed");
+                        }
+                    }
+                });
+                start.wait();
+                t.begin_split(0).unwrap();
+                stop.store(true, Ordering::Release);
+            });
+            assert_eq!(t.shard_count(), 2);
+        }
     }
 
     #[test]
