@@ -3,12 +3,13 @@
 //! Compares kick-outs and off-chip reads per insertion at high load for:
 //! standard Cuckoo with random-walk, standard Cuckoo with BFS,
 //! McCuckoo with random-walk (the paper's setup), and McCuckoo with
-//! MinCounter victim selection (paper ref \[17\], supported as a policy).
+//! MinCounter victim selection (paper ref \[17\], the
+//! `KickPolicyKind::MinCounter` policy).
 
 use cuckoo_baselines::{CuckooConfig, DaryCuckoo, KickPolicy};
 use mccuckoo_bench::harness::Config;
 use mccuckoo_bench::report::{f4, write_csv, Table};
-use mccuckoo_core::{McConfig, McCuckoo, ResolutionPolicy};
+use mccuckoo_core::{KickPolicyKind, McConfig, McCuckoo};
 use mem_model::MemStats;
 use workloads::DocWordsLike;
 
@@ -30,10 +31,10 @@ fn run_baseline(policy: KickPolicy) -> impl Fn(&Config, u64, &[f64]) -> Series {
     }
 }
 
-fn run_mc(policy: ResolutionPolicy) -> impl Fn(&Config, u64, &[f64]) -> Series {
+fn run_mc(policy: KickPolicyKind) -> impl Fn(&Config, u64, &[f64]) -> Series {
     move |cfg, seed, bands| {
         let mut t: McCuckoo<u64, u64> =
-            McCuckoo::new(McConfig::paper(cfg.cap / 3, seed).with_resolution(policy));
+            McCuckoo::new(McConfig::paper(cfg.cap / 3, seed).with_kick_policy(policy));
         sweep(bands, cfg.cap, seed, |k| {
             let before = t.meter().snapshot();
             let kicks = t
@@ -89,11 +90,11 @@ fn main() {
         ),
         (
             "McCuckoo/random-walk",
-            run_mc(ResolutionPolicy::RandomWalk)(&cfg, 210, &bands),
+            run_mc(KickPolicyKind::RandomWalk)(&cfg, 210, &bands),
         ),
         (
             "McCuckoo/MinCounter",
-            run_mc(ResolutionPolicy::MinCounter)(&cfg, 210, &bands),
+            run_mc(KickPolicyKind::MinCounter)(&cfg, 210, &bands),
         ),
     ];
     let mut kicks_tbl = Table::new(

@@ -1,224 +1,268 @@
-//! Bench-smoke regression gate.
+//! Benchmark gates: one table of `(flag, artifact, rule)`.
 //!
-//! Reads the fresh `results/bench_smoke.json` (written by `bench_smoke`
-//! in the same CI job) and the committed
-//! `results/bench_smoke_baseline.json`, and exits non-zero when any
-//! scheme regressed beyond [`mccuckoo_bench::GATE_TOLERANCE`] — on
-//! deterministic access counts, on insert throughput relative to the
-//! run's reference scheme, or by shipping empty observability stats.
+//! Each CI job writes an artifact under `results/` (or `MCB_RESULTS`)
+//! and then runs `bench_gate` with the flag of the gate that judges it;
+//! no flag selects the smoke gate. Exit 0 passes, 1 fails a rule, 2
+//! means the artifact is missing or lacks a column or row its rule
+//! reads. CSV artifacts are read by header name, so column order does
+//! not matter.
 //!
-//! `MCB_BASELINE` overrides the baseline path. After an intentional
-//! performance change, regenerate the baseline at the gated scale
-//! (`MCB_SMOKE=1 ./run_all_benches.sh`), copy `bench_smoke.json` over
-//! `bench_smoke_baseline.json` and commit it.
+//! | flag                   | artifact (producer)                                     | rule |
+//! |------------------------|---------------------------------------------------------|------|
+//! | (none)                 | `bench_smoke.json` (`bench_smoke`)                      | no scheme regressed beyond [`mccuckoo_bench::GATE_TOLERANCE`] against the committed baseline: deterministic access counts, insert throughput relative to the run's reference scheme, non-empty stats |
+//! | `--lookup-only`        | `bench_smoke.json` (`bench_smoke`)                      | batched lookups ≥ [`LOOKUP_MIN`] × the single-key rate of the same run |
+//! | `--scaling-only`       | `sharded_write_scaling.csv` (`concurrency_scaling --quick`) | best 8-shard/≥4-writer Mops ≥ [`scaling_min`] × the 1-shard/1-writer/per-op Mops |
+//! | `--first-failure-only` | `fig11_kick_policies.csv` (`fig11_first_failure`)       | per scheme, the best planned policy's first-failure load ≥ [`FIRST_FAILURE_MIN`] × the random walk's, each averaged over the swept budgets |
+//! | `--migration-only`     | `migration_pause.csv` (`migration_pause`)               | the per-row rules in [`MIGRATION`] |
+//! | `--maint-only`         | `maintenance_pause.csv` (`maintenance_pause --features maint-faults`) | the per-row rules in [`MAINTENANCE`] |
 //!
-//! With `--scaling-only` the smoke gate is skipped and only the
-//! multi-writer scaling gate runs: it reads the fresh
-//! `results/sharded_write_scaling.csv` (written by
-//! `concurrency_scaling [--quick]` in the same job) and fails when the
-//! best 8-shard/4-writer insert throughput is less than
-//! `MCB_SCALING_MIN` × the 1-shard/1-writer/per-op baseline. The
-//! default minimum is core-aware — 0.625 per core up to 4 cores,
-//! floored at 1.0 — so a 4-core runner must show the full 2.5× the
-//! striped-lock design is built for, while a 1-core sandbox (where
-//! thread-level scaling is physically impossible and only batching
-//! amortization survives) must still never fall below parity.
+//! Every ratio is taken within one run, so machine speed cancels out.
 //!
-//! With `--lookup-only` only the batched-read gate runs: it reads the
-//! fresh `results/bench_smoke.json` and fails when a multi-copy
-//! scheme's batched lookup throughput (`lookup_batch_mops`) is below
-//! `MCB_LOOKUP_MIN` × its own single-key rate (`lookup_mops`). Like the
-//! scaling gate the check is a same-run ratio, so machine speed cancels
-//! out; the default minimum is 1.2× — the prefetch-interleaved state
-//! machine must beat the per-key loop by a real margin, on any host
-//! with a functioning cache hierarchy (batching amortises dispatch even
-//! where the prefetch shim is a no-op).
-//!
-//! With `--migration-only` only the grow-under-fire gate runs: it reads
-//! the fresh `results/migration_pause.csv` (written by `migration_pause`
-//! in the same job; header `phase,splits,keys_moved,reader_ops,
-//! lookup_errors,max_pause_us,mean_pause_us,recovery_identical`) and
-//! fails when (a) any reader observed a lookup error — a stable key
-//! going missing while a split drained the table, the exact availability
-//! hole the forwarding entries exist to close; (b) the worst per-op
-//! reader pause during the split phase exceeds `MCB_PAUSE_MAX_US`
-//! (default 250000 — generous against scheduler noise on shared
-//! runners, but far below the seconds-long stall a reader-blocking
-//! migration would show); or (c) op-log replay did not rebuild a
-//! logically identical table (`recovery_identical != 1`).
-//!
-//! With `--maint-only` only the background-maintenance gate runs: it
-//! reads the fresh `results/maintenance_pause.csv` (written by
-//! `maintenance_pause --features maint-faults` in the same job; header
-//! `phase,ticks,reader_ops,lookup_errors,retirements,compactions,
-//! records_truncated,forwarding_live_end,recovery_identical`) and fails
-//! when (a) any reader observed a lookup error while the maintenance
-//! loop retired a degraded split's forwarding entries under live
-//! traffic; (b) `forwarding_live_end != 0` — the loop never drove the
-//! forwarding count back to zero; (c) fewer than one retirement pass or
-//! one watermark compaction actually ran, meaning the harness did not
-//! exercise the loop at all; or (d) the loop's newest managed snapshot
-//! plus the retained log tail did not rebuild a logically identical
-//! table (`recovery_identical != 1`).
-//!
-//! With `--first-failure-only` only the kick-policy gate runs: it reads
-//! the fresh `results/fig11_kick_policies.csv` (written by
-//! `fig11_first_failure` in the same job; header
-//! `maxloop,scheme,policy,load`) and fails when the best plan-first
-//! policy (bfs or bubble) of any scheme, averaged over the swept
-//! maxloop budgets, reaches less than `MCB_FF_MIN` × the random-walk
-//! first-failure load. The default minimum is 1.0 — searching the
-//! eviction *tree* must never average worse than sampling one path.
-//! Averaging over budgets is deliberate: at the largest budgets every
-//! policy compresses into the saturation plateau where differences are
-//! noise-level, while the planned policies' real edge shows across the
-//! whole curve. The sweep is seed-deterministic, so the gate is stable
-//! for a given `MCB_CAP`/`MCB_RUNS`.
+//! `MCB_BASELINE` overrides the smoke baseline's path. After an
+//! intentional performance change, regenerate the baseline at the gated
+//! scale (`MCB_SMOKE=1 ./run_all_benches.sh`), copy `bench_smoke.json`
+//! over `bench_smoke_baseline.json` and commit it.
 
-use std::path::PathBuf;
+use std::fmt;
 use std::process::exit;
 
 use mccuckoo_bench::report::csv_path;
 use mccuckoo_bench::smoke::{gate_lookup_batch, gate_regressions, SmokeReport};
 
-/// Best (shards == 8, writers >= 4) Mops divided by the
-/// (1, 1, 1) baseline Mops, from the CSV text written by
-/// `concurrency_scaling` (header `shards,writers,batch,Mops`).
-fn scaling_ratio(csv: &str) -> Result<f64, String> {
-    let mut baseline = None;
-    let mut best_multi: Option<f64> = None;
-    for (lineno, line) in csv.lines().enumerate().skip(1) {
-        let f: Vec<&str> = line.trim().split(',').collect();
-        if f.len() != 4 {
-            return Err(format!(
-                "line {}: expected 4 fields, got {line:?}",
-                lineno + 1
-            ));
-        }
-        let parse = |s: &str| {
-            s.parse::<f64>()
-                .map_err(|e| format!("line {}: {e} in {line:?}", lineno + 1))
-        };
-        let (shards, writers, mops) = (parse(f[0])?, parse(f[1])?, parse(f[3])?);
-        if shards == 1.0 && writers == 1.0 && parse(f[2])? == 1.0 {
-            baseline = Some(mops);
-        }
-        if shards == 8.0 && writers >= 4.0 {
-            best_multi = Some(best_multi.map_or(mops, |b: f64| b.max(mops)));
-        }
-    }
-    let baseline = baseline.ok_or("no (1,1,1) baseline row")?;
-    let best = best_multi.ok_or("no (8, >=4, *) row")?;
-    if baseline <= 0.0 {
-        return Err(format!("non-positive baseline {baseline}"));
-    }
-    Ok(best / baseline)
-}
+/// Batched lookups of the single-writer multi-copy schemes must beat
+/// their own per-key loop by this factor. Batching amortises dispatch
+/// even where the prefetch shim is a no-op, so the margin holds on any
+/// host.
+const LOOKUP_MIN: f64 = 1.2;
 
-/// `MCB_SCALING_MIN`, or the core-aware default described in the
-/// module docs.
+/// Searching the eviction *tree* must never average worse than
+/// sampling one path. Averaging over budgets is deliberate: at the
+/// largest budgets every policy compresses into the saturation plateau
+/// where differences are noise, while the planned policies' edge shows
+/// across the whole curve. The sweep is seed-deterministic, so the gate
+/// is stable for a given `MCB_CAP`/`MCB_RUNS`.
+const FIRST_FAILURE_MIN: f64 = 1.0;
+
+/// Policies that plan a whole chain before moving anything. The walk's
+/// MinCounter variant (`min-counter`) is not one of them.
+const PLANNED: [&str; 2] = ["bfs", "bubble"];
+
+/// Minimum write-scaling ratio: 0.625 per core up to 4 cores, floored
+/// at 1.0. A 4-core runner must show the full 2.5× the striped-lock
+/// design is built for; a 1-core sandbox, where only batching
+/// amortisation survives, must still never fall below parity.
 fn scaling_min() -> f64 {
-    if let Ok(v) = std::env::var("MCB_SCALING_MIN") {
-        if let Ok(min) = v.parse::<f64>() {
-            return min;
-        }
-        eprintln!("[gate] ignoring unparseable MCB_SCALING_MIN={v:?}");
-    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     (0.625 * cores.min(4) as f64).max(1.0)
 }
 
-fn gate_scaling() {
-    let path = csv_path("sharded_write_scaling");
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot read {}: {e}", path.display());
-        eprintln!("[gate] run `concurrency_scaling --quick` first");
-        exit(2);
-    });
-    let ratio = scaling_ratio(&raw).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot interpret {}: {e}", path.display());
-        exit(2);
-    });
-    let min = scaling_min();
-    println!(
-        "[gate] write scaling: best 8-shard multi-writer is {ratio:.2}x the \
-         single-writer per-op baseline (minimum {min:.2}x)"
-    );
-    if ratio < min {
-        eprintln!(
-            "[gate] FAIL: scaling {ratio:.2}x < {min:.2}x — multi-writer \
-             inserts no longer scale (see DESIGN.md \"Concurrency\")"
-        );
-        exit(1);
-    }
+/// The bound a per-row rule puts on its column.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    AtMost(f64),
+    AtLeast(f64),
+    Exactly(f64),
 }
+use Bound::{AtLeast, AtMost, Exactly};
 
-/// `MCB_LOOKUP_MIN`, defaulting to the 1.2× margin of the acceptance
-/// criteria. Ratio-based (batched vs single-key of the same run), so no
-/// per-core scaling is needed: both passes run on one thread.
-fn lookup_min() -> f64 {
-    if let Ok(v) = std::env::var("MCB_LOOKUP_MIN") {
-        if let Ok(min) = v.parse::<f64>() {
-            return min;
+impl Bound {
+    fn holds(self, v: f64) -> bool {
+        match self {
+            AtMost(max) => v <= max,
+            AtLeast(min) => v >= min,
+            Exactly(want) => v == want,
         }
-        eprintln!("[gate] ignoring unparseable MCB_LOOKUP_MIN={v:?}");
     }
-    1.2
 }
 
-fn gate_lookup() {
-    let fresh = load(&csv_path("bench_smoke").with_extension("json"));
-    let min = lookup_min();
-    for s in &fresh.schemes {
-        let ratio = if s.lookup_mops > 0.0 {
-            s.lookup_batch_mops / s.lookup_mops
-        } else {
-            0.0
+/// `(phase, column, bound, meaning)`: rows of `phase` (every row when
+/// `None`) must keep `column` within `bound`; `meaning` says what a
+/// broken rule means. A scoped rule also requires a row of its phase.
+#[derive(Debug)]
+struct RowRule(Option<&'static str>, &'static str, Bound, &'static str);
+
+/// Readers must never lose a key while shards split, nor block on the
+/// migration (250 ms is far above scheduler noise on shared runners,
+/// far below a reader stalled on a lock), and op-log replay must
+/// rebuild the grown table exactly (DESIGN.md "Growth & persistence").
+#[rustfmt::skip]
+const MIGRATION: &[RowRule] = &[
+    RowRule(None,          "lookup_errors",      AtMost(0.0),       "a stable key went missing"),
+    RowRule(Some("split"), "max_pause_us",       AtMost(250_000.0), "readers block on migration"),
+    RowRule(Some("split"), "recovery_identical", Exactly(1.0),      "log replay is not exact"),
+];
+
+/// Under live traffic the maintenance loop must retire a degraded
+/// split's forwarding to zero without losing a read, must actually run
+/// (one retirement pass and one compaction at least), and its newest
+/// managed snapshot plus the retained log tail must recover exactly
+/// (DESIGN.md "Background maintenance").
+#[rustfmt::skip]
+const MAINTENANCE: &[RowRule] = &[
+    RowRule(None,          "lookup_errors",       AtMost(0.0),  "retirement dropped a live key"),
+    RowRule(Some("maint"), "forwarding_live_end", Exactly(0.0), "retirement never converged"),
+    RowRule(Some("maint"), "retirements",         AtLeast(1.0), "retirement never ran"),
+    RowRule(Some("maint"), "compactions",         AtLeast(1.0), "compaction never ran"),
+    RowRule(Some("maint"), "recovery_identical",  Exactly(1.0), "recovery is not exact"),
+];
+
+/// Named same-run ratios of an artifact.
+type Ratios = fn(&Csv) -> Result<Vec<(String, f64)>, ArtifactError>;
+
+/// How a gate judges its artifact.
+enum Rule {
+    /// Per-row thresholds.
+    Rows(&'static [RowRule]),
+    /// Every ratio must reach the minimum.
+    MinRatio(Ratios, fn() -> f64),
+    /// The smoke report against the committed baseline.
+    SmokeBaseline,
+    /// Batched against single-key lookups of the smoke report.
+    SmokeLookup,
+}
+
+/// Every gate as `(flag, artifact, producer, rule)`. The first one,
+/// with no flag, is the default.
+#[rustfmt::skip]
+const GATES: &[(&str, &str, &str, Rule)] = &[
+    ("", "bench_smoke.json", "bench_smoke", Rule::SmokeBaseline),
+    ("--lookup-only", "bench_smoke.json", "bench_smoke", Rule::SmokeLookup),
+    ("--scaling-only", "sharded_write_scaling.csv", "concurrency_scaling --quick",
+        Rule::MinRatio(|t| Ok(vec![("write scaling".into(), scaling_ratio(t)?)]), scaling_min)),
+    ("--first-failure-only", "fig11_kick_policies.csv", "fig11_first_failure",
+        Rule::MinRatio(first_failure_ratios, || FIRST_FAILURE_MIN)),
+    ("--migration-only", "migration_pause.csv", "migration_pause", Rule::Rows(MIGRATION)),
+    ("--maint-only", "maintenance_pause.csv", "maintenance_pause --features maint-faults",
+        Rule::Rows(MAINTENANCE)),
+];
+
+/// Why an artifact could not be judged (exit 2).
+#[derive(Debug)]
+enum ArtifactError {
+    /// The file is missing or is not valid JSON of the expected shape.
+    Unreadable(String),
+    /// A column a rule reads is not in the header.
+    MissingColumn(String),
+    /// No row of the phase a rule is scoped to.
+    MissingPhase(&'static str),
+    /// A row does not fit the header, a cell is not a number, or rows
+    /// an aggregate rule needs are absent.
+    Invalid(String),
+}
+
+impl fmt::Display for ArtifactError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArtifactError::MissingColumn(c) => write!(f, "missing column {c:?}"),
+            ArtifactError::MissingPhase(p) => write!(f, "no {p}-phase row"),
+            ArtifactError::Unreadable(m) | ArtifactError::Invalid(m) => f.write_str(m),
+        }
+    }
+}
+
+/// A CSV artifact, read by header name.
+struct Csv {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Csv {
+    fn parse(text: &str) -> Result<Csv, ArtifactError> {
+        let split = |line: &str| {
+            line.trim()
+                .split(',')
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
         };
-        println!(
-            "[gate] {:<10} lookup {:.2} Mops single, {:.2} Mops batched ({ratio:.2}x)",
-            s.scheme, s.lookup_mops, s.lookup_batch_mops
-        );
+        let mut lines = text.lines();
+        let header = split(lines.next().unwrap_or(""));
+        let mut rows = Vec::new();
+        for (i, line) in lines.enumerate() {
+            let row = split(line);
+            if row.len() != header.len() {
+                return Err(ArtifactError::Invalid(format!(
+                    "line {}: expected {} fields, got {line:?}",
+                    i + 2,
+                    header.len()
+                )));
+            }
+            rows.push(row);
+        }
+        Ok(Csv { header, rows })
     }
-    let fails = gate_lookup_batch(&fresh, min);
-    if fails.is_empty() {
-        println!("[gate] pass: batched lookups clear the {min:.2}x margin");
-        return;
+
+    fn column(&self, name: &str) -> Result<usize, ArtifactError> {
+        self.header
+            .iter()
+            .position(|c| c == name)
+            .ok_or_else(|| ArtifactError::MissingColumn(name.to_owned()))
     }
-    for f in &fails {
-        eprintln!("[gate] FAIL: {f}");
+
+    fn text(&self, row: usize, name: &str) -> Result<&str, ArtifactError> {
+        Ok(&self.rows[row][self.column(name)?])
     }
-    exit(1);
+
+    fn num(&self, row: usize, name: &str) -> Result<f64, ArtifactError> {
+        let cell = self.text(row, name)?;
+        cell.parse().map_err(|e| {
+            ArtifactError::Invalid(format!("line {}: {name} = {cell:?}: {e}", row + 2))
+        })
+    }
 }
 
-/// Per-scheme `best(bfs, bubble) / random-walk` first-failure ratios,
-/// each policy's load first averaged over every swept maxloop budget,
-/// from the CSV text written by `fig11_first_failure` (header
-/// `maxloop,scheme,policy,load`).
-fn first_failure_ratios(csv: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut rows: Vec<(String, String, f64)> = Vec::new();
-    for (lineno, line) in csv.lines().enumerate().skip(1) {
-        let f: Vec<&str> = line.trim().split(',').collect();
-        if f.len() != 4 {
-            return Err(format!(
-                "line {}: expected 4 fields, got {line:?}",
-                lineno + 1
-            ));
+/// One judged value, printed as is; `pass == false` fails the gate.
+#[derive(Debug)]
+struct Verdict {
+    line: String,
+    pass: bool,
+}
+
+/// Best (shards == 8, writers >= 4) Mops divided by the (1, 1, 1)
+/// baseline Mops of `concurrency_scaling`'s curve.
+fn scaling_ratio(t: &Csv) -> Result<f64, ArtifactError> {
+    let mut baseline = None;
+    let mut best: Option<f64> = None;
+    for i in 0..t.rows.len() {
+        let (shards, writers, mops) =
+            (t.num(i, "shards")?, t.num(i, "writers")?, t.num(i, "Mops")?);
+        if (shards, writers, t.num(i, "batch")?) == (1.0, 1.0, 1.0) {
+            baseline = Some(mops);
         }
-        f[0].parse::<u32>()
-            .map_err(|e| format!("line {}: {e} in {line:?}", lineno + 1))?;
-        let load = f[3]
-            .parse::<f64>()
-            .map_err(|e| format!("line {}: {e} in {line:?}", lineno + 1))?;
-        rows.push((f[1].to_string(), f[2].to_string(), load));
+        if shards == 8.0 && writers >= 4.0 {
+            best = Some(best.map_or(mops, |b| b.max(mops)));
+        }
     }
-    if rows.is_empty() {
-        return Err("no data rows".into());
+    let incomplete = |m: &str| ArtifactError::Invalid(m.to_owned());
+    let baseline = baseline.ok_or_else(|| incomplete("no (1,1,1) baseline row"))?;
+    let best = best.ok_or_else(|| incomplete("no (8, >=4, *) row"))?;
+    if baseline <= 0.0 {
+        return Err(ArtifactError::Invalid(format!(
+            "non-positive baseline {baseline}"
+        )));
     }
-    let mut schemes: Vec<String> = Vec::new();
-    for r in &rows {
-        if !schemes.contains(&r.0) {
-            schemes.push(r.0.clone());
+    Ok(best / baseline)
+}
+
+/// Per scheme, the best [`PLANNED`] policy's first-failure load over
+/// the random walk's, each policy first averaged over every swept
+/// maxloop budget of `fig11_first_failure`'s sweep.
+fn first_failure_ratios(t: &Csv) -> Result<Vec<(String, f64)>, ArtifactError> {
+    if t.rows.is_empty() {
+        return Err(ArtifactError::Invalid("no data rows".into()));
+    }
+    let rows = (0..t.rows.len())
+        .map(|i| {
+            Ok((
+                t.text(i, "scheme")?,
+                t.text(i, "policy")?,
+                t.num(i, "load")?,
+            ))
+        })
+        .collect::<Result<Vec<_>, ArtifactError>>()?;
+    let mut schemes: Vec<&str> = Vec::new();
+    for &(scheme, _, _) in &rows {
+        if !schemes.contains(&scheme) {
+            schemes.push(scheme);
         }
     }
     let mut out = Vec::new();
@@ -229,356 +273,180 @@ fn first_failure_ratios(csv: &str) -> Result<Vec<(String, f64)>, String> {
                 .filter(|r| r.0 == scheme && r.1 == policy)
                 .map(|r| r.2)
                 .collect();
-            if loads.is_empty() {
-                None
-            } else {
-                Some(loads.iter().sum::<f64>() / loads.len() as f64)
-            }
+            (!loads.is_empty()).then(|| loads.iter().sum::<f64>() / loads.len() as f64)
         };
-        let walk = mean("random-walk").ok_or(format!("no random-walk row for {scheme}"))?;
-        let best = mean("bfs")
-            .into_iter()
-            .chain(mean("bubble"))
-            .fold(None::<f64>, |b, v| Some(b.map_or(v, |b| b.max(v))))
-            .ok_or(format!("no bfs/bubble row for {scheme}"))?;
+        let missing = |what| ArtifactError::Invalid(format!("no {what} row for {scheme}"));
+        let walk = mean("random-walk").ok_or_else(|| missing("random-walk"))?;
+        let best = PLANNED
+            .iter()
+            .filter_map(|p| mean(p))
+            .reduce(f64::max)
+            .ok_or_else(|| missing("bfs/bubble"))?;
         if walk <= 0.0 {
-            return Err(format!("non-positive random-walk load {walk} for {scheme}"));
+            return Err(ArtifactError::Invalid(format!(
+                "non-positive random-walk load {walk} for {scheme}"
+            )));
         }
-        out.push((scheme, best / walk));
+        out.push((scheme.to_owned(), best / walk));
     }
     Ok(out)
 }
 
-/// `MCB_FF_MIN`, defaulting to parity: the plan-first policies must not
-/// lose to the random walk at the operating budget.
-fn first_failure_min() -> f64 {
-    if let Ok(v) = std::env::var("MCB_FF_MIN") {
-        if let Ok(min) = v.parse::<f64>() {
-            return min;
-        }
-        eprintln!("[gate] ignoring unparseable MCB_FF_MIN={v:?}");
+/// Judge every row by the rules that apply to its phase.
+fn judge_rows(t: &Csv, rules: &[RowRule]) -> Result<Vec<Verdict>, ArtifactError> {
+    t.column("phase")?;
+    for RowRule(_, column, _, _) in rules {
+        t.column(column)?;
     }
-    1.0
-}
-
-fn gate_first_failure() {
-    let path = csv_path("fig11_kick_policies");
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot read {}: {e}", path.display());
-        eprintln!("[gate] run `fig11_first_failure` first");
-        exit(2);
-    });
-    let ratios = first_failure_ratios(&raw).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot interpret {}: {e}", path.display());
-        exit(2);
-    });
-    let min = first_failure_min();
-    let mut failed = false;
-    for (scheme, ratio) in &ratios {
-        println!(
-            "[gate] {scheme:<10} first-failure: best planned policy is {ratio:.4}x \
-             the random walk (minimum {min:.4}x)"
-        );
-        if *ratio < min {
-            eprintln!(
-                "[gate] FAIL: {scheme} planned kick {ratio:.4}x < {min:.4}x — BFS/bubbling \
-                 no longer beat the random walk (see DESIGN.md \"Kick policies\")"
-            );
-            failed = true;
+    let phase_of = |i| t.text(i, "phase");
+    for &phase in rules.iter().filter_map(|r| r.0.as_ref()) {
+        if !(0..t.rows.len()).any(|i| matches!(phase_of(i), Ok(p) if p == phase)) {
+            return Err(ArtifactError::MissingPhase(phase));
         }
     }
-    if failed {
-        exit(1);
-    }
-}
-
-/// One parsed `migration_pause.csv` row.
-#[derive(Debug)]
-struct PauseRow {
-    phase: String,
-    lookup_errors: u64,
-    max_pause_us: f64,
-    recovery_identical: u64,
-}
-
-/// Parse the CSV text written by `migration_pause` (header
-/// `phase,splits,keys_moved,reader_ops,lookup_errors,max_pause_us,mean_pause_us,recovery_identical`).
-fn pause_rows(csv: &str) -> Result<Vec<PauseRow>, String> {
-    let mut rows = Vec::new();
-    for (lineno, line) in csv.lines().enumerate().skip(1) {
-        let f: Vec<&str> = line.trim().split(',').collect();
-        if f.len() != 8 {
-            return Err(format!(
-                "line {}: expected 8 fields, got {line:?}",
-                lineno + 1
-            ));
-        }
-        let err = |e| format!("line {}: {e} in {line:?}", lineno + 1);
-        rows.push(PauseRow {
-            phase: f[0].to_string(),
-            lookup_errors: f[4].parse().map_err(|e| err(format!("{e}")))?,
-            max_pause_us: f[5].parse().map_err(|e| err(format!("{e}")))?,
-            recovery_identical: f[7].parse().map_err(|e| err(format!("{e}")))?,
-        });
-    }
-    if !rows.iter().any(|r| r.phase == "split") {
-        return Err("no split-phase row".into());
-    }
-    Ok(rows)
-}
-
-/// `MCB_PAUSE_MAX_US`, defaulting to 250ms: far above scheduler noise,
-/// far below a reader actually blocking on a migration lock.
-fn pause_max_us() -> f64 {
-    if let Ok(v) = std::env::var("MCB_PAUSE_MAX_US") {
-        if let Ok(max) = v.parse::<f64>() {
-            return max;
-        }
-        eprintln!("[gate] ignoring unparseable MCB_PAUSE_MAX_US={v:?}");
-    }
-    250_000.0
-}
-
-fn gate_migration() {
-    let path = csv_path("migration_pause");
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot read {}: {e}", path.display());
-        eprintln!("[gate] run `migration_pause` first");
-        exit(2);
-    });
-    let rows = pause_rows(&raw).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot interpret {}: {e}", path.display());
-        exit(2);
-    });
-    let max = pause_max_us();
-    let mut failed = false;
-    for r in &rows {
-        println!(
-            "[gate] {:<8} lookup errors {}, worst pause {:.2} us, recovery {}",
-            r.phase, r.lookup_errors, r.max_pause_us, r.recovery_identical
-        );
-        if r.lookup_errors > 0 {
-            eprintln!(
-                "[gate] FAIL: {} phase lost {} reader lookup(s) — a stable key went \
-                 missing mid-migration (see DESIGN.md \"Growth & persistence\")",
-                r.phase, r.lookup_errors
-            );
-            failed = true;
-        }
-        if r.phase == "split" {
-            if r.max_pause_us > max {
-                eprintln!(
-                    "[gate] FAIL: worst reader pause {:.2} us > {max:.0} us during the \
-                     split — readers are blocking on migration",
-                    r.max_pause_us
-                );
-                failed = true;
+    let mut out = Vec::new();
+    for i in 0..t.rows.len() {
+        let phase = phase_of(i)?;
+        for &RowRule(scope, column, bound, meaning) in rules {
+            if scope.is_some_and(|p| p != phase) {
+                continue;
             }
-            if r.recovery_identical != 1 {
-                eprintln!(
-                    "[gate] FAIL: op-log replay did not rebuild an identical table \
-                     (recovery_identical = {})",
-                    r.recovery_identical
-                );
-                failed = true;
-            }
+            let v = t.num(i, column)?;
+            let pass = bound.holds(v);
+            let meaning = if pass { "" } else { meaning };
+            out.push(Verdict {
+                line: format!("{phase:<8} {column:<20} {v} (want {bound:?}) {meaning}"),
+                pass,
+            });
         }
     }
-    if failed {
-        exit(1);
-    }
-    println!(
-        "[gate] pass: readers never erred or blocked during the split, and log replay is exact"
-    );
+    Ok(out)
 }
 
-/// One parsed `maintenance_pause.csv` row.
-#[derive(Debug)]
-struct MaintRow {
-    phase: String,
-    lookup_errors: u64,
-    retirements: u64,
-    compactions: u64,
-    forwarding_live_end: u64,
-    recovery_identical: u64,
+fn read(path: &std::path::Path) -> Result<String, ArtifactError> {
+    std::fs::read_to_string(path)
+        .map_err(|e| ArtifactError::Unreadable(format!("cannot read {}: {e}", path.display())))
 }
 
-/// Parse the CSV text written by `maintenance_pause` (header
-/// `phase,ticks,reader_ops,lookup_errors,retirements,compactions,records_truncated,forwarding_live_end,recovery_identical`).
-fn maint_rows(csv: &str) -> Result<Vec<MaintRow>, String> {
-    let mut rows = Vec::new();
-    for (lineno, line) in csv.lines().enumerate().skip(1) {
-        let f: Vec<&str> = line.trim().split(',').collect();
-        if f.len() != 9 {
-            return Err(format!(
-                "line {}: expected 9 fields, got {line:?}",
-                lineno + 1
-            ));
+fn smoke_report(text: &str) -> Result<SmokeReport, ArtifactError> {
+    jsonlite::from_str(text)
+        .map_err(|e| ArtifactError::Unreadable(format!("bad smoke report: {e}")))
+}
+
+/// Informational lines pass; each failure message fails.
+fn verdicts(info: Vec<String>, fails: Vec<String>) -> Vec<Verdict> {
+    let info = info.into_iter().map(|line| Verdict { line, pass: true });
+    info.chain(fails.into_iter().map(|line| Verdict { line, pass: false }))
+        .collect()
+}
+
+fn judge(rule: &Rule, text: &str) -> Result<Vec<Verdict>, ArtifactError> {
+    match rule {
+        Rule::Rows(rules) => judge_rows(&Csv::parse(text)?, rules),
+        Rule::MinRatio(ratios, min) => {
+            let min = min();
+            let ratios = ratios(&Csv::parse(text)?)?;
+            Ok(ratios
+                .into_iter()
+                .map(|(name, ratio)| Verdict {
+                    line: format!("{name:<14} ratio {ratio:.4}x (minimum {min:.4}x)"),
+                    pass: ratio >= min,
+                })
+                .collect())
         }
-        let err = |e| format!("line {}: {e} in {line:?}", lineno + 1);
-        rows.push(MaintRow {
-            phase: f[0].to_string(),
-            lookup_errors: f[3].parse().map_err(|e| err(format!("{e}")))?,
-            retirements: f[4].parse().map_err(|e| err(format!("{e}")))?,
-            compactions: f[5].parse().map_err(|e| err(format!("{e}")))?,
-            forwarding_live_end: f[7].parse().map_err(|e| err(format!("{e}")))?,
-            recovery_identical: f[8].parse().map_err(|e| err(format!("{e}")))?,
-        });
-    }
-    if !rows.iter().any(|r| r.phase == "maint") {
-        return Err("no maint-phase row".into());
-    }
-    Ok(rows)
-}
-
-fn gate_maintenance() {
-    let path = csv_path("maintenance_pause");
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot read {}: {e}", path.display());
-        eprintln!("[gate] run `maintenance_pause` (--features maint-faults) first");
-        exit(2);
-    });
-    let rows = maint_rows(&raw).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot interpret {}: {e}", path.display());
-        exit(2);
-    });
-    let mut failed = false;
-    for r in &rows {
-        println!(
-            "[gate] {:<8} lookup errors {}, retirements {}, compactions {}, \
-             forwarding live at end {}, recovery {}",
-            r.phase,
-            r.lookup_errors,
-            r.retirements,
-            r.compactions,
-            r.forwarding_live_end,
-            r.recovery_identical
-        );
-        if r.lookup_errors > 0 {
-            eprintln!(
-                "[gate] FAIL: readers lost {} lookup(s) while the maintenance loop \
-                 ran — retirement dropped a live key (see DESIGN.md \"Background \
-                 maintenance\")",
-                r.lookup_errors
-            );
-            failed = true;
+        Rule::SmokeBaseline => {
+            let fresh = smoke_report(text)?;
+            let base_path = std::env::var("MCB_BASELINE")
+                .unwrap_or_else(|_| "results/bench_smoke_baseline.json".into());
+            let baseline = smoke_report(&read(base_path.as_ref())?)?;
+            let info = fresh.schemes.iter().map(|s| {
+                let b = baseline.schemes.iter().find(|b| b.scheme == s.scheme);
+                format!(
+                    "{:<10} mops {:.3} (baseline {}), r/ins {:.2} (baseline {}), inserts {} kicks {}",
+                    s.scheme,
+                    s.insert_mops,
+                    b.map_or("-".into(), |b| format!("{:.3}", b.insert_mops)),
+                    s.offchip_reads_per_insert,
+                    b.map_or("-".into(), |b| format!("{:.2}", b.offchip_reads_per_insert)),
+                    s.stats.ops.inserts,
+                    s.stats.ops.kicks,
+                )
+            });
+            Ok(verdicts(
+                info.collect(),
+                gate_regressions(&baseline, &fresh),
+            ))
         }
-        if r.phase == "maint" {
-            if r.forwarding_live_end != 0 {
-                eprintln!(
-                    "[gate] FAIL: {} forwarding entr{} still live after the loop \
-                     settled — retirement never converged",
-                    r.forwarding_live_end,
-                    if r.forwarding_live_end == 1 {
-                        "y is"
-                    } else {
-                        "ies are"
-                    }
-                );
-                failed = true;
-            }
-            if r.retirements < 1 || r.compactions < 1 {
-                eprintln!(
-                    "[gate] FAIL: loop ran {} retirement(s) and {} compaction(s) — \
-                     the harness did not exercise background maintenance",
-                    r.retirements, r.compactions
-                );
-                failed = true;
-            }
-            if r.recovery_identical != 1 {
-                eprintln!(
-                    "[gate] FAIL: managed snapshot + retained tail did not rebuild \
-                     an identical table (recovery_identical = {})",
-                    r.recovery_identical
-                );
-                failed = true;
-            }
+        Rule::SmokeLookup => {
+            let fresh = smoke_report(text)?;
+            let info = fresh.schemes.iter().map(|s| {
+                let ratio = if s.lookup_mops > 0.0 {
+                    s.lookup_batch_mops / s.lookup_mops
+                } else {
+                    0.0
+                };
+                format!(
+                    "{:<10} lookup {:.2} Mops single, {:.2} Mops batched ({ratio:.2}x)",
+                    s.scheme, s.lookup_mops, s.lookup_batch_mops
+                )
+            });
+            Ok(verdicts(
+                info.collect(),
+                gate_lookup_batch(&fresh, LOOKUP_MIN),
+            ))
         }
     }
-    if failed {
-        exit(1);
-    }
-    println!(
-        "[gate] pass: the maintenance loop retired forwarding and compacted the log \
-         under fire, with zero reader errors and exact recovery"
-    );
-}
-
-fn load(path: &PathBuf) -> SmokeReport {
-    let raw = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot read {}: {e}", path.display());
-        exit(2);
-    });
-    jsonlite::from_str(&raw).unwrap_or_else(|e| {
-        eprintln!("[gate] cannot parse {}: {e}", path.display());
-        exit(2);
-    })
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--scaling-only") {
-        gate_scaling();
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (_, artifact, producer, rule) = GATES[1..]
+        .iter()
+        .find(|g| args.iter().any(|a| a == g.0))
+        .unwrap_or(&GATES[0]);
+    let (stem, ext) = artifact.split_once('.').expect("artifact has an extension");
+    let path = csv_path(stem).with_extension(ext);
+    let judged = read(&path).and_then(|text| judge(rule, &text));
+    let verdicts = judged.unwrap_or_else(|e| {
+        eprintln!("[gate] {}: {e}", path.display());
+        eprintln!("[gate] (re)run `{producer}` first");
+        exit(2);
+    });
+    let mut failed = 0;
+    for v in &verdicts {
+        if v.pass {
+            println!("[gate] {}", v.line);
+        } else {
+            eprintln!("[gate] FAIL: {}", v.line);
+            failed += 1;
+        }
     }
-    if std::env::args().any(|a| a == "--lookup-only") {
-        gate_lookup();
-        return;
+    if failed > 0 {
+        eprintln!("[gate] {failed} check(s) failed on {}", path.display());
+        exit(1);
     }
-    if std::env::args().any(|a| a == "--first-failure-only") {
-        gate_first_failure();
-        return;
-    }
-    if std::env::args().any(|a| a == "--migration-only") {
-        gate_migration();
-        return;
-    }
-    if std::env::args().any(|a| a == "--maint-only") {
-        gate_maintenance();
-        return;
-    }
-    let fresh_path = csv_path("bench_smoke").with_extension("json");
-    let base_path = PathBuf::from(
-        std::env::var("MCB_BASELINE")
-            .unwrap_or_else(|_| "results/bench_smoke_baseline.json".into()),
-    );
-    let fresh = load(&fresh_path);
-    let baseline = load(&base_path);
-    for s in &fresh.schemes {
-        let b = baseline.schemes.iter().find(|b| b.scheme == s.scheme);
-        println!(
-            "[gate] {:<10} mops {:.3} (baseline {}), r/ins {:.2} (baseline {}), inserts {} kicks {}",
-            s.scheme,
-            s.insert_mops,
-            b.map_or("-".into(), |b| format!("{:.3}", b.insert_mops)),
-            s.offchip_reads_per_insert,
-            b.map_or("-".into(), |b| format!("{:.2}", b.offchip_reads_per_insert)),
-            s.stats.ops.inserts,
-            s.stats.ops.kicks,
-        );
-    }
-    let fails = gate_regressions(&baseline, &fresh);
-    if fails.is_empty() {
-        println!(
-            "[gate] pass: {} scheme(s) within tolerance of {}",
-            fresh.schemes.len(),
-            base_path.display()
-        );
-        return;
-    }
-    for f in &fails {
-        eprintln!("[gate] FAIL: {f}");
-    }
-    eprintln!(
-        "[gate] {} regression(s); if intentional, regenerate {} (see bin docs)",
-        fails.len(),
-        base_path.display()
-    );
-    exit(1);
+    println!("[gate] pass: {}", path.display());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ratio_of(csv: &str) -> Result<f64, ArtifactError> {
+        scaling_ratio(&Csv::parse(csv)?)
+    }
+
+    fn ff_ratios(csv: &str) -> Result<Vec<(String, f64)>, ArtifactError> {
+        first_failure_ratios(&Csv::parse(csv)?)
+    }
+
+    fn rows(csv: &str, rules: &[RowRule]) -> Result<Vec<Verdict>, ArtifactError> {
+        judge_rows(&Csv::parse(csv)?, rules)
+    }
+
+    fn failures(csv: &str, rules: &[RowRule]) -> usize {
+        rows(csv, rules).unwrap().iter().filter(|v| !v.pass).count()
+    }
 
     #[test]
     fn scaling_ratio_takes_best_eight_shard_multi_writer_row() {
@@ -589,18 +457,20 @@ mod tests {
                    8,4,256,5.00\n";
         // The 8-shard/2-writer row is ignored: the gate measures the
         // 4-writer configuration the acceptance curve is defined on.
-        assert_eq!(scaling_ratio(csv).unwrap(), 2.5);
+        assert_eq!(ratio_of(csv).unwrap(), 2.5);
     }
 
     #[test]
     fn scaling_ratio_rejects_incomplete_curves() {
-        assert!(scaling_ratio("shards,writers,batch,Mops\n1,1,1,2.0\n")
+        assert!(ratio_of("shards,writers,batch,Mops\n1,1,1,2.0\n")
             .unwrap_err()
+            .to_string()
             .contains("no (8, >=4, *) row"));
-        assert!(scaling_ratio("shards,writers,batch,Mops\n8,4,1,2.0\n")
+        assert!(ratio_of("shards,writers,batch,Mops\n8,4,1,2.0\n")
             .unwrap_err()
+            .to_string()
             .contains("no (1,1,1) baseline row"));
-        assert!(scaling_ratio("shards,writers,batch,Mops\nnot,a,row\n").is_err());
+        assert!(ratio_of("shards,writers,batch,Mops\nnot,a,row\n").is_err());
     }
 
     #[test]
@@ -629,7 +499,7 @@ mod tests {
         // Each policy is averaged across its budget rows, then the best
         // of bfs/bubble is compared to the walk: bubble's mean 0.8600
         // beats bfs's 0.8045 and the walk's 0.8500 for McCuckoo.
-        let ratios = first_failure_ratios(csv).unwrap();
+        let ratios = ff_ratios(csv).unwrap();
         assert_eq!(ratios.len(), 2);
         assert_eq!(ratios[0].0, "McCuckoo");
         assert!((ratios[0].1 - 0.8600 / 0.8500).abs() < 1e-12);
@@ -639,29 +509,47 @@ mod tests {
 
     #[test]
     fn first_failure_ratios_reject_incomplete_sweeps() {
-        assert!(first_failure_ratios("maxloop,scheme,policy,load\n")
+        assert!(ff_ratios("maxloop,scheme,policy,load\n")
             .unwrap_err()
+            .to_string()
             .contains("no data rows"));
         assert!(
-            first_failure_ratios("maxloop,scheme,policy,load\n500,McCuckoo,bfs,0.9\n")
+            ff_ratios("maxloop,scheme,policy,load\n500,McCuckoo,bfs,0.9\n")
                 .unwrap_err()
+                .to_string()
                 .contains("no random-walk row")
         );
         assert!(
-            first_failure_ratios("maxloop,scheme,policy,load\n500,McCuckoo,random-walk,0.9\n")
+            ff_ratios("maxloop,scheme,policy,load\n500,McCuckoo,random-walk,0.9\n")
                 .unwrap_err()
+                .to_string()
                 .contains("no bfs/bubble row")
         );
-        assert!(first_failure_ratios("maxloop,scheme,policy,load\nnot,a,row\n").is_err());
+        assert!(ff_ratios("maxloop,scheme,policy,load\nnot,a,row\n").is_err());
+    }
+
+    #[test]
+    fn min_counter_rows_never_count_as_planned() {
+        // A min-counter row far above everything must not lift the best
+        // planned policy, and alone it does not make one.
+        let csv = "maxloop,scheme,policy,load\n\
+                   500,McCuckoo,random-walk,0.9000\n\
+                   500,McCuckoo,bfs,0.8100\n\
+                   500,McCuckoo,min-counter,0.9900\n";
+        let ratios = ff_ratios(csv).unwrap();
+        assert!((ratios[0].1 - 0.8100 / 0.9000).abs() < 1e-12);
+        let only_walks = "maxloop,scheme,policy,load\n\
+                          500,McCuckoo,random-walk,0.9000\n\
+                          500,McCuckoo,min-counter,0.9900\n";
+        assert!(ff_ratios(only_walks)
+            .unwrap_err()
+            .to_string()
+            .contains("no bfs/bubble row"));
     }
 
     #[test]
     fn first_failure_minimum_defaults_to_parity() {
-        // Env-independent check of the committed default (the CI job
-        // does not set MCB_FF_MIN).
-        if std::env::var("MCB_FF_MIN").is_err() {
-            assert_eq!(first_failure_min(), 1.0);
-        }
+        assert_eq!(FIRST_FAILURE_MIN, 1.0);
     }
 
     #[test]
@@ -669,71 +557,147 @@ mod tests {
         let csv = "phase,splits,keys_moved,reader_ops,lookup_errors,max_pause_us,mean_pause_us,recovery_identical\n\
                    baseline,0,0,100000,0,120.50,0.60,1\n\
                    split,6,57000,90000,0,340.25,0.80,1\n";
-        let rows = pause_rows(csv).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].phase, "split");
-        assert_eq!(rows[1].lookup_errors, 0);
-        assert_eq!(rows[1].max_pause_us, 340.25);
-        assert_eq!(rows[1].recovery_identical, 1);
+        let t = Csv::parse(csv).unwrap();
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.text(1, "phase").unwrap(), "split");
+        assert_eq!(t.num(1, "lookup_errors").unwrap(), 0.0);
+        assert_eq!(t.num(1, "max_pause_us").unwrap(), 340.25);
+        assert_eq!(t.num(1, "recovery_identical").unwrap(), 1.0);
+        assert_eq!(failures(csv, MIGRATION), 0);
     }
 
     #[test]
     fn pause_rows_reject_incomplete_sweeps() {
         let header = "phase,splits,keys_moved,reader_ops,lookup_errors,max_pause_us,mean_pause_us,recovery_identical\n";
-        assert!(pause_rows(header)
+        assert!(rows(header, MIGRATION)
             .unwrap_err()
+            .to_string()
             .contains("no split-phase row"));
         let no_split = format!("{header}baseline,0,0,1,0,1.0,0.5,1\n");
-        assert!(pause_rows(&no_split)
+        assert!(rows(&no_split, MIGRATION)
             .unwrap_err()
+            .to_string()
             .contains("no split-phase row"));
-        assert!(pause_rows("phase,x\nsplit,broken\n").is_err());
+        assert!(rows("phase,x\nsplit,broken\n", MIGRATION).is_err());
     }
 
     #[test]
     fn maint_rows_parse_the_maint_phase() {
         let csv = "phase,ticks,reader_ops,lookup_errors,retirements,compactions,records_truncated,forwarding_live_end,recovery_identical\n\
                    maint,310,480000,0,3,2,41000,0,1\n";
-        let rows = maint_rows(csv).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].phase, "maint");
-        assert_eq!(rows[0].lookup_errors, 0);
-        assert_eq!(rows[0].retirements, 3);
-        assert_eq!(rows[0].compactions, 2);
-        assert_eq!(rows[0].forwarding_live_end, 0);
-        assert_eq!(rows[0].recovery_identical, 1);
+        let t = Csv::parse(csv).unwrap();
+        assert_eq!(t.rows.len(), 1);
+        assert_eq!(t.text(0, "phase").unwrap(), "maint");
+        assert_eq!(t.num(0, "lookup_errors").unwrap(), 0.0);
+        assert_eq!(t.num(0, "retirements").unwrap(), 3.0);
+        assert_eq!(t.num(0, "compactions").unwrap(), 2.0);
+        assert_eq!(t.num(0, "forwarding_live_end").unwrap(), 0.0);
+        assert_eq!(t.num(0, "recovery_identical").unwrap(), 1.0);
+        assert_eq!(failures(csv, MAINTENANCE), 0);
     }
 
     #[test]
     fn maint_rows_reject_incomplete_sweeps() {
         let header = "phase,ticks,reader_ops,lookup_errors,retirements,compactions,records_truncated,forwarding_live_end,recovery_identical\n";
-        assert!(maint_rows(header)
+        assert!(rows(header, MAINTENANCE)
             .unwrap_err()
+            .to_string()
             .contains("no maint-phase row"));
         let wrong_phase = format!("{header}baseline,1,1,0,0,0,0,0,1\n");
-        assert!(maint_rows(&wrong_phase)
+        assert!(rows(&wrong_phase, MAINTENANCE)
             .unwrap_err()
+            .to_string()
             .contains("no maint-phase row"));
-        assert!(maint_rows("phase,x\nmaint,broken\n").is_err());
+        assert!(rows("phase,x\nmaint,broken\n", MAINTENANCE).is_err());
         let bad_field = format!("{header}maint,1,1,zero,0,0,0,0,1\n");
-        assert!(maint_rows(&bad_field).is_err());
+        assert!(rows(&bad_field, MAINTENANCE).is_err());
     }
 
     #[test]
     fn pause_maximum_defaults_to_a_quarter_second() {
-        // Env-independent check of the committed default (the CI job
-        // does not set MCB_PAUSE_MAX_US).
-        if std::env::var("MCB_PAUSE_MAX_US").is_err() {
-            assert_eq!(pause_max_us(), 250_000.0);
-        }
+        let pause = MIGRATION.iter().find(|r| r.1 == "max_pause_us").unwrap();
+        assert!(matches!(pause.2, AtMost(v) if v == 250_000.0));
+        assert_eq!(pause.0, Some("split"));
     }
 
     #[test]
     fn lookup_minimum_defaults_to_the_acceptance_margin() {
-        // Env-independent check of the committed default (the CI job
-        // does not set MCB_LOOKUP_MIN).
-        if std::env::var("MCB_LOOKUP_MIN").is_err() {
-            assert_eq!(lookup_min(), 1.2);
+        assert_eq!(LOOKUP_MIN, 1.2);
+    }
+
+    #[test]
+    fn row_rules_break_on_each_bound() {
+        let header = "phase,splits,keys_moved,reader_ops,lookup_errors,max_pause_us,mean_pause_us,recovery_identical\n";
+        let bad = format!(
+            "{header}baseline,0,0,1,2,900000.0,0.5,0\n\
+             split,1,1,1,1,250000.5,0.5,0\n"
+        );
+        // The baseline row breaks only the unscoped lookup-error rule;
+        // the split row breaks all three.
+        assert_eq!(failures(&bad, MIGRATION), 4);
+        let edge = format!("{header}split,1,1,1,0,250000.0,0.5,1\n");
+        assert_eq!(failures(&edge, MIGRATION), 0, "the bound is inclusive");
+        let maint = "phase,ticks,reader_ops,lookup_errors,retirements,compactions,records_truncated,forwarding_live_end,recovery_identical\n\
+                     maint,1,1,0,0,0,0,3,1\n";
+        assert_eq!(failures(maint, MAINTENANCE), 3);
+    }
+
+    #[test]
+    fn reordered_columns_give_the_same_verdicts() {
+        let csv = "phase,splits,keys_moved,reader_ops,lookup_errors,max_pause_us,mean_pause_us,recovery_identical\n\
+                   baseline,0,0,100,0,120.5,0.6,1\n\
+                   split,6,57000,90,0,300000.0,0.8,1\n";
+        let reordered = "recovery_identical,max_pause_us,phase,mean_pause_us,lookup_errors,reader_ops,keys_moved,splits\n\
+                         1,120.5,baseline,0.6,0,100,0,0\n\
+                         1,300000.0,split,0.8,0,90,57000,6\n";
+        let verdict = |csv: &str| -> Vec<(String, bool)> {
+            let mut v: Vec<_> = rows(csv, MIGRATION)
+                .unwrap()
+                .into_iter()
+                .map(|v| (v.line, v.pass))
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(verdict(csv), verdict(reordered));
+        assert_eq!(failures(reordered, MIGRATION), 1);
+        let scaling = "Mops,batch,writers,shards\n2.00,1,1,1\n5.00,256,4,8\n";
+        assert_eq!(ratio_of(scaling).unwrap(), 2.5);
+        let ff =
+            "load,policy,scheme,maxloop\n0.9,random-walk,McCuckoo,50\n0.99,bubble,McCuckoo,50\n";
+        assert!((ff_ratios(ff).unwrap()[0].1 - 0.99 / 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn missing_columns_and_phases_are_typed_errors() {
+        let no_pause = "phase,lookup_errors,recovery_identical\nsplit,0,1\n";
+        assert!(matches!(
+            rows(no_pause, MIGRATION),
+            Err(ArtifactError::MissingColumn(c)) if c == "max_pause_us"
+        ));
+        let no_maint =
+            "phase,lookup_errors,retirements,compactions,forwarding_live_end,recovery_identical\n\
+                        baseline,0,1,1,0,1\n";
+        assert!(matches!(
+            rows(no_maint, MAINTENANCE),
+            Err(ArtifactError::MissingPhase("maint"))
+        ));
+        assert!(matches!(
+            ratio_of("shards,writers,Mops\n1,1,2.0\n"),
+            Err(ArtifactError::MissingColumn(c)) if c == "batch"
+        ));
+        assert!(matches!(
+            ff_ratios("maxloop,scheme,load\n50,McCuckoo,0.9\n"),
+            Err(ArtifactError::MissingColumn(c)) if c == "policy"
+        ));
+    }
+
+    #[test]
+    fn every_flag_names_one_gate() {
+        for (i, (flag, artifact, _, _)) in GATES.iter().enumerate() {
+            assert_eq!(flag.is_empty(), i == 0, "only the default gate has no flag");
+            assert!(GATES[..i].iter().all(|g| g.0 != *flag));
+            assert!(artifact.contains('.'));
         }
     }
 }

@@ -6,13 +6,14 @@
 //! smaller maxloop than their single-copy counterparts, and the blocked
 //! schemes sit far above the single-slot ones.
 //!
-//! A second sweep varies the kick policy (random-walk | bfs | bubble) on
-//! the multi-copy schemes at the same budgets, emitting
+//! A second sweep varies the kick policy (random-walk | bfs | bubble |
+//! min-counter) on the multi-copy schemes at the same budgets, emitting
 //! `results/fig11_kick_policies.csv` in long form
 //! (`maxloop,scheme,policy,load`). Expected shape: the plan-first
 //! policies (BFS especially) push the first failure to a strictly higher
 //! load than the random walk at equal budget, because they search the
-//! eviction *tree* where the walk samples one path.
+//! eviction *tree* where the walk samples one path. MinCounter is the
+//! walk with a cold-bucket victim choice, not a planned policy.
 
 use mccuckoo_bench::harness::{first_failure_load, mean, Config};
 use mccuckoo_bench::report::{f4, pct4, write_csv, Table};

@@ -1255,18 +1255,20 @@ where
     }
 
     /// In-place update scan: rewrite every live copy of `key`. Returns
-    /// the copies updated, or `None` if the key is absent. Caller holds
-    /// the candidate stripes.
+    /// the copies updated, or `None` if the key is absent. Like the
+    /// readers and [`Self::remove_excl`], it reads only buckets whose
+    /// counter is non-zero. Caller holds the candidate stripes.
     fn try_update_excl(&self, key: &K, value: &V, cands: &[usize; MAX_D]) -> Option<u8> {
         let mut existing = [false; MAX_D];
         let mut exists = false;
         self.access.onchip_read(self.d as u64);
         for i in 0..self.d {
-            if let Some((k, _)) = self.cell_read_metered(cands[i]) {
-                if k == *key && self.counters[cands[i]].load(Ordering::Acquire) > 0 {
-                    existing[i] = true;
-                    exists = true;
-                }
+            if self.counters[cands[i]].load(Ordering::Acquire) == 0 {
+                continue;
+            }
+            if matches!(self.cell_read_metered(cands[i]), Some((k, _)) if k == *key) {
+                existing[i] = true;
+                exists = true;
             }
         }
         if !exists {
@@ -1571,6 +1573,18 @@ mod tests {
         assert_eq!(t.insert(5, 51), Ok(true), "live key is an update");
         assert_eq!(t.get(&5), Some(51));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn fresh_insert_into_empty_table_reads_nothing_off_chip() {
+        // Every candidate counter is 0, so the upsert's update scan must
+        // skip all d buckets, as the readers and `remove_excl` do.
+        let t = table(64, 3);
+        t.insert(5, 50).unwrap();
+        assert_eq!(t.mem_stats().offchip_reads, 0);
+        // An update still reads the live copies it rewrites.
+        t.insert(5, 51).unwrap();
+        assert!(t.mem_stats().offchip_reads > 0);
     }
 
     #[test]

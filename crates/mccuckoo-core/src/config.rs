@@ -1,7 +1,7 @@
 //! Configuration of McCuckoo tables.
 
 use hash_kit::FamilyKind;
-use jsonlite::{impl_json_enum, impl_json_struct};
+use jsonlite::{impl_json_enum, FromJson, Json, JsonError, ToJson};
 
 /// How deletions are handled (§III.B.3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,29 +24,13 @@ pub enum DeletionMode {
     Tombstone,
 }
 
-/// Which item is evicted when a real collision occurs (every candidate
-/// holds a sole copy). The counters already pinpoint *whether* a free or
-/// redundant bucket exists; these policies only decide the blind step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResolutionPolicy {
-    /// Uniformly random victim, never stepping straight back (§III.D;
-    /// the paper's choice).
-    #[default]
-    RandomWalk,
-    /// MinCounter (paper ref \[17\]): per-bucket 5-bit kick-history
-    /// counters, evict from the least-kicked ("coldest") bucket, ties
-    /// broken randomly.
-    MinCounter,
-}
-
-/// How an insertion chooses and traverses displacement chains when every
-/// candidate bucket holds a sole copy (a *real* collision). Orthogonal to
-/// [`ResolutionPolicy`], which only picks the blind victim inside the
-/// random-walk policy.
+/// How an insertion resolves a *real* collision — every candidate
+/// bucket holds a sole copy, so the counters prove a displacement chain
+/// is needed — by choosing and traversing that chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KickPolicyKind {
-    /// The paper's mutate-as-you-walk random walk (§III.D), optionally
-    /// refined by [`ResolutionPolicy::MinCounter`]. `maxloop` counts
+    /// The paper's mutate-as-you-walk random walk (§III.D): a uniformly
+    /// random victim, never stepping straight back. `maxloop` counts
     /// *walk hops*. A failed walk leaves its relocations in place and
     /// stashes the last carried item.
     #[default]
@@ -61,6 +45,14 @@ pub enum KickPolicyKind {
     /// `maxloop` counts *visited nodes*; the depth bound is derived
     /// (≈ log₂ maxloop, clamped to 2..=8).
     Bubble,
+    /// MinCounter (paper ref \[17\]): the random walk, but each hop
+    /// evicts from the least-kicked ("coldest") candidate bucket per
+    /// on-chip 5-bit kick-history counters, ties broken randomly.
+    /// Walk semantics and budget are [`KickPolicyKind::RandomWalk`]'s.
+    /// The concurrent tables keep no kick history: every bucket is
+    /// equally cold, so they plan it as the plain random walk — which
+    /// *is* MinCounter with every tie broken randomly.
+    MinCounter,
 }
 
 impl KickPolicyKind {
@@ -70,14 +62,16 @@ impl KickPolicyKind {
             KickPolicyKind::RandomWalk => "random-walk",
             KickPolicyKind::Bfs => "bfs",
             KickPolicyKind::Bubble => "bubble",
+            KickPolicyKind::MinCounter => "min-counter",
         }
     }
 
     /// All policies, in sweep order.
-    pub const ALL: [KickPolicyKind; 3] = [
+    pub const ALL: [KickPolicyKind; 4] = [
         KickPolicyKind::RandomWalk,
         KickPolicyKind::Bfs,
         KickPolicyKind::Bubble,
+        KickPolicyKind::MinCounter,
     ];
 }
 
@@ -108,9 +102,7 @@ pub struct McConfig {
     pub buckets_per_table: usize,
     /// Kick-out budget before an insertion is declared failed.
     pub maxloop: u32,
-    /// Collision resolution policy.
-    pub resolution: ResolutionPolicy,
-    /// Kick-walk strategy for real collisions.
+    /// Collision resolution policy for real collisions.
     pub kick: KickPolicyKind,
     /// Deletion handling.
     pub deletion: DeletionMode,
@@ -127,31 +119,65 @@ impl_json_enum!(DeletionMode {
     Reset,
     Tombstone
 });
-impl_json_enum!(ResolutionPolicy {
-    RandomWalk,
-    MinCounter
-});
 impl_json_enum!(KickPolicyKind {
     RandomWalk,
     Bfs,
-    Bubble
+    Bubble,
+    MinCounter
 });
 impl_json_enum!(StashPolicy {
     None,
     Linear,
     Hashed
 });
-impl_json_struct!(McConfig {
-    d,
-    buckets_per_table,
-    maxloop,
-    resolution,
-    kick,
-    deletion,
-    stash,
-    family,
-    seed,
-});
+impl ToJson for McConfig {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("d".to_owned(), self.d.to_json()),
+            (
+                "buckets_per_table".to_owned(),
+                self.buckets_per_table.to_json(),
+            ),
+            ("maxloop".to_owned(), self.maxloop.to_json()),
+            ("kick".to_owned(), self.kick.to_json()),
+            ("deletion".to_owned(), self.deletion.to_json()),
+            ("stash".to_owned(), self.stash.to_json()),
+            ("family".to_owned(), self.family.to_json()),
+            ("seed".to_owned(), self.seed.to_json()),
+        ])
+    }
+}
+
+/// Also reads configs written when MinCounter was a separate
+/// `resolution` field. It only ever refined the random walk, so
+/// `"resolution":"MinCounter"` with `"kick":"RandomWalk"` reads as
+/// [`KickPolicyKind::MinCounter`]; any other `resolution` is ignored.
+impl FromJson for McConfig {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        fn field<T: FromJson>(j: &Json, name: &str) -> Result<T, JsonError> {
+            T::from_json(
+                j.get(name)
+                    .ok_or_else(|| JsonError(format!("missing field '{name}' on McConfig")))?,
+            )
+        }
+        let mut kick = field(j, "kick")?;
+        if kick == KickPolicyKind::RandomWalk
+            && matches!(j.get("resolution"), Some(Json::Str(r)) if r == "MinCounter")
+        {
+            kick = KickPolicyKind::MinCounter;
+        }
+        Ok(Self {
+            d: field(j, "d")?,
+            buckets_per_table: field(j, "buckets_per_table")?,
+            maxloop: field(j, "maxloop")?,
+            kick,
+            deletion: field(j, "deletion")?,
+            stash: field(j, "stash")?,
+            family: field(j, "family")?,
+            seed: field(j, "seed")?,
+        })
+    }
+}
 
 impl McConfig {
     /// The paper's software configuration: d = 3, random-walk, maxloop
@@ -162,7 +188,6 @@ impl McConfig {
             d: 3,
             buckets_per_table,
             maxloop: 500,
-            resolution: ResolutionPolicy::RandomWalk,
             kick: KickPolicyKind::RandomWalk,
             deletion: DeletionMode::Disabled,
             stash: StashPolicy::Linear,
@@ -204,13 +229,7 @@ impl McConfig {
         self
     }
 
-    /// Set the resolution policy.
-    pub fn with_resolution(mut self, resolution: ResolutionPolicy) -> Self {
-        self.resolution = resolution;
-        self
-    }
-
-    /// Set the kick-walk policy.
+    /// Set the collision resolution policy.
     pub fn with_kick_policy(mut self, kick: KickPolicyKind) -> Self {
         self.kick = kick;
         self
@@ -246,7 +265,6 @@ mod tests {
         let c = McConfig::paper(100, 1);
         assert_eq!(c.d, 3);
         assert_eq!(c.maxloop, 500);
-        assert_eq!(c.resolution, ResolutionPolicy::RandomWalk);
         assert_eq!(c.kick, KickPolicyKind::RandomWalk);
         assert_eq!(c.deletion, DeletionMode::Disabled);
         assert_eq!(c.stash, StashPolicy::Linear);
@@ -260,13 +278,11 @@ mod tests {
             .with_maxloop(50)
             .with_deletion(DeletionMode::Tombstone)
             .with_stash(StashPolicy::Hashed)
-            .with_resolution(ResolutionPolicy::MinCounter)
             .with_kick_policy(KickPolicyKind::Bfs);
         assert_eq!(c.d, 4);
         assert_eq!(c.maxloop, 50);
         assert_eq!(c.deletion, DeletionMode::Tombstone);
         assert_eq!(c.stash, StashPolicy::Hashed);
-        assert_eq!(c.resolution, ResolutionPolicy::MinCounter);
         assert_eq!(c.kick, KickPolicyKind::Bfs);
     }
 
@@ -275,7 +291,47 @@ mod tests {
         assert_eq!(KickPolicyKind::RandomWalk.label(), "random-walk");
         assert_eq!(KickPolicyKind::Bfs.label(), "bfs");
         assert_eq!(KickPolicyKind::Bubble.label(), "bubble");
-        assert_eq!(KickPolicyKind::ALL.len(), 3);
+        assert_eq!(KickPolicyKind::MinCounter.label(), "min-counter");
+        assert_eq!(KickPolicyKind::ALL.len(), 4);
+    }
+
+    /// A config as written when MinCounter was a separate field.
+    fn legacy_json(resolution: &str, kick: &str) -> String {
+        format!(
+            "{{\"d\":3,\"buckets_per_table\":100,\"maxloop\":500,\
+             \"resolution\":\"{resolution}\",\"kick\":\"{kick}\",\
+             \"deletion\":\"Disabled\",\"stash\":\"Linear\",\
+             \"family\":\"Independent\",\"seed\":1}}"
+        )
+    }
+
+    #[test]
+    fn legacy_resolution_field_folds_into_the_kick_policy() {
+        let kick = |json: &str| jsonlite::from_str::<McConfig>(json).unwrap().kick;
+        let cases = [
+            ("MinCounter", "RandomWalk", KickPolicyKind::MinCounter),
+            ("MinCounter", "Bfs", KickPolicyKind::Bfs),
+            ("MinCounter", "Bubble", KickPolicyKind::Bubble),
+            ("RandomWalk", "RandomWalk", KickPolicyKind::RandomWalk),
+            ("Unknown", "RandomWalk", KickPolicyKind::RandomWalk),
+        ];
+        for (resolution, written, want) in cases {
+            assert_eq!(kick(&legacy_json(resolution, written)), want);
+        }
+    }
+
+    #[test]
+    fn config_json_has_no_resolution_field() {
+        for kind in KickPolicyKind::ALL {
+            let c = McConfig::paper(100, 1).with_kick_policy(kind);
+            let json = jsonlite::to_string(&c);
+            assert!(!json.contains("resolution"), "{json}");
+            let back: McConfig = jsonlite::from_str(&json).unwrap();
+            assert_eq!(back.kick, kind);
+            assert_eq!(jsonlite::to_string(&back), json);
+        }
+        let missing = jsonlite::to_string(&McConfig::paper(100, 1)).replacen("\"seed\":1", "", 1);
+        assert!(jsonlite::from_str::<McConfig>(&missing).is_err());
     }
 
     #[test]

@@ -45,7 +45,7 @@
 use hash_kit::{BucketFamily, KeyHash, SplitMix64};
 use mem_model::{InsertOutcome, InsertReport, MemMeter};
 
-use crate::config::{DeletionMode, KickPolicyKind, McConfig, ResolutionPolicy};
+use crate::config::{DeletionMode, KickPolicyKind, McConfig};
 use crate::counters::CounterArray;
 use crate::kick::{self, EvictionGraph};
 use crate::obs::{Obs, TableStats};
@@ -298,9 +298,9 @@ pub struct Engine<K, V, L: BucketLayout> {
     pub(crate) n: usize,
     pub(crate) deletion: DeletionMode,
     pub(crate) maxloop: u32,
-    pub(crate) resolution: ResolutionPolicy,
-    /// Kick-walk strategy: the paper's mutate-as-you-walk random walk,
-    /// or a plan-first policy (BFS / bubbling) from the [`kick`] layer.
+    /// Collision resolution: the paper's mutate-as-you-walk random walk
+    /// (optionally MinCounter-guided), or a plan-first policy (BFS /
+    /// bubbling) from the [`kick`] layer.
     pub(crate) kick: KickPolicyKind,
     /// Off-chip slots: `(table * n + bucket) * l + slot`.
     pub(crate) slots: Vec<Option<Entry<K, V>>>,
@@ -316,8 +316,8 @@ pub struct Engine<K, V, L: BucketLayout> {
     pub(crate) flags: Vec<bool>,
     /// On-chip per-slot copy counters.
     pub(crate) counters: CounterArray,
-    /// On-chip 5-bit kick-history counters, one per bucket (MinCounter
-    /// policy only).
+    /// On-chip 5-bit kick-history counters, one per bucket
+    /// ([`KickPolicyKind::MinCounter`] only).
     pub(crate) kick_history: Option<Vec<u8>>,
     pub(crate) stash: Stash<K, V>,
     pub(crate) stash_policy: crate::config::StashPolicy,
@@ -355,16 +355,13 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             n: config.buckets_per_table,
             deletion: config.deletion,
             maxloop: config.maxloop,
-            resolution: config.resolution,
             kick: config.kick,
             slots,
             tags: vec![0u8; total_slots],
             flags: vec![false; total_buckets],
             counters: CounterArray::new(total_slots, config.d as u8),
-            kick_history: match config.resolution {
-                ResolutionPolicy::MinCounter => Some(vec![0u8; total_buckets]),
-                ResolutionPolicy::RandomWalk => None,
-            },
+            kick_history: (config.kick == KickPolicyKind::MinCounter)
+                .then(|| vec![0u8; total_buckets]),
             stash: Stash::new(config.stash),
             stash_policy: config.stash,
             seed: config.seed,
@@ -384,7 +381,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             d: self.d,
             buckets_per_table: self.n,
             maxloop: self.maxloop,
-            resolution: self.resolution,
             kick: self.kick,
             deletion: self.deletion,
             stash: self.stash_policy,
@@ -471,8 +467,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     }
 
     /// On-chip bytes consumed by the counter array (plus the kick
-    /// history under the MinCounter policy, 5 bits per bucket rounded
-    /// up to whole bytes).
+    /// history under [`KickPolicyKind::MinCounter`], 5 bits per bucket
+    /// rounded up to whole bytes).
     pub fn onchip_bytes(&self) -> usize {
         self.counters.onchip_bytes()
             + self
@@ -845,13 +841,15 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// Collision resolution: the counters have already proven that every
     /// candidate slot holds a sole copy, so a displacement chain is
     /// needed. Dispatch on the configured [`KickPolicyKind`]: the
-    /// paper's random walk mutates as it goes (§III.D, preserved
-    /// bit-for-bit); BFS and bubbling plan a complete chain through the
-    /// [`kick`] layer first and execute it only if it exists, so their
-    /// failed inserts leave the main table untouched.
+    /// paper's random walk and its MinCounter variant mutate as they go
+    /// (§III.D, preserved bit-for-bit); BFS and bubbling plan a complete
+    /// chain through the [`kick`] layer first and execute it only if it
+    /// exists, so their failed inserts leave the main table untouched.
     fn resolve_collision(&mut self, key: K, value: V) -> Result<InsertReport, McFull<K, V>> {
         match self.kick {
-            KickPolicyKind::RandomWalk => self.resolve_collision_walk(key, value),
+            KickPolicyKind::RandomWalk | KickPolicyKind::MinCounter => {
+                self.resolve_collision_walk(key, value)
+            }
             KickPolicyKind::Bfs | KickPolicyKind::Bubble => {
                 self.resolve_collision_planned(key, value)
             }
@@ -1011,14 +1009,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
 
     /// Choose the candidate index to evict from, excluding `prev_bucket`.
     fn pick_victim(&mut self, cands: &[usize; MAX_D], prev_bucket: usize) -> usize {
-        match self.resolution {
-            ResolutionPolicy::RandomWalk => loop {
-                let i = self.rng.next_below(self.d as u64) as usize;
-                if cands[i] != prev_bucket {
-                    return i;
-                }
-            },
-            ResolutionPolicy::MinCounter => {
+        match self.kick {
+            KickPolicyKind::MinCounter => {
                 let hist = self.kick_history.as_ref().expect("policy has history");
                 self.meter.onchip_read(self.d as u64);
                 let mut best: Vec<usize> = Vec::with_capacity(self.d);
@@ -1044,6 +1036,12 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                 self.meter.onchip_write(1);
                 pick
             }
+            _ => loop {
+                let i = self.rng.next_below(self.d as u64) as usize;
+                if cands[i] != prev_bucket {
+                    return i;
+                }
+            },
         }
     }
 
@@ -1529,12 +1527,25 @@ mod tests {
     fn onchip_bytes_rounds_kick_history_up() {
         // MinCounter keeps 5 bits per bucket: 3 tables × 3 buckets = 9
         // buckets → 45 bits → 6 bytes (truncating division said 5).
-        let config = McConfig::paper(3, 1).with_resolution(crate::ResolutionPolicy::MinCounter);
+        let config = McConfig::paper(3, 1).with_kick_policy(crate::KickPolicyKind::MinCounter);
         let t: McCuckoo<u64, u64> = McCuckoo::new(config);
         assert_eq!(t.onchip_bytes(), t.counters.onchip_bytes() + 6);
         // Without kick history the counter array is all there is.
         let t2: McCuckoo<u64, u64> = McCuckoo::new(McConfig::paper(3, 1));
         assert_eq!(t2.onchip_bytes(), t2.counters.onchip_bytes());
+    }
+
+    #[test]
+    fn only_min_counter_keeps_kick_history() {
+        // The plan-first policies never read a kick history, so they
+        // must neither allocate nor count one.
+        for kind in crate::KickPolicyKind::ALL {
+            let t: McCuckoo<u64, u64> = McCuckoo::new(McConfig::paper(3, 1).with_kick_policy(kind));
+            let min_counter = kind == crate::KickPolicyKind::MinCounter;
+            assert_eq!(t.kick_history.is_some(), min_counter, "{kind:?}");
+            let history = if min_counter { 6 } else { 0 };
+            assert_eq!(t.onchip_bytes(), t.counters.onchip_bytes() + history);
+        }
     }
 
     /// The flag plane a refresh must leave behind: exactly the union of

@@ -8,9 +8,10 @@
 //! * [`crate::engine::Engine`] executes a plan with plain mutations
 //!   (terminal settle → backward chain shift → front write), or runs
 //!   the paper's original mutate-as-you-walk random walk when the
-//!   configured policy is [`KickPolicyKind::RandomWalk`] — that walk's
-//!   observable behaviour (RNG draw order, metering, MinCounter
-//!   history, failure semantics) predates this layer and is preserved
+//!   configured policy is [`KickPolicyKind::RandomWalk`] or its
+//!   [`KickPolicyKind::MinCounter`] variant — that walk's observable
+//!   behaviour (RNG draw order, metering, MinCounter kick history,
+//!   failure semantics) predates this layer and is preserved
 //!   bit-for-bit, so it cannot be expressed as plan-then-execute;
 //! * [`crate::ConcurrentMcCuckoo`] feeds every plan — random-walk
 //!   included — through its policy-agnostic plan→lock→re-validate
@@ -34,6 +35,7 @@
 //! | policy        | `maxloop` counts            | chain shape            |
 //! |---------------|-----------------------------|------------------------|
 //! | `random-walk` | walk hops (a trapped walk's restart spends one) | one random simple path |
+//! | `min-counter` | as `random-walk` (planned *as* the random walk: a planner has no kick history, so every bucket is equally cold) | one random simple path |
 //! | `bfs`         | expanded (occupant-read) nodes | shortest chain found by breadth-first search |
 //! | `bubble`      | visited (occupant-read) nodes | first chain found by backtracking depth-first eviction |
 //!
@@ -121,7 +123,11 @@ pub(crate) fn plan_kick<G: EvictionGraph>(
     path: &mut Vec<usize>,
 ) -> bool {
     match kind {
-        KickPolicyKind::RandomWalk => plan_random_walk(g, key, rng, maxloop, path),
+        // Planners see no kick history, so every bucket is equally cold:
+        // MinCounter with random tie-breaks is the random walk.
+        KickPolicyKind::RandomWalk | KickPolicyKind::MinCounter => {
+            plan_random_walk(g, key, rng, maxloop, path)
+        }
         KickPolicyKind::Bfs => plan_bfs(g, key, maxloop, path),
         KickPolicyKind::Bubble => plan_bubble(g, key, rng, maxloop, path),
     }

@@ -32,8 +32,8 @@
 //!   slot choice, the two probe strategies),
 //! * [`kick`] — the pluggable `KickPolicy` layer: random-walk, BFS, and
 //!   bubbling displacement-chain planners shared by the engine and the
-//!   concurrent table (configured via
-//!   [`KickPolicyKind`]),
+//!   concurrent table (configured via [`KickPolicyKind`], whose
+//!   MinCounter variant guides the engine's walk by kick history),
 //! * [`McCuckoo`] = `Engine<K, V, SingleLayout>` — the single-slot d-ary
 //!   table (d = 3 in the paper) with partition-pruned lookups
 //!   ([`single`]),
@@ -95,7 +95,7 @@ pub mod testhooks;
 
 pub use blocked::{BlockedConfig, BlockedMcCuckoo};
 pub use concurrent::ConcurrentMcCuckoo;
-pub use config::{DeletionMode, KickPolicyKind, McConfig, ResolutionPolicy, StashPolicy};
+pub use config::{DeletionMode, KickPolicyKind, McConfig, StashPolicy};
 pub use counters::CounterArray;
 pub use engine::McFull;
 pub use maint::{CompactReport, Compactor, MaintConfig, MaintHandle, Maintainer, ManagedSnapshot};

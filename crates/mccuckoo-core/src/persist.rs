@@ -157,26 +157,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
             })
         }
     }
-
-    /// Rebuild a table from a snapshot.
-    ///
-    /// # Panics
-    /// Panics — in every build profile — if an item cannot be re-placed
-    /// (stash-less overfull snapshot). Use
-    /// [`Engine::try_from_snapshot`] to recover the unplaced items
-    /// instead; data is never silently dropped.
-    #[deprecated(
-        since = "0.9.0",
-        note = "aborts the process on overflow; use `try_from_snapshot` and handle `SnapshotOverflow`"
-    )]
-    pub fn from_snapshot(snapshot: TableSnapshot<K, V>) -> Self {
-        Self::try_from_snapshot(snapshot).unwrap_or_else(|overflow| {
-            panic!(
-                "snapshot restore overflowed: {} item(s) unplaceable",
-                overflow.leftover.len()
-            )
-        })
-    }
 }
 
 impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
@@ -215,26 +195,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
                 leftover,
             })
         }
-    }
-
-    /// Rebuild a table from a snapshot.
-    ///
-    /// # Panics
-    /// Panics — in every build profile — if an item cannot be re-placed
-    /// (stash-less overfull snapshot). Use
-    /// [`Engine::try_from_snapshot`] to recover the unplaced items
-    /// instead; data is never silently dropped.
-    #[deprecated(
-        since = "0.9.0",
-        note = "aborts the process on overflow; use `try_from_snapshot` and handle `SnapshotOverflow`"
-    )]
-    pub fn from_snapshot(snapshot: BlockedSnapshot<K, V>) -> Self {
-        Self::try_from_snapshot(snapshot).unwrap_or_else(|overflow| {
-            panic!(
-                "snapshot restore overflowed: {} item(s) unplaceable",
-                overflow.leftover.len()
-            )
-        })
     }
 }
 
@@ -343,23 +303,29 @@ mod tests {
         assert_eq!(all, want, "every snapshot item must be handed back");
     }
 
-    /// The deprecated shape must keep its documented panic (it exists
-    /// precisely so old callers fail loudly instead of losing data).
     #[test]
-    #[should_panic(expected = "snapshot restore overflowed")]
-    #[allow(deprecated)]
-    fn from_snapshot_panics_rather_than_dropping() {
-        use crate::config::StashPolicy;
-        let config = McConfig {
-            stash: StashPolicy::None,
-            maxloop: 8,
-            ..McConfig::paper(8, 11)
-        };
-        let snap = TableSnapshot {
-            config,
-            items: (0..200u64).map(|k| (k, k)).collect(),
-        };
-        let _ = McCuckoo::from_snapshot(snap);
+    fn legacy_min_counter_snapshot_restores_the_policy() {
+        use crate::config::KickPolicyKind;
+        let mut t: McCuckoo<u64, u64> =
+            McCuckoo::new(McConfig::paper(64, 3).with_kick_policy(KickPolicyKind::MinCounter));
+        for k in 0..150u64 {
+            t.insert_new(k, k + 1).unwrap();
+        }
+        // Rewrite the config into the layout that still carried a
+        // separate `resolution` field.
+        let json = jsonlite::to_string(&t.to_snapshot()).replacen(
+            "\"kick\":\"MinCounter\"",
+            "\"resolution\":\"MinCounter\",\"kick\":\"RandomWalk\"",
+            1,
+        );
+        assert!(json.contains("resolution"));
+        let snap: TableSnapshot<u64, u64> = jsonlite::from_str(&json).unwrap();
+        let r = McCuckoo::try_from_snapshot(snap).unwrap();
+        assert_eq!(r.stats().kick_policy, "min-counter");
+        assert!(r.kick_history.is_some());
+        for k in 0..150u64 {
+            assert_eq!(r.get(&k), Some(&(k + 1)));
+        }
     }
 
     #[test]

@@ -1405,23 +1405,6 @@ where
         }
         Ok(t)
     }
-
-    /// [`Self::try_from_snapshot`], panicking on overflow.
-    ///
-    /// # Panics
-    /// Panics if any snapshot item cannot be re-placed.
-    #[deprecated(
-        since = "0.9.0",
-        note = "aborts the process on overflow; use `try_from_snapshot` and handle `SnapshotOverflow`"
-    )]
-    pub fn from_snapshot(snapshot: ShardedSnapshot<K, V>) -> Self {
-        Self::try_from_snapshot(snapshot).unwrap_or_else(|overflow| {
-            panic!(
-                "snapshot restore overflowed: {} item(s) unplaceable",
-                overflow.leftover.len()
-            )
-        })
-    }
 }
 
 /// Report shape for a routed upsert that rewrote an existing copy.
@@ -1739,6 +1722,32 @@ mod tests {
         assert_eq!(snap.format, 1);
         let r = ShardedMcCuckoo::try_from_snapshot(snap).unwrap();
         assert_eq!(r.len(), 50);
+        for k in 0u64..50 {
+            assert_eq!(r.get(&k), Some(k));
+        }
+    }
+
+    #[test]
+    fn legacy_min_counter_sharded_snapshot_restores_the_policy() {
+        use crate::config::KickPolicyKind;
+        let t: ShardedMcCuckoo<u64, u64> = ShardedMcCuckoo::new(
+            2,
+            McConfig::paper(64, 25).with_kick_policy(KickPolicyKind::MinCounter),
+        );
+        for k in 0u64..50 {
+            t.insert(k, k).unwrap();
+        }
+        let json = jsonlite::to_string(&t.to_snapshot()).replacen(
+            "\"kick\":\"MinCounter\"",
+            "\"resolution\":\"MinCounter\",\"kick\":\"RandomWalk\"",
+            1,
+        );
+        assert!(json.contains("resolution"));
+        let snap: ShardedSnapshot<u64, u64> =
+            FromJson::from_json(&jsonlite::parse(&json).unwrap()).unwrap();
+        let r = ShardedMcCuckoo::try_from_snapshot(snap).unwrap();
+        assert_eq!(r.config.kick, KickPolicyKind::MinCounter);
+        assert_eq!(r.stats().kick_policy, "min-counter");
         for k in 0u64..50 {
             assert_eq!(r.get(&k), Some(k));
         }

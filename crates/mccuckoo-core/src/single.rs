@@ -317,7 +317,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{McConfig, ResolutionPolicy, StashPolicy};
+    use crate::config::{KickPolicyKind, McConfig, StashPolicy};
     use mem_model::InsertOutcome;
     use std::collections::HashMap;
     use workloads::UniqueKeys;
@@ -652,7 +652,7 @@ mod tests {
     fn mincounter_policy_fills_table() {
         let n = 3_000;
         let mut t: McCuckoo<u64, u64> =
-            McCuckoo::new(McConfig::paper(n, 28).with_resolution(ResolutionPolicy::MinCounter));
+            McCuckoo::new(McConfig::paper(n, 28).with_kick_policy(KickPolicyKind::MinCounter));
         let mut keys = UniqueKeys::new(29);
         let target = 3 * n * 88 / 100;
         for _ in 0..target {
