@@ -48,9 +48,9 @@ const FIRST_FAILURE_MIN: f64 = 1.0;
 const PLANNED: [&str; 2] = ["bfs", "bubble"];
 
 /// Minimum write-scaling ratio: 0.625 per core up to 4 cores, floored
-/// at 1.0. A 4-core runner must show the full 2.5× the striped-lock
-/// design is built for; a 1-core sandbox, where only batching
-/// amortisation survives, must still never fall below parity.
+/// at 1.0. A 4-core runner must show the full 2.5× that sharding (one
+/// writer lock per shard) is built for; a 1-core sandbox, where only
+/// batching amortisation survives, must still never fall below parity.
 fn scaling_min() -> f64 {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     (0.625 * cores.min(4) as f64).max(1.0)

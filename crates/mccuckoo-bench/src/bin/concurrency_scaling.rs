@@ -174,7 +174,7 @@ fn main() {
     }
 
     // Write-side sweep: shard count × writer threads, batched (64 keys
-    // per stripe sweep) and per-op. Row one is the single-writer
+    // per writer-lock acquisition) and per-op. Row one is the single-writer
     // per-op baseline the sharded layer must beat.
     let ops = if quick { WRITE_OPS_QUICK } else { WRITE_OPS };
     let sweep: &[(usize, usize)] = if quick {

@@ -13,11 +13,10 @@
 //!   behaviour (RNG draw order, metering, MinCounter kick history,
 //!   failure semantics) predates this layer and is preserved
 //!   bit-for-bit, so it cannot be expressed as plan-then-execute;
-//! * [`crate::ConcurrentMcCuckoo`] feeds every plan — random-walk
-//!   included — through its policy-agnostic plan→lock→re-validate
-//!   pipeline: the planned displacement path, plus the terminal's
-//!   settling footprint, is exactly what the striped-lock writer needs
-//!   to compute its stripe mask up front.
+//! * [`crate::ConcurrentMcCuckoo`] plans every policy — random-walk
+//!   included — under its writer lock and then executes the chain back
+//!   to front (MemC3 order), so its lock-free readers never see a
+//!   displaced item missing.
 //!
 //! A plan is a `Vec<usize>` of global slot indices: `path[0]` is a
 //! candidate slot of the inserted key, each `path[i+1]` is a candidate
@@ -26,7 +25,7 @@
 //! insertion principles: a counter-0 slot among its candidates, or a
 //! redundant copy with counter ≥ 2 outside the bucket being vacated.
 //! Overwriting a redundant copy never makes its owner unavailable, so
-//! both terminal kinds are executable under stripe locks (§III.H).
+//! both terminal kinds are safe to execute while readers race (§III.H).
 //! Because planning only reads, a failed plan is a strict no-op on the
 //! table.
 //!
@@ -79,9 +78,9 @@ pub(crate) trait EvictionGraph {
     /// Global slot index of `(bucket, slot-in-bucket)`.
     fn slot_of(&self, bucket: usize, slot: usize) -> usize;
 
-    /// The key occupying `slot`, metering one off-chip read. `None` when
-    /// the slot raced empty under a concurrent remover — planners treat
-    /// that as a failed plan and let the caller re-plan.
+    /// The key occupying `slot`, metering one off-chip read. `None` for
+    /// an empty slot, which planners treat as a dead end. Both tables
+    /// plan under exclusive write access, so the answer is exact.
     fn occupant(&self, slot: usize) -> Option<Self::Key>;
 
     /// Meter `n` on-chip counter reads.
@@ -194,8 +193,7 @@ pub(crate) fn plan_random_walk<G: EvictionGraph>(
 /// at most `maxloop` nodes, with a global visited-bucket set keeping
 /// chains simple. Returns a *shortest* displacement chain, found before
 /// anything moves — which is why a failed BFS insert needs no unwind
-/// log, and why the striped-lock planner can lock the whole chain up
-/// front.
+/// log.
 pub(crate) fn plan_bfs<G: EvictionGraph>(
     g: &G,
     key: &G::Key,

@@ -1,7 +1,7 @@
 //! Cacheline padding for hot shared state.
 //!
-//! Writers on different shards (and different lock stripes within a
-//! shard) must not steal each other's cachelines: a counter that shares
+//! Writers on different shards (each behind its own writer lock) must
+//! not steal each other's cachelines: a counter that shares
 //! a line with a neighbouring shard's counter turns independent writes
 //! into coherence-protocol ping-pong. [`CachePadded`] aligns its
 //! contents to 128 bytes — two 64-byte lines, because adjacent-line

@@ -1,14 +1,13 @@
 //! Sharded multi-writer serving layer over [`ConcurrentMcCuckoo`], with
 //! incremental, reader-live growth.
 //!
-//! [`ConcurrentMcCuckoo`] (§III.H) already runs multiple writers via
-//! striped bucket locks, but writers within one table still contend on
-//! overlapping stripes (and batched ops take the full stripe sweep).
-//! [`ShardedMcCuckoo`] partitions the key space across `S`
-//! **independent** concurrent tables (shards), so writers on different
-//! shards share *nothing* — not even a lock stripe or a stats cacheline
-//! (each shard is padded to its own cacheline pair) — while reads stay
-//! lock-free everywhere.
+//! [`ConcurrentMcCuckoo`] (§III.H) runs one writer at a time per table
+//! (MemC3's scheme: one writer lock, lock-free seqlock readers).
+//! [`ShardedMcCuckoo`] is the write-parallelism mechanism: it partitions
+//! the key space across `S` **independent** concurrent tables (shards),
+//! so writers on different shards share *nothing* — not even a writer
+//! lock or a stats cacheline (each shard is padded to its own cacheline
+//! pair) — while reads stay lock-free everywhere.
 //!
 //! **Shard selection.** A key's *route* is the top `DIR_BITS` bits of
 //! a seeded 64-bit digest ([`hash_kit::KeyHash::hash_seeded`]) computed
@@ -34,13 +33,12 @@
 //! 1. publishes the child table and flips the child's slice of the route
 //!    directory to `(child, forward → parent)` — from this instant every
 //!    *new* write for that slice lands in the child;
-//! 2. drains the parent stripe-by-stripe through the existing
-//!    plan→lock→re-validate machinery ([`ConcurrentMcCuckoo`]'s
-//!    `migrate_out`): each key is re-read under its parent stripes,
-//!    copied into the child, and only then removed, so **readers never
-//!    block and never miss** — a key is always findable on at least one
-//!    side, and the forwarding entry tells lookups to probe the parent
-//!    as fallback;
+//! 2. drains the parent in ascending bucket order through
+//!    [`ConcurrentMcCuckoo`]'s `migrate_out`: each key is re-read under
+//!    the parent's writer lock, copied into the child, and only then
+//!    removed, so **readers never block and never miss** — a key is
+//!    always findable on at least one side, and the forwarding entry
+//!    tells lookups to probe the parent as fallback;
 //! 3. clears the forwarding bits once a full drain pass moves nothing,
 //!    completing the split. A migrator that dies mid-drain leaves the
 //!    forwarding map up — the table stays fully consistent (just with
@@ -54,7 +52,7 @@
 //!
 //! **Per-shard state.** Each shard owns its complete McCuckoo state:
 //! cells, the on-chip copy-counter array, seqlock versions and its own
-//! writer lock stripes, built from a per-shard seed derived from the
+//! writer lock, built from a per-shard seed derived from the
 //! master seed by a [`SplitMix64`] stream (split children derive theirs
 //! from their route prefix, so recovery replays reproduce them).
 //! Counters never refer across shards, so ordinary operations touch
@@ -67,7 +65,7 @@
 //!
 //! **Batching.** The batched entry points group a caller's operations by
 //! serving table and dispatch one per-shard batch each, so a shard's
-//! stripe sweep is taken **once per batch** instead of once per op. Keys
+//! writer lock is taken **once per batch** instead of once per op. Keys
 //! routed through an active forwarding entry take the per-key path, and
 //! every batched result is re-validated against the directory afterwards
 //! (a racing route flip redoes just the affected keys). Results are
@@ -611,9 +609,9 @@ where
                             // the child once more (the drain may have
                             // moved the key between the two probes).
                             if self.table(parent).update_existing_unrecorded(&key, &value) {
-                                Ok((updated_report(), parent))
+                                Ok((InsertReport::updated(0), parent))
                             } else if self.table(tid).update_existing_unrecorded(&key, &value) {
-                                Ok((updated_report(), tid))
+                                Ok((InsertReport::updated(0), tid))
                             } else {
                                 Err(pair)
                             }
@@ -657,7 +655,7 @@ where
         let (tid, _) = self.entry(route);
         match out {
             Ok(rep) => self.table(tid).obs().record_insert(rep),
-            Err(_) => self.table(tid).obs().record_insert(&failed_report()),
+            Err(_) => self.table(tid).obs().record_insert(&InsertReport::failed()),
         }
     }
 
@@ -763,9 +761,9 @@ where
     /// route prefix (its hash seed derived from the master seed and the
     /// child prefix, so op-log replays rebuild it identically), flips
     /// the child's directory slice to *serve from the child, forward to
-    /// the parent*, then drains the parent stripe-by-stripe: each
-    /// migrating key is re-read under its parent stripe locks, copied
-    /// into the child, and only then removed. Readers never block —
+    /// the parent*, then drains the parent in ascending bucket order:
+    /// each migrating key is re-read under the parent's writer lock,
+    /// copied into the child, and only then removed. Readers never block —
     /// they keep serving lock-free through the whole drain, probing the
     /// parent as fallback while forwarding is up. Once a full drain pass
     /// moves nothing, the forwarding entries are cleared and the split
@@ -892,50 +890,52 @@ where
         })
     }
 
-    /// The migration cursor: stripe-by-stripe passes over the parent,
-    /// moving every key whose directory entry points at `child`, until a
-    /// full pass moves nothing (late keys come from writers that read
-    /// the directory just before the flip and are caught by their own
-    /// re-validation — the extra pass shrinks the window to "writer
-    /// currently suspended mid-op").
+    /// The migration cursor: ascending bucket-order passes over the
+    /// parent, moving every key whose directory entry points at `child`
+    /// (deterministic on a quiescent parent, so op-log replays rebuild
+    /// the same child), until a full pass moves nothing (late keys come
+    /// from writers that read the directory just before the flip and are
+    /// caught by their own re-validation — the extra pass shrinks the
+    /// window to "writer currently suspended mid-op").
     fn drain(&self, parent: usize, child: usize) -> (u64, u64, u64) {
         let ptab = self.table(parent);
         let ctab = self.table(child);
         let (mut moved, mut skipped, mut failed) = (0u64, 0u64, 0u64);
         loop {
             let mut pass_moved = 0u64;
-            for stripe in 0..ptab.nstripes() {
-                for key in ptab.stripe_keys(stripe) {
-                    if self.entry(self.route_of(&key)).0 != child {
-                        continue;
-                    }
+            for bucket in 0..ptab.capacity() {
+                let Some(key) = ptab.key_at(bucket) else {
+                    continue;
+                };
+                if self.entry(self.route_of(&key)).0 != child {
+                    continue;
+                }
+                #[cfg(feature = "testhooks")]
+                crate::testhooks::fire_panic_in_migration();
+                // Insert-if-absent: after a crash-resume (or a racing
+                // forwarded upsert) the child may already hold the
+                // key — the fresher copy wins and the parent's is
+                // still safely retired.
+                let outcome = ptab.migrate_out(&key, |k, v| {
                     #[cfg(feature = "testhooks")]
-                    crate::testhooks::fire_panic_in_migration();
-                    // Insert-if-absent: after a crash-resume (or a racing
-                    // forwarded upsert) the child may already hold the
-                    // key — the fresher copy wins and the parent's is
-                    // still safely retired.
-                    let outcome = ptab.migrate_out(&key, |k, v| {
-                        #[cfg(feature = "testhooks")]
-                        if crate::testhooks::take_fail_child_placement() {
-                            return false;
-                        }
-                        ctab.insert_if_absent_unrecorded(k, v).is_ok()
-                    });
-                    match outcome {
-                        MigrateOutcome::Moved => {
-                            moved += 1;
-                            pass_moved += 1;
-                            self.migration.record_moved();
-                        }
-                        MigrateOutcome::Skipped => {
-                            skipped += 1;
-                            self.migration.record_skipped();
-                        }
-                        MigrateOutcome::Failed => {
-                            failed += 1;
-                            self.migration.record_move_failure();
-                        }
+                    if crate::testhooks::take_fail_child_placement() {
+                        return false;
+                    }
+                    ctab.insert_if_absent_unrecorded(k, v).is_ok()
+                });
+                match outcome {
+                    MigrateOutcome::Moved => {
+                        moved += 1;
+                        pass_moved += 1;
+                        self.migration.record_moved();
+                    }
+                    MigrateOutcome::Skipped => {
+                        skipped += 1;
+                        self.migration.record_skipped();
+                    }
+                    MigrateOutcome::Failed => {
+                        failed += 1;
+                        self.migration.record_move_failure();
                     }
                 }
             }
@@ -1079,7 +1079,7 @@ where
         (routes, entry_snap, gids)
     }
 
-    /// Upsert a batch, taking each involved shard's stripe sweep **once**.
+    /// Upsert a batch, taking each involved shard's writer lock **once**.
     ///
     /// Results are positional: `out[i]` corresponds to `items[i]`
     /// regardless of how the batch was regrouped internally. Failed items
@@ -1127,7 +1127,7 @@ where
                     Err(pair) => {
                         // Nothing was mutated; final regardless of route
                         // motion (same contract as a single-op reject).
-                        tally.record(&failed_report());
+                        tally.record(&InsertReport::failed());
                         out[idx] = Err(pair);
                     }
                 }
@@ -1194,7 +1194,7 @@ where
         out
     }
 
-    /// Remove a batch, taking each involved shard's stripe sweep **once**.
+    /// Remove a batch, taking each involved shard's writer lock **once**.
     /// Results are positional; a key duplicated within the batch is
     /// removed by its first occurrence only. Misses raced by a shard
     /// split are transparently redone through the forwarding map.
@@ -1246,7 +1246,7 @@ where
     /// abandoned) migration: a key transiently present on both sides of
     /// a forwarding entry is emitted once, preferring the child's copy
     /// (the newer one). `live = false` reads each table under its writer
-    /// sweep; `live = true` uses the lock-free seqlock scan.
+    /// lock; `live = true` uses the lock-free seqlock scan.
     fn collect_items(&self, live: bool) -> Vec<(K, V)> {
         let mut out = Vec::new();
         // Re-read the table count every pass: a split publishing a child
@@ -1404,27 +1404,6 @@ where
             }
         }
         Ok(t)
-    }
-}
-
-/// Report shape for a routed upsert that rewrote an existing copy.
-fn updated_report() -> InsertReport {
-    InsertReport {
-        outcome: InsertOutcome::Updated,
-        kickouts: 0,
-        collision: false,
-        copies_written: 0,
-    }
-}
-
-/// Report shape for a rejected upsert (nothing mutated — precomputed
-/// path).
-fn failed_report() -> InsertReport {
-    InsertReport {
-        outcome: InsertOutcome::Failed,
-        kickouts: 0,
-        collision: true,
-        copies_written: 0,
     }
 }
 

@@ -17,7 +17,7 @@ thread_local! {
     static SKIP_COUNTER_RESETS: Cell<u32> = const { Cell::new(0) };
 
     /// How many upcoming kick-walk executions should panic after the
-    /// path is planned and its stripes are held, but before any bucket
+    /// path is planned under the writer lock, but before any bucket
     /// is mutated. `u32::MAX` means "every kick walk".
     static PANIC_IN_KICK: Cell<u32> = const { Cell::new(0) };
 
@@ -46,10 +46,10 @@ pub fn arm_skip_counter_reset(n: u32) {
 }
 
 /// Arm the fault: the next `n` kick-walk executions on this thread
-/// panic mid-collision-resolution. In `ConcurrentMcCuckoo`'s striped
-/// and sweep insert paths the panic fires while the walk's stripe locks
-/// are held, before any bucket mutation — proving a dying writer
-/// releases its stripes (RAII guards) and leaves the table intact. In
+/// panic mid-collision-resolution. In `ConcurrentMcCuckoo`'s insert
+/// paths the panic fires while the writer lock is held, before any
+/// bucket mutation — proving a dying writer releases the lock (RAII
+/// guard) and leaves the table intact. In
 /// the sequential engine it fires at the top of each random-walk hop,
 /// and for the plan-first policies (BFS / bubbling) after the plan
 /// succeeds but before the first mutation — proving a planned insert

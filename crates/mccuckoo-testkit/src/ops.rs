@@ -72,14 +72,12 @@ pub enum MixProfile {
     /// update-in-place path (a destructive remove-then-insert upsert
     /// shows up immediately as churn, lost keys or stale values).
     UpsertHammer,
-    /// Insert/remove churn over a tiny key domain, meant for the
-    /// striped-lock concurrent table: concurrent harnesses map the
-    /// abstract keys onto mined keys whose candidate buckets all fall in
-    /// a handful of lock stripes, so every writer thread fights for the
-    /// same stripes on every op. No `Clear`/`RefreshStash` — those need
-    /// whole-table coordination and would make multi-writer oracle
-    /// reconciliation undecidable.
-    ContendedStripes,
+    /// Insert/remove churn over a tiny key domain, meant for several
+    /// writer threads sharing one concurrent table: every op contends
+    /// for the table's one writer lock. No `Clear`/`RefreshStash` —
+    /// those need whole-table coordination and would make multi-writer
+    /// oracle reconciliation undecidable.
+    Contended,
     /// Write-skewed churn over a mid-sized key domain, meant to run
     /// *while a shard split drains the table*: heavy upserts keep the
     /// forwarding redo path hot, steady removes race the migration
@@ -98,7 +96,7 @@ impl MixProfile {
         MixProfile::DeleteHeavy,
         MixProfile::NearFull,
         MixProfile::UpsertHammer,
-        MixProfile::ContendedStripes,
+        MixProfile::Contended,
         MixProfile::GrowUnderFire,
     ];
 
@@ -111,7 +109,7 @@ impl MixProfile {
             MixProfile::DeleteHeavy => [25, 5, 15, 5, 40, 2, 8],
             MixProfile::NearFull => [60, 10, 10, 3, 12, 0, 5],
             MixProfile::UpsertHammer => [80, 2, 12, 3, 2, 0, 1],
-            MixProfile::ContendedStripes => [55, 5, 15, 5, 20, 0, 0],
+            MixProfile::Contended => [55, 5, 15, 5, 20, 0, 0],
             MixProfile::GrowUnderFire => [45, 10, 25, 5, 15, 0, 0],
         }
     }
@@ -126,9 +124,8 @@ impl MixProfile {
             MixProfile::NearFull => (capacity as u64 * 95 / 100).max(8),
             // Tiny domain: nearly every insert hits a live key.
             MixProfile::UpsertHammer => 12,
-            // Tiny domain: once mapped onto mined same-stripe keys, the
-            // whole op stream lands on a handful of lock stripes.
-            MixProfile::ContendedStripes => 10,
+            // Tiny domain: writers keep revisiting the same few keys.
+            MixProfile::Contended => 10,
             // Roomy enough that splits have real key volume to drain,
             // small enough that writers keep revisiting migrating keys.
             MixProfile::GrowUnderFire => (capacity as u64 / 3).max(16),

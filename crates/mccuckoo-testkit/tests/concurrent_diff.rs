@@ -386,14 +386,12 @@ fn sharded_multi_writer_differential() {
 }
 
 #[test]
-fn contended_stripes_multi_writer_differential_reconciles_obs() {
+fn contended_multi_writer_differential_reconciles_obs() {
     // Three writer threads hammer ONE ConcurrentMcCuckoo, with every op
-    // stream drawn from the testkit's ContendedStripes profile and its
-    // abstract keys mapped onto *mined* keys whose candidate buckets all
-    // fall inside the same four lock stripes — so the striped writers
-    // fight for the same locks on essentially every op. Each writer owns
-    // a disjoint key slice (decidable per-op oracle); afterwards the obs
-    // deltas are reconciled against the merged tally: under real
+    // stream drawn from the testkit's Contended profile — so the writers
+    // fight for the table's one writer lock on every op. Each writer
+    // owns a disjoint key slice (decidable per-op oracle); afterwards the
+    // obs deltas are reconciled against the merged tally: under real
     // interleaving the per-op counters must still add up exactly.
     use mccuckoo_testkit::{gen_ops, MixProfile, TableOp};
 
@@ -402,8 +400,6 @@ fn contended_stripes_multi_writer_differential_reconciles_obs() {
     const N_OPS: usize = 4_000;
     #[cfg(feature = "paranoid")]
     const N_OPS: usize = 600;
-    // Keys are mined so all candidate buckets land in these stripes.
-    const ALLOWED: u64 = 0b1111;
 
     #[derive(Default, Clone, Copy)]
     struct Tally {
@@ -416,33 +412,18 @@ fn contended_stripes_multi_writer_differential_reconciles_obs() {
 
     for seed in [11u64, 47] {
         let t = ConcurrentMcCuckoo::<u64, u64>::new(McConfig::paper(512, seed));
-        let domain = MixProfile::ContendedStripes.key_domain(t.capacity());
-        let want = domain as usize * WRITERS;
-        let mut mined: Vec<u64> = Vec::with_capacity(want);
-        let mut cand = 0u64;
-        while mined.len() < want {
-            if t.stripe_mask_of(&cand) & !ALLOWED == 0 {
-                mined.push(cand);
-            }
-            cand += 1;
-            assert!(cand < 50_000_000, "seed {seed}: key mining ran dry");
-        }
-        let union = mined.iter().fold(0u64, |m, k| m | t.stripe_mask_of(k));
-        assert_eq!(union & !ALLOWED, 0, "mined keys leak outside the stripes");
-        assert!(
-            t.stripe_count() >= 4 * ALLOWED.count_ones() as usize,
-            "table too small for the mix to be contended"
-        );
+        let domain = MixProfile::Contended.key_domain(t.capacity());
 
         let (merged, tally) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..WRITERS)
                 .map(|tid| {
                     let t = &t;
-                    let mined = &mined;
+                    // Writer `tid` owns the keys ≡ tid (mod WRITERS).
+                    let key = move |gk: u64| gk * WRITERS as u64 + tid as u64;
                     scope.spawn(move || {
                         let ops = gen_ops(
                             seed.wrapping_add((tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                            MixProfile::ContendedStripes,
+                            MixProfile::Contended,
                             N_OPS,
                             domain,
                         );
@@ -451,14 +432,14 @@ fn contended_stripes_multi_writer_differential_reconciles_obs() {
                         for op in ops {
                             match op {
                                 TableOp::Insert(gk, v) => {
-                                    let k = mined[gk as usize * WRITERS + tid];
+                                    let k = key(gk);
                                     tl.attempts += 1;
                                     if t.insert(k, v).is_ok() {
                                         oracle.insert(k, v);
                                     }
                                 }
                                 TableOp::InsertNew(gk, v) => {
-                                    let k = mined[gk as usize * WRITERS + tid];
+                                    let k = key(gk);
                                     if let Entry::Vacant(slot) = oracle.entry(k) {
                                         tl.attempts += 1;
                                         if t.insert_new(k, v).is_ok() {
@@ -467,7 +448,7 @@ fn contended_stripes_multi_writer_differential_reconciles_obs() {
                                     }
                                 }
                                 TableOp::Get(gk) => {
-                                    let k = mined[gk as usize * WRITERS + tid];
+                                    let k = key(gk);
                                     tl.lookups += 1;
                                     let got = t.get(&k);
                                     assert_eq!(
@@ -478,7 +459,7 @@ fn contended_stripes_multi_writer_differential_reconciles_obs() {
                                     tl.hits += got.is_some() as u64;
                                 }
                                 TableOp::Contains(gk) => {
-                                    let k = mined[gk as usize * WRITERS + tid];
+                                    let k = key(gk);
                                     tl.lookups += 1;
                                     let c = t.contains(&k);
                                     assert_eq!(
@@ -489,7 +470,7 @@ fn contended_stripes_multi_writer_differential_reconciles_obs() {
                                     tl.hits += c as u64;
                                 }
                                 TableOp::Remove(gk) => {
-                                    let k = mined[gk as usize * WRITERS + tid];
+                                    let k = key(gk);
                                     let r = t.remove(&k);
                                     assert_eq!(
                                         r,
@@ -503,7 +484,7 @@ fn contended_stripes_multi_writer_differential_reconciles_obs() {
                                     }
                                 }
                                 TableOp::Clear | TableOp::RefreshStash => {
-                                    unreachable!("ContendedStripes never emits these")
+                                    unreachable!("Contended never emits these")
                                 }
                             }
                         }

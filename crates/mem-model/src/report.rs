@@ -65,6 +65,28 @@ impl InsertReport {
         }
     }
 
+    /// An upsert that found the key present and rewrote `copies` of its
+    /// copies in place (0 when the existing entry was left untouched).
+    pub fn updated(copies: u8) -> Self {
+        Self {
+            outcome: InsertOutcome::Updated,
+            kickouts: 0,
+            collision: false,
+            copies_written: copies,
+        }
+    }
+
+    /// A rejected insert that mutated nothing (its kick chain was planned
+    /// before any move, and no plan was found).
+    pub fn failed() -> Self {
+        Self {
+            outcome: InsertOutcome::Failed,
+            kickouts: 0,
+            collision: true,
+            copies_written: 0,
+        }
+    }
+
     /// Whether the item is findable in the structure (table or stash).
     pub fn stored(&self) -> bool {
         matches!(
@@ -86,6 +108,18 @@ mod tests {
         assert!(!r.collision);
         assert_eq!(r.copies_written, 3);
         assert!(r.stored());
+    }
+
+    #[test]
+    fn updated_and_failed_report_shapes() {
+        let u = InsertReport::updated(2);
+        assert_eq!(u.outcome, InsertOutcome::Updated);
+        assert_eq!((u.kickouts, u.collision, u.copies_written), (0, false, 2));
+        assert!(u.stored());
+        let f = InsertReport::failed();
+        assert_eq!(f.outcome, InsertOutcome::Failed);
+        assert_eq!((f.kickouts, f.collision, f.copies_written), (0, true, 0));
+        assert!(!f.stored());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Concurrency torture suite for the striped-seqlock writers.
+//! Concurrency torture suite for the seqlock-reader, locked-writer tables.
 //!
 //! Many seeded iterations; in each one, N writer threads hammer
 //! **overlapping** key ranges of one table while M reader threads
@@ -50,7 +50,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 fn writer_ops(iter_seed: u64, tid: usize) -> Vec<TableOp> {
     gen_ops(
         iter_seed.wrapping_add((tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        MixProfile::ContendedStripes,
+        MixProfile::Contended,
         OPS_PER_WRITER,
         KEY_DOMAIN,
     )
@@ -149,7 +149,7 @@ where
                             }
                         }
                         TableOp::Clear | TableOp::RefreshStash => {
-                            unreachable!("ContendedStripes never emits these")
+                            unreachable!("Contended never emits these")
                         }
                     }
                 }

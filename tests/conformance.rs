@@ -141,7 +141,7 @@ fn sharded_conforms() {
 #[test]
 fn bfs_and_bubble_policies_conform() {
     // The plan-first kick policies honour the same contract on both the
-    // sequential engine and the striped concurrent table.
+    // sequential engine and the concurrent table.
     for kind in [KickPolicyKind::Bfs, KickPolicyKind::Bubble] {
         conformance(McCuckoo::<u64, u64>::new(
             McConfig::paper_with_deletion(1024, 19).with_kick_policy(kind),
