@@ -21,10 +21,8 @@
 use hash_kit::{KeyHash, SplitMix64};
 
 use crate::config::{DeletionMode, McConfig};
-use crate::engine::{
-    swar_broadcast, swar_eq_mask, swar_first_lane, BucketLayout, CopyProbe, Engine, Probe,
-    ProbePlan, MAX_D,
-};
+use crate::engine::{swar_first_lane, BucketLayout, CopyProbe, Engine, Probe, ProbePlan, MAX_D};
+use crate::store::SlotStore;
 
 /// Configuration of a [`BlockedMcCuckoo`].
 #[derive(Debug, Clone)]
@@ -93,8 +91,8 @@ impl BucketLayout for BlockedLayout {
 
     /// Algorithm 2: skip sum-zero buckets, otherwise read the bucket
     /// (one off-chip access) and scan its `l` slots.
-    fn probe_first<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_first<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -114,20 +112,14 @@ impl BucketLayout for BlockedLayout {
         // against the key's tag in one u64 operation, then confirm each
         // matching lane on the full entry. Pure software fast path — the
         // bucket read stays metered as one off-chip access either way.
-        let needle = swar_broadcast(tag);
         for i in 0..t.d {
             if sums[i] == 0 {
                 continue; // Algorithm 2: skip empty buckets
             }
             t.meter.offchip_read(1);
-            visited_flags_ok &= t.flags[cands[i]];
-            let mut hits = swar_eq_mask(t.bucket_tags(cands[i]), needle, t.layout.l);
-            while hits != 0 {
-                let idx = t.slot_idx(cands[i], swar_first_lane(hits));
-                if t.slots[idx].as_ref().is_some_and(|e| e.key == *key) {
-                    return Probe::Found(idx);
-                }
-                hits &= hits - 1; // clear the lowest matching lane
+            visited_flags_ok &= t.store.flag(cands[i]);
+            if let Some(idx) = find_in_bucket(t, cands[i], key, tag) {
+                return Probe::Found(idx);
             }
         }
         Probe::Miss {
@@ -137,19 +129,16 @@ impl BucketLayout for BlockedLayout {
 
     /// All-copies probe: first hit via Algorithm 2, siblings through the
     /// verified hint set.
-    fn probe_copies<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_copies<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
     ) -> CopyProbe {
         match Self::probe_first(t, key, cands, tag) {
             Probe::Found(idx) => {
-                let entry = t.slots[idx].as_ref().expect("probe found it");
-                let count = t.counters.get(idx);
-                let hints = entry.hints;
-                let ekey = entry.key.clone();
-                let mut locations = t.locate_siblings(&ekey, &hints, count, idx);
+                let hints = t.store.entry(idx).expect("probe found it").hints;
+                let mut locations = t.locate_siblings(key, cands, &hints, t.counter(idx), idx);
                 locations.push(idx);
                 CopyProbe::Found {
                     locations,
@@ -163,9 +152,9 @@ impl BucketLayout for BlockedLayout {
     /// Stage-1 plan for Algorithm 2: unmetered sum peeks decide which
     /// buckets the probe will read (sum-zero buckets are skipped, the
     /// aggressive Bloom rule may kill the probe outright); only those
-    /// are prefetched — bucket line, tag lane and flag byte.
-    fn plan_probe<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    /// are prefetched — bucket line and tag lane.
+    fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan {
         let mut plan = ProbePlan::FALLBACK;
@@ -184,10 +173,7 @@ impl BucketLayout for BlockedLayout {
             return plan;
         }
         for &c in plan.order[..plan.len as usize].iter() {
-            let base = t.slot_idx(c, 0);
-            crate::prefetch::prefetch_index(&t.slots, base);
-            crate::prefetch::prefetch_index(&t.tags, base);
-            crate::prefetch::prefetch_index(&t.flags, c);
+            t.store.prefetch(t.slot_idx(c, 0));
         }
         plan
     }
@@ -195,8 +181,8 @@ impl BucketLayout for BlockedLayout {
     /// Replay of `probe_first` over the planned buckets: the metered
     /// counter scan, one off-chip read plus SWAR tag match per non-empty
     /// bucket, and the same stash-screening decision.
-    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -208,18 +194,12 @@ impl BucketLayout for BlockedLayout {
         }
         let mut visited_flags_ok = true;
         let mut visited = 0u64;
-        let needle = swar_broadcast(tag);
         for &c in plan.order[..plan.len as usize].iter() {
             t.meter.offchip_read(1);
             visited += 1;
-            visited_flags_ok &= t.flags[c];
-            let mut hits = swar_eq_mask(t.bucket_tags(c), needle, t.layout.l);
-            while hits != 0 {
-                let idx = t.slot_idx(c, swar_first_lane(hits));
-                if t.slots[idx].as_ref().is_some_and(|e| e.key == *key) {
-                    return (Probe::Found(idx), visited);
-                }
-                hits &= hits - 1;
+            visited_flags_ok &= t.store.flag(c);
+            if let Some(idx) = find_in_bucket(t, c, key, tag) {
+                return (Probe::Found(idx), visited);
             }
         }
         (
@@ -229,6 +209,27 @@ impl BucketLayout for BlockedLayout {
             visited,
         )
     }
+}
+
+/// The slot of `bucket` holding `key`: SWAR tag match over the bucket's
+/// `l` lanes, each hit confirmed on the full entry.
+#[inline]
+fn find_in_bucket<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+    t: &Engine<K, V, BlockedLayout, S>,
+    bucket: usize,
+    key: &K,
+    tag: u8,
+) -> Option<usize> {
+    let base = t.slot_idx(bucket, 0);
+    let mut hits = t.store.tag_hits(base, t.layout.l, tag);
+    while hits != 0 {
+        let idx = base + swar_first_lane(hits);
+        if t.store.entry(idx).is_some_and(|e| e.key == *key) {
+            return Some(idx);
+        }
+        hits &= hits - 1; // clear the lowest matching lane
+    }
+    None
 }
 
 impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
@@ -422,7 +423,7 @@ mod tests {
         assert_eq!(t.main_len(), 1);
         // All physical copies must agree (scan raw locations).
         for idx in t.raw_copy_locations(&3) {
-            assert_eq!(t.slots[idx].as_ref().unwrap().value, 31);
+            assert_eq!(t.store.slots[idx].as_ref().unwrap().value, 31);
         }
         t.check_invariants().unwrap();
     }

@@ -12,12 +12,12 @@
 //!
 //! Readers are genuinely lock-free. Each bucket is a plain cell guarded
 //! by a seqlock version counter, bumped to odd before and back to even
-//! after every content mutation. A probe reads the cell with a volatile
+//! after every content write. A probe reads the cell with a volatile
 //! load into uninitialised storage, and only interprets the bytes after
 //! re-reading the version and finding it unchanged and even — a torn
 //! read is discarded before it is ever typed, so readers never observe
-//! a half-written pair. A probe that *misses* must additionally prove it
-//! did not race a relocation: an item moving from a not-yet-checked
+//! a half-written entry. A probe that *misses* must additionally prove
+//! it did not race a relocation: an item moving from a not-yet-checked
 //! candidate into an already-checked one would otherwise be invisible to
 //! one unlucky pass (the classic cuckoo reader race, MemC3 §3.2), so a
 //! miss is only reported once a full pass observes identical, even
@@ -30,89 +30,91 @@
 //! readers — a reader racing a counter update could otherwise prune away
 //! the bucket that still holds the key. See `DESIGN.md` §4.
 //!
-//! # Writers: one writer lock
+//! # The writer is the engine
 //!
-//! Writers serialize on one cacheline-padded table mutex, as in MemC3.
-//! Every write entry point takes it once and runs one body under it:
-//! the existing-key check, placement by the insertion principles and,
-//! on a real collision, a kick chain planned by the configured
-//! [`crate::kick`] policy and then executed back to front. Planning
-//! before moving is what keeps every item visible to the lock-free
-//! readers, not a locking concern: the plan runs under the lock, so it
-//! is exact and never needs re-validation. Batched entry points take
-//! the lock once per batch. Write parallelism comes from sharding
-//! ([`crate::ShardedMcCuckoo`]): each shard is its own table with its
-//! own writer lock.
-//!
-//! The lock also guards the writer state (the kick planners' RNG
-//! stream). Its guard is RAII and the mutex is `parking_lot`-style
-//! unpoisonable, so a writer that panics mid-operation (see
-//! `testhooks`) releases it on unwind and the table stays writable.
+//! Every write runs the shared [`Engine`] — the insertion principles,
+//! copy-set maintenance through the Fig. 5 slot hints, the pruned copy
+//! probe, the chain executor, update, deletion and the validator of
+//! [`crate::McCuckoo`] — over the seqlocked slot store, whose cells and
+//! counters the readers share. The engine sits
+//! behind one cacheline-padded, unpoisonable writer mutex (MemC3), which
+//! also guards its RNG and distinct count; a writer that panics (see
+//! `testhooks`) releases it on unwind. The engine deletes by counter
+//! reset, has no stash, and on this store plans every collision before
+//! moving anything (MinCounter is planned as the random walk), so a
+//! rejected insert leaves the table untouched. Its write order keeps
+//! every committed item findable by the readers (`DESIGN.md`,
+//! "Concurrency"). Batched entry points take the lock once per batch;
+//! write parallelism comes from sharding ([`crate::ShardedMcCuckoo`]).
 //!
 //! Keys and values must be `Copy` (pointer-sized payloads — use
 //! [`crate::MultisetIndex`]-style indirection for fat values). The
-//! sequential tables' `Cell`-based meter is not `Sync`, so this type
-//! carries its own relaxed-atomic access tallies instead: lookups and
-//! the write paths count their modelled on-chip (counter) and off-chip
-//! (bucket) accesses into [`ConcurrentMcCuckoo::mem_stats`]. Maintenance
-//! scans (`items`, the validators) stay unmetered — they model no
-//! data-path traffic.
+//! engine's `Cell`-based meter is not `Sync`, so the table keeps
+//! relaxed-atomic access tallies: readers count into them directly and
+//! the writer publishes the engine's meter to them before unlocking, so
+//! [`ConcurrentMcCuckoo::mem_stats`] never locks. Maintenance (`clear`,
+//! `items`, the validators) is unmetered.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use hash_kit::{BucketFamily, KeyHash, SplitMix64};
+use hash_kit::{BucketFamily, KeyHash};
 use mem_model::{InsertOutcome, InsertReport, MemStats};
 use parking_lot::Mutex;
 
-use crate::config::McConfig;
-use crate::kick::{self, EvictionGraph};
+use crate::config::{DeletionMode, McConfig, StashPolicy};
+use crate::engine::{candidate_buckets, Engine, MAX_D};
 use crate::obs::{InsertTally, LookupTally, Obs, TableStats};
 use crate::pad::CachePadded;
-use crate::single::MAX_D;
+use crate::single::SingleLayout;
+use crate::store::{SeqCells, SeqStore, SlotStore};
 
-type CellArray<K, V> = Box<[UnsafeCell<Option<(K, V)>>]>;
+/// The writer: a single-slot engine over the seqlocked store.
+type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
 
 /// Thread-safe memory-access tallies (the concurrent analogue of
-/// `mem_model::MemMeter`, whose `Cell` counters are not `Sync`).
-/// All updates are `Relaxed`: the counts are statistics, not
-/// synchronisation, and per-thread increments commute.
+/// `mem_model::MemMeter`, whose `Cell` counters are not `Sync`). Readers
+/// add their probes with `Relaxed` increments (statistics, not
+/// synchronisation); the writer republishes its engine's cumulative
+/// meter with plain stores under the writer lock.
 #[derive(Default)]
 struct AccessMeter {
-    offchip_reads: AtomicU64,
-    offchip_writes: AtomicU64,
     onchip_reads: AtomicU64,
-    onchip_writes: AtomicU64,
+    offchip_reads: AtomicU64,
+    /// The writer engine's meter: off-chip reads, off-chip writes,
+    /// verification reads, on-chip reads, on-chip writes.
+    writer: [AtomicU64; 5],
 }
 
 impl AccessMeter {
-    #[inline]
-    fn offchip_read(&self, n: u64) {
-        self.offchip_reads.fetch_add(n, Ordering::Relaxed);
+    /// A reader's probe: `d` counter reads and `probes` bucket reads.
+    fn read(&self, d: usize, probes: u64) {
+        self.onchip_reads.fetch_add(d as u64, Ordering::Relaxed);
+        self.offchip_reads.fetch_add(probes, Ordering::Relaxed);
     }
 
-    #[inline]
-    fn offchip_write(&self, n: u64) {
-        self.offchip_writes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn onchip_read(&self, n: u64) {
-        self.onchip_reads.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn onchip_write(&self, n: u64) {
-        self.onchip_writes.fetch_add(n, Ordering::Relaxed);
+    /// Republish the writer engine's cumulative meter.
+    fn publish(&self, s: &MemStats) {
+        let fields = [
+            s.offchip_reads,
+            s.offchip_writes,
+            s.verify_reads,
+            s.onchip_reads,
+            s.onchip_writes,
+        ];
+        for (slot, v) in self.writer.iter().zip(fields) {
+            slot.store(v, Ordering::Relaxed);
+        }
     }
 
     fn snapshot(&self) -> MemStats {
+        let w = |i: usize| self.writer[i].load(Ordering::Relaxed);
         MemStats {
-            offchip_reads: self.offchip_reads.load(Ordering::Relaxed),
-            offchip_writes: self.offchip_writes.load(Ordering::Relaxed),
-            onchip_reads: self.onchip_reads.load(Ordering::Relaxed),
-            onchip_writes: self.onchip_writes.load(Ordering::Relaxed),
+            offchip_reads: w(0) + self.offchip_reads.load(Ordering::Relaxed),
+            offchip_writes: w(1),
+            verify_reads: w(2),
+            onchip_reads: w(3) + self.onchip_reads.load(Ordering::Relaxed),
+            onchip_writes: w(4),
             ..MemStats::default()
         }
     }
@@ -134,46 +136,22 @@ impl AccessMeter {
 /// assert_eq!(table.remove(&10), Some(100));
 /// ```
 pub struct ConcurrentMcCuckoo<K, V> {
+    /// The writer's hash functions and geometry, for the readers.
     family: BucketFamily,
     d: usize,
     n: usize,
-    maxloop: u32,
-    cells: CellArray<K, V>,
-    counters: Box<[AtomicU8]>,
-    /// Per-bucket seqlock versions: odd while a mutation is in flight.
-    versions: Box<[AtomicU64]>,
-    /// The one writer lock, guarding the kick planners' RNG stream.
-    writer: CachePadded<Mutex<SplitMix64>>,
-    distinct: CachePadded<AtomicUsize>,
-    /// The configuration the table was built with (seed included),
-    /// retained for snapshots.
+    /// The readers' handle on the writer's seqlocked cells and counters.
+    cells: Arc<SeqCells<K, V>>,
+    /// The one writer lock, guarding the engine that does every write.
+    writer: CachePadded<Mutex<Writer<K, V>>>,
+    /// The engine's length, mirrored for lock-free `len()`.
+    len: CachePadded<AtomicUsize>,
+    /// The caller's configuration (seed included), for snapshots.
     config: McConfig,
     /// Lock-free observability counters (monotonic; survive `clear`).
     obs: Obs,
     /// Relaxed-atomic memory-access tallies (monotonic; survive `clear`).
     access: CachePadded<AccessMeter>,
-}
-
-// SAFETY: the `UnsafeCell` buckets are written only by `write_bucket`,
-// whose callers hold the writer lock, and are read either under that
-// lock or through the seqlock protocol — a volatile read into
-// `MaybeUninit` that is interpreted only after the bucket's version
-// proves the bytes were not torn. K and V are `Copy` in every
-// constructible instance, so no drop races exist.
-unsafe impl<K: Send, V: Send> Sync for ConcurrentMcCuckoo<K, V> {}
-
-/// What an upsert does when it finds the key already present.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum UpsertMode {
-    /// Rewrite every live copy in place (the public `insert`).
-    Update,
-    /// Leave the existing entry untouched and report `Updated` with
-    /// zero copies written — an atomic insert-if-absent, used by the
-    /// shard migrator and duplicate-tolerant restores.
-    KeepExisting,
-    /// The caller guarantees absence (`insert_new`); presence is a
-    /// bookkeeping bug, `debug_assert`ed.
-    AssertAbsent,
 }
 
 /// Result of [`ConcurrentMcCuckoo::migrate_out`].
@@ -196,28 +174,20 @@ where
     /// ignored: the concurrent table always deletes by counter reset and
     /// reports failures to the caller instead of stashing).
     pub fn new(config: McConfig) -> Self {
-        config.validate();
-        let family = BucketFamily::new(
-            config.family,
-            config.d,
-            config.buckets_per_table,
-            config.seed,
+        let writer: Writer<K, V> = Engine::from_config(
+            config
+                .clone()
+                .with_deletion(DeletionMode::Reset)
+                .with_stash(StashPolicy::None),
+            SingleLayout,
         );
-        let total = config.d * config.buckets_per_table;
-        let cells: CellArray<K, V> = (0..total).map(|_| UnsafeCell::new(None)).collect();
-        let counters: Box<[AtomicU8]> = (0..total).map(|_| AtomicU8::new(0)).collect();
-        let versions: Box<[AtomicU64]> = (0..total).map(|_| AtomicU64::new(0)).collect();
-        let rng = SplitMix64::new(config.seed ^ 0xC04C_44E4_7AB1_E000);
         Self {
-            family,
-            d: config.d,
-            n: config.buckets_per_table,
-            maxloop: config.maxloop,
-            cells,
-            counters,
-            versions,
-            writer: CachePadded::new(Mutex::new(rng)),
-            distinct: CachePadded::new(AtomicUsize::new(0)),
+            family: writer.family.clone(),
+            d: writer.d,
+            n: writer.n,
+            cells: writer.store.share(),
+            writer: CachePadded::new(Mutex::new(writer)),
+            len: CachePadded::new(AtomicUsize::new(0)),
             config,
             obs: Obs::default(),
             access: CachePadded::new(AccessMeter::default()),
@@ -239,17 +209,17 @@ where
     }
 
     /// Snapshot of the modelled memory-access tallies: off-chip bucket
-    /// reads/writes and on-chip counter reads/writes, accumulated by the
-    /// lookup and write paths (relaxed atomics — safe to call while
-    /// readers and writers run). Stash fields are always zero: the
-    /// concurrent table has no stash.
+    /// reads/writes (verification reads included) and on-chip counter
+    /// reads/writes, accumulated by the lookup and write paths (relaxed
+    /// atomics — safe to call while readers and writers run). Stash
+    /// fields are always zero: the concurrent table has no stash.
     pub fn mem_stats(&self) -> MemStats {
         self.access.snapshot()
     }
 
     /// Distinct keys currently stored.
     pub fn len(&self) -> usize {
-        self.distinct.load(Ordering::Acquire)
+        self.len.load(Ordering::Acquire)
     }
 
     /// True if nothing is stored.
@@ -259,7 +229,7 @@ where
 
     /// Total bucket count.
     pub fn capacity(&self) -> usize {
-        self.cells.len()
+        self.cells.counters.len()
     }
 
     /// True when no writer holds the table's writer lock (test support:
@@ -268,87 +238,15 @@ where
         self.writer.try_lock().is_some()
     }
 
-    #[inline]
-    fn candidates(&self, key: &K) -> [usize; MAX_D] {
-        let mut raw = [0usize; MAX_D];
-        self.family.buckets_into(key, &mut raw[..self.d]);
-        let mut out = [usize::MAX; MAX_D];
-        for i in 0..self.d {
-            out[i] = i * self.n + raw[i];
-        }
+    /// Run `op` on the writer's engine under the writer lock; before
+    /// unlocking, publish the engine's meter to the atomic tallies and
+    /// mirror its length.
+    fn write<R>(&self, op: impl FnOnce(&mut Writer<K, V>) -> R) -> R {
+        let mut engine = self.writer.lock();
+        let out = op(&mut engine);
+        self.access.publish(&engine.meter.snapshot());
+        self.len.store(engine.len(), Ordering::Release);
         out
-    }
-
-    // ------------------------------------------------------------------
-    // Bucket access primitives
-    // ------------------------------------------------------------------
-
-    /// Writer-side bucket mutation, bracketed by version bumps (odd
-    /// while in flight). `counter` optionally updates the copy counter
-    /// inside the same bracket. Caller must hold the writer lock.
-    fn write_bucket(&self, idx: usize, content: Option<(K, V)>, counter: Option<u8>) {
-        // The writer lock serializes writers, so the version can be
-        // bumped with plain loads/stores (two lock-prefix RMWs per write
-        // would double the cost of the multi-copy write fan-out). The
-        // release fence keeps the odd store ahead of the content bytes
-        // for any racing seqlock reader.
-        let v = self.versions[idx].load(Ordering::Relaxed);
-        debug_assert_eq!(v % 2, 0, "bucket {idx}: concurrent writers");
-        self.versions[idx].store(v + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        // SAFETY: the writer lock is held, so this is the only writer;
-        // concurrent readers validate against the odd version and
-        // discard whatever bytes they raced.
-        unsafe { std::ptr::write_volatile(self.cells[idx].get(), content) };
-        self.access.offchip_write(1);
-        if let Some(c) = counter {
-            self.counters[idx].store(c, Ordering::Release);
-            self.access.onchip_write(1);
-        }
-        self.versions[idx].store(v + 2, Ordering::Release);
-    }
-
-    /// Plain read of a bucket the caller has exclusive access to (the
-    /// writer lock held, or the table quiescent).
-    #[inline]
-    fn cell_read_locked(&self, idx: usize) -> Option<(K, V)> {
-        // SAFETY: exclusivity is the caller's contract, so no writer can
-        // race this read.
-        unsafe { *self.cells[idx].get() }
-    }
-
-    /// [`Self::cell_read_locked`] plus one modelled off-chip read. The
-    /// mutation paths (upsert/remove/kick) read buckets through this;
-    /// maintenance scans (`items`, validators) keep the unmetered
-    /// variant — they model no data-path traffic.
-    #[inline]
-    fn cell_read_metered(&self, idx: usize) -> Option<(K, V)> {
-        self.access.offchip_read(1);
-        self.cell_read_locked(idx)
-    }
-
-    /// Seqlock-validated read of a bucket without the writer lock.
-    /// Spins until it observes a stable even version around the load, so
-    /// the returned value was fully written.
-    fn cell_read_atomic(&self, idx: usize) -> Option<(K, V)> {
-        loop {
-            let v1 = self.versions[idx].load(Ordering::Acquire);
-            if v1 % 2 == 0 {
-                // SAFETY: the bytes land in `MaybeUninit`, so a torn
-                // read is never typed; they are interpreted only after
-                // the version check proves no writer intervened.
-                let raw = unsafe {
-                    std::ptr::read_volatile(
-                        self.cells[idx].get().cast::<MaybeUninit<Option<(K, V)>>>(),
-                    )
-                };
-                fence(Ordering::Acquire);
-                if self.versions[idx].load(Ordering::Relaxed) == v1 {
-                    return unsafe { raw.assume_init() };
-                }
-            }
-            std::hint::spin_loop();
-        }
     }
 
     // ------------------------------------------------------------------
@@ -372,11 +270,12 @@ where
     /// atomics once ([`Obs::absorb_lookups`]); access-model metering
     /// stays per-key in here.
     fn get_with_cands(&self, key: &K, cands: &[usize; MAX_D]) -> (Option<V>, u64) {
+        let cells = &*self.cells;
         loop {
             let mut pre = [0u64; MAX_D];
             let mut stable = true;
             for i in 0..self.d {
-                pre[i] = self.versions[cands[i]].load(Ordering::Acquire);
+                pre[i] = cells.version(cands[i]);
                 stable &= pre[i] % 2 == 0;
             }
             if !stable {
@@ -389,37 +288,27 @@ where
                 let c = cands[i];
                 // Counter becomes non-zero only after content is written,
                 // so skipping zero is the one safe counter shortcut.
-                if self.counters[c].load(Ordering::Acquire) == 0 {
+                if cells.counters.get(c) == 0 {
                     continue;
                 }
                 probes += 1;
-                // SAFETY: torn bytes stay untyped in `MaybeUninit` until
-                // the version recheck below proves the read was stable.
-                let raw = unsafe {
-                    std::ptr::read_volatile(
-                        self.cells[c].get().cast::<MaybeUninit<Option<(K, V)>>>(),
-                    )
-                };
-                fence(Ordering::Acquire);
-                if self.versions[c].load(Ordering::Relaxed) != pre[i] {
-                    torn = true;
-                    break;
-                }
-                if let Some((k, v)) = unsafe { raw.assume_init() } {
-                    if k == *key {
-                        self.access.onchip_read(self.d as u64);
-                        self.access.offchip_read(probes);
-                        return (Some(v), probes);
+                match cells.read_at(c, pre[i]) {
+                    None => {
+                        torn = true;
+                        break;
                     }
+                    Some(Some(e)) if e.key == *key => {
+                        self.access.read(self.d, probes);
+                        return (Some(e.value), probes);
+                    }
+                    Some(_) => {}
                 }
             }
             if !torn {
                 // Validate the miss: no bucket changed underneath the pass.
-                let unchanged =
-                    (0..self.d).all(|i| self.versions[cands[i]].load(Ordering::Acquire) == pre[i]);
+                let unchanged = (0..self.d).all(|i| cells.version(cands[i]) == pre[i]);
                 if unchanged {
-                    self.access.onchip_read(self.d as u64);
-                    self.access.offchip_read(probes);
+                    self.access.read(self.d, probes);
                     return (None, probes);
                 }
             }
@@ -504,7 +393,9 @@ where
     /// was mutated. Inserting a key that is already present corrupts the
     /// copy bookkeeping (`debug_assert`ed).
     pub fn insert_new(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let out = self.upsert(key, value, UpsertMode::AssertAbsent);
+        let out = self
+            .write(|w| w.insert_new_unrecorded(key, value))
+            .map_err(|full| full.evicted);
         self.record_upsert(&out);
         out.map(|_| ())
     }
@@ -532,16 +423,9 @@ where
     /// Remove every item and zero every counter, under the writer lock;
     /// concurrent readers see each bucket cleared atomically (per-bucket
     /// seqlock brackets), so a racing lookup returns either the old
-    /// value or a miss — never torn state.
+    /// value or a miss — never torn state. Maintenance: unmetered.
     pub fn clear(&self) {
-        {
-            let _writer = self.writer.lock();
-            for idx in 0..self.cells.len() {
-                self.write_bucket(idx, None, Some(0));
-            }
-            self.distinct.store(0, Ordering::Release);
-        }
-        self.check_paranoid();
+        self.write(|w| w.clear());
     }
 
     /// Every stored `(key, value)` pair, each key emitted exactly once
@@ -552,13 +436,15 @@ where
         self.items_live()
     }
 
-    /// Exhaustive structural validation (see [`crate::invariant`]).
+    /// Exhaustive structural validation (see [`crate::invariant`]): the
+    /// engine's validator, plus every seqlock version even.
     ///
     /// Runs under the writer lock, so it observes a quiescent table
     /// with respect to mutations; concurrent readers are unaffected.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let _writer = self.writer.lock();
-        self.validate_excl()
+        let writer = self.writer.lock();
+        writer.check_invariants()?;
+        self.cells.quiescent()
     }
 
     // ------------------------------------------------------------------
@@ -569,7 +455,7 @@ where
     /// Unrecorded lock-free lookup, returning the probe count for the
     /// caller to record against whichever table answered.
     pub(crate) fn get_unrecorded(&self, key: &K) -> (Option<V>, u64) {
-        self.get_with_cands(key, &self.candidates(key))
+        self.get_with_cands(key, &candidate_buckets(&self.family, self.d, self.n, key))
     }
 
     /// [`Self::get_batch`] body, returning per-key probe counts for the
@@ -580,11 +466,10 @@ where
         let mut cands_buf = [[usize::MAX; MAX_D]; BATCH_CHUNK];
         for chunk in keys.chunks(BATCH_CHUNK) {
             for (key, cands) in chunk.iter().zip(cands_buf.iter_mut()) {
-                *cands = self.candidates(key);
+                *cands = candidate_buckets(&self.family, self.d, self.n, key);
                 for &c in cands.iter().take(self.d) {
-                    if self.counters[c].load(Ordering::Relaxed) != 0 {
-                        crate::prefetch::prefetch_index(&self.versions, c);
-                        crate::prefetch::prefetch_index(&self.cells, c);
+                    if self.cells.counters.get(c) != 0 {
+                        self.cells.prefetch(c);
                     }
                 }
             }
@@ -599,7 +484,8 @@ where
     /// sharded layer records exactly one op per *public* call, even
     /// when forwarding retries the op on a sibling table.
     pub(crate) fn upsert_unrecorded(&self, key: K, value: V) -> Result<InsertReport, (K, V)> {
-        self.upsert(key, value, UpsertMode::Update)
+        self.write(|w| w.insert_unrecorded(key, value))
+            .map_err(|full| full.evicted)
     }
 
     /// Atomic insert-if-absent (unrecorded). `Ok(true)` means the key
@@ -607,8 +493,14 @@ where
     /// the stored value was left untouched. `Err` returns the pair on a
     /// relocation-budget overflow with nothing mutated.
     pub(crate) fn insert_if_absent_unrecorded(&self, key: K, value: V) -> Result<bool, (K, V)> {
-        self.upsert(key, value, UpsertMode::KeepExisting)
-            .map(|rep| matches!(rep.outcome, InsertOutcome::Placed))
+        self.write(|w| {
+            if w.raw_find(&key).is_some() {
+                return Ok(false);
+            }
+            w.insert_new_unrecorded(key, value)
+                .map(|_| true)
+                .map_err(|full| full.evicted)
+        })
     }
 
     /// [`Self::insert_batch`] body with the full per-item
@@ -619,50 +511,33 @@ where
         &self,
         items: &[(K, V)],
     ) -> Vec<Result<InsertReport, (K, V)>> {
-        let out = {
-            let mut rng = self.writer.lock();
+        self.write(|w| {
             items
                 .iter()
-                .map(|&(k, v)| self.upsert_excl(&mut rng, k, v, UpsertMode::Update))
+                .map(|&(k, v)| w.insert_unrecorded(k, v).map_err(|full| full.evicted))
                 .collect()
-        };
-        self.check_paranoid();
-        out
+        })
     }
 
     /// [`Self::remove`] body.
     pub(crate) fn remove_unrecorded(&self, key: &K) -> Option<V> {
-        let out = {
-            let _writer = self.writer.lock();
-            self.remove_excl(key, &self.candidates(key))
-        };
-        self.check_paranoid();
-        out
+        self.write(|w| w.remove_unrecorded(key))
     }
 
     /// [`Self::remove_batch`] body.
     pub(crate) fn remove_batch_unrecorded(&self, keys: &[K]) -> Vec<Option<V>> {
-        let out = {
-            let _writer = self.writer.lock();
-            keys.iter()
-                .map(|k| self.remove_excl(k, &self.candidates(k)))
-                .collect()
-        };
-        self.check_paranoid();
-        out
+        self.write(|w| keys.iter().map(|k| w.remove_unrecorded(k)).collect())
     }
 
     /// Rewrite every live copy of `key` if (and only if) it is already
     /// present; never places a fresh entry. Returns whether an update
     /// happened. Unrecorded.
     pub(crate) fn update_existing_unrecorded(&self, key: &K, value: &V) -> bool {
-        let out = {
-            let _writer = self.writer.lock();
-            self.try_update_excl(key, value, &self.candidates(key))
-                .is_some()
-        };
-        self.check_paranoid();
-        out
+        self.write(|w| {
+            let cands = w.candidate_buckets(key);
+            let tag = w.tag_of(key);
+            w.try_update(key, value, &cands, tag).is_some()
+        })
     }
 
     /// The key stored in `bucket`, read lock-free through the seqlock
@@ -670,10 +545,10 @@ where
     /// table bucket by bucket with this and re-validates each key under
     /// the writer lock in [`Self::migrate_out`].
     pub(crate) fn key_at(&self, bucket: usize) -> Option<K> {
-        if self.counters[bucket].load(Ordering::Acquire) == 0 {
+        if self.cells.counters.get(bucket) == 0 {
             return None;
         }
-        self.cell_read_atomic(bucket).map(|(k, _)| k)
+        self.cells.read_stable(bucket).map(|e| e.key)
     }
 
     /// Atomically hand one key to another table: under this table's
@@ -688,28 +563,18 @@ where
         key: &K,
         transfer: F,
     ) -> MigrateOutcome {
-        let cands = self.candidates(key);
-        let out = {
-            let _writer = self.writer.lock();
-            let found = cands.iter().take(self.d).find_map(|&c| {
-                if self.counters[c].load(Ordering::Acquire) == 0 {
-                    return None;
-                }
-                self.cell_read_locked(c)
-                    .and_then(|(k, v)| (k == *key).then_some(v))
-            });
-            match found {
-                None => MigrateOutcome::Skipped,
-                Some(v) if transfer(*key, v) => {
-                    let removed = self.remove_excl(key, &cands);
-                    debug_assert!(removed.is_some(), "key vanished under the writer lock");
-                    MigrateOutcome::Moved
-                }
-                Some(_) => MigrateOutcome::Failed,
+        self.write(|w| {
+            let Some(idx) = w.raw_find(key) else {
+                return MigrateOutcome::Skipped;
+            };
+            let value = w.store.entry(idx).expect("found").value;
+            if !transfer(*key, value) {
+                return MigrateOutcome::Failed;
             }
-        };
-        self.check_paranoid();
-        out
+            let removed = w.remove_unrecorded(key);
+            debug_assert!(removed.is_some(), "key vanished under the writer lock");
+            MigrateOutcome::Moved
+        })
     }
 
     /// Every stored pair via the lock-free seqlock read protocol — no
@@ -719,27 +584,26 @@ where
     /// the table is quiescent, and any pair stable across the scan is
     /// present exactly once. Used by background snapshots.
     pub(crate) fn items_live(&self) -> Vec<(K, V)> {
+        let cells = &*self.cells;
         let mut out = Vec::new();
-        for i in 0..self.cells.len() {
-            let Some((k, v)) = self.cell_read_atomic(i) else {
+        for i in 0..cells.counters.len() {
+            let Some(e) = cells.read_stable(i) else {
                 continue;
             };
             // Emit at the smallest candidate bucket currently holding a
             // copy, so a multi-copy key is reported once.
-            let cands = self.candidates(&k);
+            let cands = candidate_buckets(&self.family, self.d, self.n, &e.key);
             let mut first = usize::MAX;
             for &b in cands.iter().take(self.d) {
-                if self.counters[b].load(Ordering::Acquire) == 0 {
+                if cells.counters.get(b) == 0 {
                     continue;
                 }
-                if let Some((bk, _)) = self.cell_read_atomic(b) {
-                    if bk == k {
-                        first = first.min(b);
-                    }
+                if cells.read_stable(b).is_some_and(|be| be.key == e.key) {
+                    first = first.min(b);
                 }
             }
             if first == i {
-                out.push((k, v));
+                out.push((e.key, e.value));
             }
         }
         out
@@ -755,383 +619,6 @@ where
     fn record_upsert(&self, out: &Result<InsertReport, (K, V)>) {
         self.obs
             .record_insert(out.as_ref().unwrap_or(&InsertReport::failed()));
-    }
-
-    #[cfg(feature = "paranoid")]
-    fn check_paranoid(&self) {
-        // Runs after the mutating guard has dropped: the validator takes
-        // the writer lock itself, so re-entrant acquisition (and
-        // deadlock) is impossible. Other writers may slip in between the
-        // op and its check — every op leaves a consistent table, so the
-        // validator still holds.
-        self.check_invariants()
-            .expect("paranoid: invariant violated after mutation");
-    }
-
-    #[cfg(not(feature = "paranoid"))]
-    #[inline(always)]
-    fn check_paranoid(&self) {}
-
-    // ------------------------------------------------------------------
-    // Writers: bodies run under the writer lock
-    // ------------------------------------------------------------------
-
-    /// One single-key upsert: take the writer lock, run the body.
-    fn upsert(&self, key: K, value: V, mode: UpsertMode) -> Result<InsertReport, (K, V)> {
-        let out = self.upsert_excl(&mut self.writer.lock(), key, value, mode);
-        self.check_paranoid();
-        out
-    }
-
-    /// The one write body: the existing-key check, placement by the
-    /// insertion principles, and on a real collision a kick chain
-    /// planned by the configured policy (`crate::kick`) and executed
-    /// back to front. The plan only reads, so a rejected insert leaves
-    /// the table untouched. Caller holds the writer lock; `rng` is the
-    /// state it guards.
-    fn upsert_excl(
-        &self,
-        rng: &mut SplitMix64,
-        key: K,
-        value: V,
-        mode: UpsertMode,
-    ) -> Result<InsertReport, (K, V)> {
-        let cands = self.candidates(&key);
-        if let Some(report) = self.existing_excl(&key, &value, &cands, mode) {
-            return Ok(report);
-        }
-        if let Some(copies) = self.try_place_excl(&key, &value, &cands) {
-            self.distinct.fetch_add(1, Ordering::AcqRel);
-            return Ok(InsertReport::clean(copies));
-        }
-        let mut path = Vec::new();
-        if !kick::plan_kick(self, self.config.kick, &key, rng, self.maxloop, &mut path) {
-            return Err((key, value));
-        }
-        Ok(self.kick_excl(key, value, &path))
-    }
-
-    /// What `mode` does when `key` may already be present: `Some` ends
-    /// the upsert with that report.
-    fn existing_excl(
-        &self,
-        key: &K,
-        value: &V,
-        cands: &[usize; MAX_D],
-        mode: UpsertMode,
-    ) -> Option<InsertReport> {
-        let copies = match mode {
-            UpsertMode::Update => self.try_update_excl(key, value, cands)?,
-            UpsertMode::KeepExisting if self.raw_contains_excl(key, cands) => 0,
-            UpsertMode::KeepExisting => return None,
-            UpsertMode::AssertAbsent => {
-                debug_assert!(
-                    !self.raw_contains_excl(key, cands),
-                    "insert_new of a present key"
-                );
-                return None;
-            }
-        };
-        Some(InsertReport::updated(copies))
-    }
-
-    /// The kick-chain executor for a chain planned under the same lock
-    /// hold. Settles the terminal occupant by the insertion principles
-    /// — into its empty candidates or over a redundant copy — then
-    /// shifts the chain backwards (MemC3 order: destination before
-    /// source, so no item is ever absent) and writes `key` into the
-    /// freed front bucket as a sole copy.
-    fn kick_excl(&self, key: K, value: V, path: &[usize]) -> InsertReport {
-        let last = *path.last().expect("planned chains are non-empty");
-        let (tk, tv) = self
-            .cell_read_metered(last)
-            .expect("chain buckets hold sole copies");
-        #[cfg(feature = "testhooks")]
-        crate::testhooks::fire_panic_in_kick();
-        self.try_place_excl(&tk, &tv, &self.candidates(&tk))
-            .expect("planned terminal occupant must settle");
-        for w in path.windows(2).rev() {
-            let item = self
-                .cell_read_metered(w[0])
-                .expect("chain buckets hold sole copies");
-            self.write_bucket(w[1], Some(item), Some(1));
-        }
-        self.write_bucket(path[0], Some((key, value)), Some(1));
-        self.distinct.fetch_add(1, Ordering::AcqRel);
-        InsertReport {
-            outcome: InsertOutcome::Placed,
-            kickouts: path.len() as u32,
-            collision: true,
-            copies_written: 1,
-        }
-    }
-
-    /// In-place update scan: rewrite every live copy of `key`. Returns
-    /// the copies updated, or `None` if the key is absent. Like the
-    /// readers and [`Self::remove_excl`], it reads only buckets whose
-    /// counter is non-zero.
-    fn try_update_excl(&self, key: &K, value: &V, cands: &[usize; MAX_D]) -> Option<u8> {
-        let mut existing = [false; MAX_D];
-        let mut exists = false;
-        self.access.onchip_read(self.d as u64);
-        for i in 0..self.d {
-            if self.counters[cands[i]].load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            if matches!(self.cell_read_metered(cands[i]), Some((k, _)) if k == *key) {
-                existing[i] = true;
-                exists = true;
-            }
-        }
-        if !exists {
-            return None;
-        }
-        let mut copies = 0u8;
-        for i in 0..self.d {
-            if existing[i] {
-                self.write_bucket(cands[i], Some((*key, *value)), None);
-                copies += 1;
-            }
-        }
-        Some(copies)
-    }
-
-    /// Unrecorded presence scan (debug assertions and restores only).
-    fn raw_contains_excl(&self, key: &K, cands: &[usize; MAX_D]) -> bool {
-        cands.iter().take(self.d).any(|&c| {
-            self.counters[c].load(Ordering::Acquire) != 0
-                && matches!(self.cell_read_locked(c), Some((k, _)) if k == *key)
-        })
-    }
-
-    /// The deletion body.
-    fn remove_excl(&self, key: &K, cands: &[usize; MAX_D]) -> Option<V> {
-        let mut value = None;
-        let mut locations = [usize::MAX; MAX_D];
-        let mut count = 0usize;
-        self.access.onchip_read(self.d as u64);
-        for &c in cands.iter().take(self.d) {
-            if self.counters[c].load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            if let Some((k, v)) = self.cell_read_metered(c) {
-                if k == *key {
-                    value = Some(v);
-                    locations[count] = c;
-                    count += 1;
-                }
-            }
-        }
-        if count > 0 {
-            for &l in &locations[..count] {
-                self.write_bucket(l, None, Some(0));
-            }
-            self.distinct.fetch_sub(1, Ordering::AcqRel);
-        }
-        value
-    }
-
-    /// Place copies of `key` (candidates `cands`) by the insertion
-    /// principles — the table's one copy of them; returns the number of
-    /// copies written, or `None` on a real collision. Ordering: contents
-    /// before counters, sibling decrements before the overwrite's own
-    /// counter.
-    fn try_place_excl(&self, key: &K, value: &V, cands: &[usize; MAX_D]) -> Option<u8> {
-        let mut cvals = [0u8; MAX_D];
-        self.access.onchip_read(self.d as u64);
-        for i in 0..self.d {
-            cvals[i] = self.counters[cands[i]].load(Ordering::Acquire);
-        }
-        let mut taken = [false; MAX_D];
-        let mut placed = [usize::MAX; MAX_D];
-        let mut placed_len = 0usize;
-        for i in 0..self.d {
-            if cvals[i] == 0 {
-                self.write_bucket(cands[i], Some((*key, *value)), None);
-                taken[i] = true;
-                placed[placed_len] = cands[i];
-                placed_len += 1;
-            }
-        }
-        loop {
-            let mut best: Option<usize> = None;
-            for i in 0..self.d {
-                // MSRV 1.75: spelled without `Option::is_none_or`.
-                if !taken[i] && cvals[i] >= 2 && best.map(|b| cvals[i] > cvals[b]).unwrap_or(true) {
-                    best = Some(i);
-                }
-            }
-            let Some(i) = best else { break };
-            if placed_len as u8 + 2 > cvals[i] {
-                break;
-            }
-            self.overwrite_excl(cands[i], cvals[i], key, value, cands, &mut cvals);
-            taken[i] = true;
-            placed[placed_len] = cands[i];
-            placed_len += 1;
-        }
-        if placed_len == 0 {
-            return None;
-        }
-        for &p in placed.iter().take(placed_len) {
-            self.counters[p].store(placed_len as u8, Ordering::Release);
-        }
-        self.access.onchip_write(placed_len as u64);
-        Some(placed_len as u8)
-    }
-
-    /// Overwrite the redundant copy at `idx` (count `vcount`), fixing the
-    /// victim's siblings.
-    fn overwrite_excl(
-        &self,
-        idx: usize,
-        vcount: u8,
-        key: &K,
-        value: &V,
-        cands: &[usize; MAX_D],
-        cvals: &mut [u8; MAX_D],
-    ) {
-        let (vkey, _) = self.cell_read_metered(idx).expect("counter ≥ 1 ⇒ occupied");
-        let vcands = self.candidates(&vkey);
-        // New content first: the victim stays reachable via its siblings
-        // during the whole update.
-        self.write_bucket(idx, Some((*key, *value)), None);
-        for &s in vcands.iter().take(self.d) {
-            if s == idx {
-                continue;
-            }
-            self.access.onchip_read(1);
-            if self.counters[s].load(Ordering::Acquire) != vcount {
-                continue;
-            }
-            // Verify content: another item may share the counter value.
-            if let Some((k, _)) = self.cell_read_metered(s) {
-                if k == vkey {
-                    self.counters[s].store(vcount - 1, Ordering::Release);
-                    self.access.onchip_write(1);
-                    for i in 0..self.d {
-                        if cands[i] == s {
-                            cvals[i] = vcount - 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The validator body. Caller must hold the writer lock (or
-    /// otherwise guarantee no writer is active).
-    fn validate_excl(&self) -> Result<(), String> {
-        let total = self.cells.len();
-        // 1. All seqlock versions even (no mutation in flight).
-        for (i, v) in self.versions.iter().enumerate() {
-            let v = v.load(Ordering::Acquire);
-            if v % 2 != 0 {
-                return Err(format!("bucket {i}: odd version {v} while quiescent"));
-            }
-        }
-        // 2. Counter/content agreement per bucket, and each occupant
-        // sits in one of its own candidate buckets.
-        let mut occupied: Vec<(usize, K)> = Vec::new();
-        for i in 0..total {
-            let c = self.counters[i].load(Ordering::Acquire);
-            match self.cell_read_locked(i) {
-                None if c != 0 => {
-                    return Err(format!("bucket {i}: counter {c} but vacant"));
-                }
-                Some((k, _)) if c == 0 => {
-                    let _ = k; // stale content behind counter 0 is a leak
-                    return Err(format!("bucket {i}: counter 0 but occupied"));
-                }
-                Some((k, _)) => {
-                    let cands = self.candidates(&k);
-                    if !cands.iter().take(self.d).any(|&b| b == i) {
-                        return Err(format!("bucket {i}: occupant not a candidate"));
-                    }
-                    occupied.push((i, k));
-                }
-                None => {}
-            }
-        }
-        // 3. All copies of a key share counter == copy count; distinct
-        // count matches the scan. Copies only live among a key's own
-        // candidates, so each occupied bucket is checked against its
-        // occupant's d candidate buckets — linear in the table size.
-        let mut distinct_seen = 0usize;
-        for &(i, ref k) in &occupied {
-            let cands = self.candidates(k);
-            let mut copies = 0u8;
-            let mut first = usize::MAX;
-            for &b in cands.iter().take(self.d) {
-                if self.counters[b].load(Ordering::Acquire) == 0 {
-                    continue;
-                }
-                if let Some((bk, _)) = self.cell_read_locked(b) {
-                    if bk == *k {
-                        copies += 1;
-                        first = first.min(b);
-                    }
-                }
-            }
-            if first == i {
-                distinct_seen += 1;
-            }
-            let c = self.counters[i].load(Ordering::Acquire);
-            if c != copies {
-                return Err(format!(
-                    "bucket {i}: counter {c} but occupant has {copies} copies"
-                ));
-            }
-        }
-        let distinct = self.distinct.load(Ordering::Acquire);
-        if distinct != distinct_seen {
-            return Err(format!(
-                "distinct count {distinct} but scan found {distinct_seen}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The concurrent table as a planning substrate for [`crate::kick`]:
-/// one slot per bucket (`l = 1`). Planners run under the writer lock,
-/// so occupants are read directly and a plan is exact when it is
-/// executed. This is the only kick-walk logic the concurrent table has:
-/// every policy plans through the shared planners and executes through
-/// `kick_excl`.
-impl<K, V> EvictionGraph for ConcurrentMcCuckoo<K, V>
-where
-    K: KeyHash + Eq + Copy,
-    V: Copy,
-{
-    type Key = K;
-
-    fn d(&self) -> usize {
-        self.d
-    }
-
-    fn l(&self) -> usize {
-        1
-    }
-
-    fn counter(&self, slot: usize) -> u8 {
-        self.counters[slot].load(Ordering::Acquire)
-    }
-
-    fn cands(&self, key: &K) -> [usize; MAX_D] {
-        self.candidates(key)
-    }
-
-    fn slot_of(&self, bucket: usize, _slot: usize) -> usize {
-        bucket
-    }
-
-    fn occupant(&self, slot: usize) -> Option<K> {
-        self.cell_read_metered(slot).map(|(k, _)| k)
-    }
-
-    fn meter_onchip(&self, n: u64) {
-        self.access.onchip_read(n);
     }
 }
 
@@ -1182,14 +669,73 @@ mod tests {
 
     #[test]
     fn fresh_insert_into_empty_table_reads_nothing_off_chip() {
-        // Every candidate counter is 0, so the upsert's update scan must
-        // skip all d buckets, as the readers and `remove_excl` do.
+        // Every candidate counter is 0, so the upsert's copy probe must
+        // skip all d buckets, as the readers do.
         let t = table(64, 3);
         t.insert(5, 50).unwrap();
         assert_eq!(t.mem_stats().offchip_reads, 0);
         // An update still reads the live copies it rewrites.
         t.insert(5, 51).unwrap();
         assert!(t.mem_stats().offchip_reads > 0);
+    }
+
+    #[test]
+    fn writes_match_the_sequential_engine_op_for_op() {
+        // One write path: the writer is the engine, so a write-only
+        // stream gives the same reports, items and metered accesses as a
+        // plain `McCuckoo` with the configuration the concurrent table
+        // builds its engine with (counter-reset deletion, no stash). The
+        // planned policies take the same path on both stores.
+        use crate::config::{DeletionMode, KickPolicyKind, StashPolicy};
+        use crate::McCuckoo;
+        use hash_kit::SplitMix64;
+        use std::collections::VecDeque;
+        for kind in [KickPolicyKind::Bfs, KickPolicyKind::Bubble] {
+            let config = McConfig::paper(1_024 / SCALE, 61).with_kick_policy(kind);
+            let mut plain: McCuckoo<u64, u64> = McCuckoo::new(
+                config
+                    .clone()
+                    .with_deletion(DeletionMode::Reset)
+                    .with_stash(StashPolicy::None),
+            );
+            let conc = ConcurrentMcCuckoo::<u64, u64>::new(config);
+            let mut keys = UniqueKeys::new(62);
+            let mut rng = SplitMix64::new(63);
+            let mut live: VecDeque<u64> = VecDeque::new();
+            let target = conc.capacity() * 4 / 5;
+            for step in 0..5 * target as u64 {
+                // Fill to 0.80, then churn: remove the oldest key, insert
+                // a fresh one, or update a live one.
+                let op = if step < target as u64 {
+                    1
+                } else {
+                    rng.next_below(3)
+                };
+                if op == 0 {
+                    let k = live.pop_front().expect("table is loaded");
+                    assert_eq!(plain.remove(&k), conc.remove_unrecorded(&k), "{kind:?}");
+                    continue;
+                }
+                let k = if op == 1 {
+                    keys.next_key()
+                } else {
+                    live[rng.next_below(live.len() as u64) as usize]
+                };
+                let want = plain.insert(k, step).map_err(|full| full.evicted);
+                let got = conc.upsert_unrecorded(k, step);
+                assert_eq!(got, want, "{kind:?}: step {step}");
+                if op == 1 && got.is_ok() {
+                    live.push_back(k);
+                }
+            }
+            let mut want: Vec<(u64, u64)> = plain.iter().map(|(&k, &v)| (k, v)).collect();
+            let mut got = conc.items();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{kind:?}");
+            assert_eq!(conc.mem_stats(), plain.meter().snapshot(), "{kind:?}");
+            conc.check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -1332,9 +878,10 @@ mod tests {
     #[test]
     fn single_inserts_at_half_load_scan_once() {
         // Fill to 0.5 load with single inserts, then meter 1,000 fresh
-        // single inserts. Each runs the existing-key scan once: 3.90
-        // off-chip reads per insert. The bound sits below 5.51, what a
-        // writer that re-runs the scan on every lock attempt reads here.
+        // single inserts. Each runs the engine's pruned copy probe once:
+        // 2.16 off-chip reads per insert (3.90 for a scan of every live
+        // candidate). The bound sits below 5.51, what a writer that
+        // re-runs the scan on every lock attempt reads here.
         let t = table(4_096, 51);
         let mut keys = UniqueKeys::new(52);
         for k in keys.take_vec(t.capacity() / 2) {

@@ -4,23 +4,36 @@
 //! how many live copies the occupying item currently has in the whole
 //! table. Counts never exceed `d ≤ 4`, so 2–3 bits suffice ("for the case
 //! of d = 3, each counter costs only 2 bits"); counters are packed into
-//! `u64` words exactly as an SRAM implementation would.
+//! 64-bit words exactly as an SRAM implementation would.
+//!
+//! The words are atomics, so the concurrent table's lock-free readers
+//! and its one writer share the same type: single-writer `Release`
+//! stores through `&self` and `Relaxed` loads (plain moves on x86). A
+//! reader synchronises on its bucket's seqlock version; a counter only
+//! steers which buckets it probes. `Acquire` loads measured ~8 % slower
+//! on the write path: they stop the compiler keeping this array's
+//! fields in registers.
 //!
 //! Tombstones (deletion solution 2, §III.B.3) need one extra state beyond
 //! `0..=d`. Rather than widening every counter, a separate packed bit
 //! plane is allocated lazily the first time a tombstone is set — tables
 //! configured without tombstone deletion pay nothing.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// Packed counter array with optional tombstone plane.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CounterArray {
     bits: u32,
     mask: u64,
     per_word: usize,
+    /// `log2(per_word)` when `per_word` is a power of two (every
+    /// `max_value ≤ 3`), so a counter's word is found by shift.
+    word_shift: Option<u32>,
     len: usize,
-    words: Vec<u64>,
+    words: Box<[AtomicU64]>,
     /// Lazily allocated tombstone bit plane (1 bit per counter).
-    tombs: Option<Vec<u64>>,
+    tombs: Option<Box<[AtomicU64]>>,
     max_value: u8,
 }
 
@@ -35,13 +48,17 @@ impl CounterArray {
         let bits = 8 - max_value.leading_zeros() % 8; // ceil(log2(max+1))
         let bits = bits.max(1);
         let per_word = (64 / bits) as usize;
-        let words = vec![0u64; len.div_ceil(per_word)];
         Self {
             bits,
             mask: (1u64 << bits) - 1,
             per_word,
+            word_shift: per_word
+                .is_power_of_two()
+                .then(|| per_word.trailing_zeros()),
             len,
-            words,
+            words: (0..len.div_ceil(per_word))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             tombs: None,
             max_value,
         }
@@ -68,29 +85,52 @@ impl CounterArray {
         self.words.len() * 8 + self.tombs.as_ref().map_or(0, |t| t.len() * 8)
     }
 
+    /// Word index and bit offset of counter `i`.
+    #[inline]
+    fn locate(&self, i: usize) -> (usize, u32) {
+        debug_assert!(i < self.len);
+        let (w, r) = match self.word_shift {
+            Some(shift) => (i >> shift, i & (self.per_word - 1)),
+            None => (i / self.per_word, i % self.per_word),
+        };
+        (w, r as u32 * self.bits)
+    }
+
     /// Counter value at `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u8 {
-        debug_assert!(i < self.len);
-        let w = i / self.per_word;
-        let off = (i % self.per_word) as u32 * self.bits;
-        ((self.words[w] >> off) & self.mask) as u8
+        let (w, off) = self.locate(i);
+        ((self.words[w].load(Ordering::Relaxed) >> off) & self.mask) as u8
     }
 
     /// Set counter `i` to `v`, clearing any tombstone.
     #[inline]
     pub fn set(&mut self, i: usize, v: u8) {
-        debug_assert!(i < self.len);
+        self.store(i, v);
+    }
+
+    /// [`CounterArray::set`] through `&self` for the one writer (a load
+    /// and a `Release` store: concurrent callers could lose an update).
+    #[inline]
+    pub(crate) fn store(&self, i: usize, v: u8) {
         debug_assert!(
             v <= self.max_value,
             "counter value {v} exceeds max {}",
             self.max_value
         );
-        let w = i / self.per_word;
-        let off = (i % self.per_word) as u32 * self.bits;
-        self.words[w] = (self.words[w] & !(self.mask << off)) | ((v as u64) << off);
-        if let Some(t) = &mut self.tombs {
-            t[i / 64] &= !(1u64 << (i % 64));
+        let (w, off) = self.locate(i);
+        let word = &self.words[w];
+        let old = word.load(Ordering::Relaxed);
+        word.store(
+            (old & !(self.mask << off)) | ((v as u64) << off),
+            Ordering::Release,
+        );
+        if let Some(t) = &self.tombs {
+            let bit = 1u64 << (i % 64);
+            let old = t[i / 64].load(Ordering::Relaxed);
+            if old & bit != 0 {
+                t[i / 64].store(old & !bit, Ordering::Release);
+            }
         }
     }
 
@@ -100,17 +140,18 @@ impl CounterArray {
         debug_assert!(i < self.len);
         self.tombs
             .as_ref()
-            .is_some_and(|t| t[i / 64] >> (i % 64) & 1 == 1)
+            .is_some_and(|t| t[i / 64].load(Ordering::Relaxed) >> (i % 64) & 1 == 1)
     }
 
     /// Mark counter `i` as deleted: value forced to 0, tombstone bit set.
     pub fn set_tombstone(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.set(i, 0);
+        let len = self.len;
         let t = self
             .tombs
-            .get_or_insert_with(|| vec![0u64; self.len.div_ceil(64)]);
-        t[i / 64] |= 1u64 << (i % 64);
+            .get_or_insert_with(|| (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect());
+        *t[i / 64].get_mut() |= 1u64 << (i % 64);
     }
 
     /// Convenience for the insertion rules: counter reads as *empty*
@@ -131,9 +172,9 @@ impl CounterArray {
     /// Reset every counter (and tombstone) to 0 — what a table `clear`
     /// or flag refresh does.
     pub fn reset(&mut self) {
-        self.words.fill(0);
-        if let Some(t) = &mut self.tombs {
-            t.fill(0);
+        let tombs = self.tombs.iter_mut().flat_map(|t| t.iter_mut());
+        for w in self.words.iter_mut().chain(tombs) {
+            *w.get_mut() = 0;
         }
     }
 

@@ -7,12 +7,16 @@
 //! geometry- and probe-strategy differences live in a [`BucketLayout`]
 //! implementation; everything else — candidate generation, foresighted
 //! insertion, the kick walk, counter maintenance, deletion, the stash —
-//! is this module's shared control flow.
+//! is this module's shared control flow, and the only write path:
+//! [`ConcurrentMcCuckoo`](crate::ConcurrentMcCuckoo)'s writer is a
+//! single-slot engine over the seqlocked slot store (`store.rs`; its
+//! readers rely on the write order stated in `DESIGN.md`,
+//! "Concurrency").
 //!
 //! Layout: `d` sub-tables of `n` buckets of `l` slots off-chip, plus a
 //! 1-bit stash flag per *bucket* that travels with the bucket; and an
-//! on-chip [`CounterArray`] with one counter per *slot* recording how
-//! many live copies the slot's occupant has.
+//! on-chip [`CounterArray`](crate::CounterArray) with one counter per
+//! *slot* recording how many live copies the slot's occupant has.
 //!
 //! ## Insertion principles (§III.B.1, Algorithm 1)
 //! 1. copy into **every** candidate bucket with a free slot;
@@ -46,16 +50,13 @@ use hash_kit::{BucketFamily, KeyHash, SplitMix64};
 use mem_model::{InsertOutcome, InsertReport, MemMeter};
 
 use crate::config::{DeletionMode, KickPolicyKind, McConfig};
-use crate::counters::CounterArray;
 use crate::kick::{self, EvictionGraph};
 use crate::obs::{Obs, TableStats};
 use crate::stash::Stash;
+use crate::store::{Entry, PlainStore, SlotHint, SlotStore};
 
 /// Maximum supported `d` (the paper argues d = 3 suffices in practice).
 pub const MAX_D: usize = 4;
-
-/// Slot-hint sentinel: "no copy in this table".
-pub(crate) const NO_SLOT: u8 = 0xFF;
 
 /// Seed tweak for the per-slot fingerprint tags. Dedicated salt so the
 /// tag byte is independent of every bucket-choice hash.
@@ -90,6 +91,24 @@ pub(crate) fn swar_first_lane(mask: u64) -> usize {
     (mask.trailing_zeros() / 8) as usize
 }
 
+/// Global bucket indices of `key`'s `d` candidates under `family` over
+/// `n` buckets per sub-table (entries past `d` are `usize::MAX`).
+#[inline]
+pub(crate) fn candidate_buckets<K: KeyHash>(
+    family: &BucketFamily,
+    d: usize,
+    n: usize,
+    key: &K,
+) -> [usize; MAX_D] {
+    let mut raw = [0usize; MAX_D];
+    family.buckets_into(key, &mut raw[..d]);
+    let mut out = [usize::MAX; MAX_D];
+    for i in 0..d {
+        out[i] = i * n + raw[i];
+    }
+    out
+}
+
 /// Insertion failure: relocation budget exhausted and no stash configured.
 ///
 /// As with classic cuckoo hashing, the inserted item was placed during
@@ -103,19 +122,33 @@ pub struct McFull<K, V> {
     pub report: InsertReport,
 }
 
-/// A stored item plus its copy-location metadata.
-#[derive(Debug, Clone)]
-pub(crate) struct Entry<K, V> {
-    pub(crate) key: K,
-    pub(crate) value: V,
-    /// Slot of this item's copy in candidate table `t` at creation time
-    /// (`NO_SLOT` when table `t` received no copy). Written identically
-    /// into every copy; entries can go stale when a sibling copy is
-    /// destroyed, so they are always cross-checked against counters (and
-    /// content when still ambiguous). Travels with the item off-chip —
-    /// the victim read that counter maintenance needs anyway brings it
-    /// in for free, sparing most verification reads (Fig. 5).
-    pub(crate) hints: [u8; MAX_D],
+/// Up to [`MAX_D`] indices, e.g. a key's copy slots: a key has at most
+/// one copy per candidate bucket, so every copy set fits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SlotList {
+    idx: [usize; MAX_D],
+    len: u8,
+}
+
+impl SlotList {
+    /// Append slot `i`.
+    #[inline]
+    pub(crate) fn push(&mut self, i: usize) {
+        self.idx[self.len as usize] = i;
+        self.len += 1;
+    }
+
+    /// The listed slots, in insertion order.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[usize] {
+        &self.idx[..self.len as usize]
+    }
+
+    /// Number of listed slots.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
 }
 
 /// Result of a layout's first-hit probe.
@@ -136,7 +169,7 @@ pub enum CopyProbe {
     /// Every live copy of the key.
     Found {
         /// Slot indices of all copies.
-        locations: Vec<usize>,
+        locations: SlotList,
         /// The copy whose value the operation should report (the one the
         /// probe actually read).
         primary: usize,
@@ -171,10 +204,11 @@ pub trait BucketLayout: std::fmt::Debug {
     /// Find the first slot holding `key`, or decide the miss path
     /// (including stash screening). `cands` and `tag` are the key's
     /// candidate buckets and fingerprint, precomputed by the caller so
-    /// the batched read path hashes each key exactly once (stage 1
-    /// computes them for prefetching; stage 2 probes with them).
-    fn probe_first<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    /// each operation hashes its key exactly once (the batched read path
+    /// computes them in stage 1 for prefetching; stage 2 probes with
+    /// them).
+    fn probe_first<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -185,8 +219,8 @@ pub trait BucketLayout: std::fmt::Debug {
     /// Locate **all** copies of `key` (deletion principles, §III.B.3).
     /// Same precomputed-`cands`/`tag` contract as
     /// [`BucketLayout::probe_first`].
-    fn probe_copies<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_copies<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -210,8 +244,8 @@ pub trait BucketLayout: std::fmt::Debug {
     /// that makes `probe_planned` take the ordinary `probe_first` path.
     /// Layouts with tighter pruning should override **both** hooks
     /// together.
-    fn plan_probe<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan
     where
@@ -220,10 +254,8 @@ pub trait BucketLayout: std::fmt::Debug {
         let l = t.layout.slots();
         for &c in cands.iter().take(t.d) {
             let base = t.slot_idx(c, 0);
-            if (0..l).any(|s| t.counters.get(base + s) != 0) {
-                crate::prefetch::prefetch_index(&t.slots, base);
-                crate::prefetch::prefetch_index(&t.tags, base);
-                crate::prefetch::prefetch_index(&t.flags, c);
+            if (0..l).any(|s| t.counter(base + s) != 0) {
+                t.store.prefetch(base);
             }
         }
         ProbePlan::FALLBACK
@@ -244,8 +276,8 @@ pub trait BucketLayout: std::fmt::Debug {
     /// The default ignores the plan and runs `probe_first` under a
     /// snapshot pair, which is trivially equivalent (that's the
     /// fallback contract of the default [`BucketLayout::plan_probe`]).
-    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -289,9 +321,10 @@ impl ProbePlan {
 
 /// The generic multi-copy cuckoo table. Use through the
 /// [`McCuckoo`](crate::McCuckoo) / [`BlockedMcCuckoo`](crate::BlockedMcCuckoo)
-/// aliases.
+/// aliases. `S` is the slot store (the plain planes unless the engine is
+/// a concurrent table's writer).
 #[derive(Debug)]
-pub struct Engine<K, V, L: BucketLayout> {
+pub struct Engine<K, V, L: BucketLayout, S = PlainStore<K, V>> {
     pub(crate) layout: L,
     pub(crate) family: BucketFamily,
     pub(crate) d: usize,
@@ -302,22 +335,11 @@ pub struct Engine<K, V, L: BucketLayout> {
     /// (optionally MinCounter-guided), or a plan-first policy (BFS /
     /// bubbling) from the [`kick`] layer.
     pub(crate) kick: KickPolicyKind,
-    /// Off-chip slots: `(table * n + bucket) * l + slot`.
-    pub(crate) slots: Vec<Option<Entry<K, V>>>,
-    /// Dense fingerprint plane: one tag byte per slot, same indexing as
-    /// `slots`, so a bucket's `l` tags are contiguous and SWAR-comparable
-    /// in one `u64` load. Tags are a pure software-side probe filter —
-    /// may-match with entry confirmation — and are deliberately left
-    /// stale on removal (counters and the entry compare gate occupancy),
-    /// so they add **zero** metered off-chip accesses.
-    pub(crate) tags: Vec<u8>,
-    /// Off-chip 1-bit stash flags, one per bucket (read/written together
-    /// with the bucket, so they cost no dedicated accesses on lookups).
-    pub(crate) flags: Vec<bool>,
-    /// On-chip per-slot copy counters.
-    pub(crate) counters: CounterArray,
+    /// Off-chip slots (`(table * n + bucket) * l + slot`), their tags and
+    /// flags, and the on-chip per-slot copy counters.
+    pub(crate) store: S,
     /// On-chip 5-bit kick-history counters, one per bucket
-    /// ([`KickPolicyKind::MinCounter`] only).
+    /// ([`KickPolicyKind::MinCounter`] walks only).
     pub(crate) kick_history: Option<Vec<u8>>,
     pub(crate) stash: Stash<K, V>,
     pub(crate) stash_policy: crate::config::StashPolicy,
@@ -333,7 +355,7 @@ pub struct Engine<K, V, L: BucketLayout> {
     pub(crate) obs: Obs,
 }
 
-impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
+impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Engine<K, V, L, S> {
     /// Build a table from a validated base configuration and a layout.
     pub(crate) fn from_config(config: McConfig, layout: L) -> Self {
         config.validate();
@@ -343,25 +365,22 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             config.buckets_per_table,
             config.seed,
         );
-        let l = layout.slots();
         let total_buckets = config.d * config.buckets_per_table;
-        let total_slots = total_buckets * l;
-        let mut slots = Vec::with_capacity(total_slots);
-        slots.resize_with(total_slots, || None);
+        let walks = config.kick == KickPolicyKind::MinCounter && !S::PLANS_FIRST;
         Self {
-            layout,
             family,
             d: config.d,
             n: config.buckets_per_table,
             deletion: config.deletion,
             maxloop: config.maxloop,
             kick: config.kick,
-            slots,
-            tags: vec![0u8; total_slots],
-            flags: vec![false; total_buckets],
-            counters: CounterArray::new(total_slots, config.d as u8),
-            kick_history: (config.kick == KickPolicyKind::MinCounter)
-                .then(|| vec![0u8; total_buckets]),
+            store: S::new(
+                total_buckets * layout.slots(),
+                total_buckets,
+                config.d as u8,
+            ),
+            layout,
+            kick_history: walks.then(|| vec![0u8; total_buckets]),
             stash: Stash::new(config.stash),
             stash_policy: config.stash,
             seed: config.seed,
@@ -420,7 +439,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
 
     /// Total slot count (`d × buckets_per_table × slots_per_bucket`).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.store.len()
     }
 
     /// Load ratio: distinct items / slot count (the paper's measure —
@@ -470,7 +489,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// history under [`KickPolicyKind::MinCounter`], 5 bits per bucket
     /// rounded up to whole bytes).
     pub fn onchip_bytes(&self) -> usize {
-        self.counters.onchip_bytes()
+        self.store.counters().onchip_bytes()
             + self
                 .kick_history
                 .as_ref()
@@ -482,66 +501,10 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
         self.n
     }
 
-    /// Remove and return every stored item (main table + stash),
-    /// leaving the table empty. Host-side maintenance: unmetered except
-    /// through the callers that model it (see `rehash`).
-    pub(crate) fn drain_items(&mut self) -> Vec<(K, V)> {
-        let mut items: Vec<(K, V)> = Vec::with_capacity(self.len());
-        for idx in 0..self.slots.len() {
-            if self.counters.get(idx) == 0 {
-                continue; // vacant (or tombstoned)
-            }
-            let entry = self.slots[idx].take().expect("counter>0 ⇒ occupied");
-            // Emit once per item: clear the counters of all copies so the
-            // siblings are skipped when the scan reaches them.
-            let locs = self.raw_copy_locations(&entry.key);
-            self.counters.set(idx, 0);
-            for l in locs {
-                self.counters.set(l, 0);
-                self.slots[l] = None;
-            }
-            items.push((entry.key, entry.value));
-        }
-        for (k, v) in self.stash.drain_all() {
-            items.push((k, v));
-        }
-        self.distinct = 0;
-        items
-    }
-
-    /// Re-derive hash functions (and optionally the geometry) and clear
-    /// all storage planes. Used by rehash/resize.
-    pub(crate) fn rebuild_storage(&mut self, new_buckets_per_table: Option<usize>, seed: u64) {
-        if let Some(n) = new_buckets_per_table {
-            assert!(n > 0, "table must be non-empty");
-            self.n = n;
-        }
-        self.family = self.family.reseeded_with_len(seed, self.n);
-        let total_buckets = self.d * self.n;
-        let total_slots = total_buckets * self.layout.slots();
-        self.slots.clear();
-        self.slots.resize_with(total_slots, || None);
-        self.tags.clear();
-        self.tags.resize(total_slots, 0);
-        self.flags.clear();
-        self.flags.resize(total_buckets, false);
-        self.counters = CounterArray::new(total_slots, self.d as u8);
-        if let Some(h) = &mut self.kick_history {
-            h.clear();
-            h.resize(total_buckets, 0);
-        }
-        self.distinct = 0;
-        self.redundant_writes = 0;
-    }
-
     /// Remove every item, keeping geometry and hash functions.
+    /// Maintenance, not traffic: unmetered.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.tags.fill(0);
-        self.flags.fill(false);
-        self.counters.reset();
+        self.store.clear();
         if let Some(h) = &mut self.kick_history {
             h.fill(0);
         }
@@ -557,13 +520,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// Global bucket indices of `key`'s `d` candidates.
     #[inline]
     pub(crate) fn candidate_buckets(&self, key: &K) -> [usize; MAX_D] {
-        let mut raw = [0usize; MAX_D];
-        self.family.buckets_into(key, &mut raw[..self.d]);
-        let mut out = [usize::MAX; MAX_D];
-        for i in 0..self.d {
-            out[i] = i * self.n + raw[i];
-        }
-        out
+        candidate_buckets(&self.family, self.d, self.n, key)
     }
 
     /// Global slot index of `(bucket, slot)`.
@@ -573,29 +530,26 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     }
 
     /// Fingerprint byte of `key` for the tag plane (top byte of a
-    /// dedicated-salt hash, independent of the bucket-choice hashes).
+    /// dedicated-salt hash, independent of the bucket-choice hashes; 0
+    /// on a store without tags).
     #[inline]
     pub(crate) fn tag_of(&self, key: &K) -> u8 {
+        if !S::TAGGED {
+            return 0;
+        }
         (key.hash_seeded(self.seed ^ TAG_SALT) >> 56) as u8
     }
 
-    /// The `l` tag bytes of `bucket`, packed little-endian into a `u64`
-    /// (lane `s` = slot `s`; lanes ≥ `l` zero). One load when `l = 8`.
+    /// Raw copy counter of slot `i`.
     #[inline]
-    pub(crate) fn bucket_tags(&self, bucket: usize) -> u64 {
-        let l = self.layout.slots();
-        let base = bucket * l;
-        let mut packed = 0u64;
-        for (s, &t) in self.tags[base..base + l].iter().enumerate() {
-            packed |= (t as u64) << (8 * s);
-        }
-        packed
+    pub(crate) fn counter(&self, i: usize) -> u8 {
+        self.store.counters().get(i)
     }
 
     /// Sum of a bucket's slot counters (on-chip, metered by caller).
     pub(crate) fn bucket_sum(&self, bucket: usize) -> u32 {
         (0..self.layout.slots())
-            .map(|s| self.counters.get(self.slot_idx(bucket, s)) as u32)
+            .map(|s| self.counter(self.slot_idx(bucket, s)) as u32)
             .sum()
     }
 
@@ -612,11 +566,10 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// Upsert: update the value if `key` exists (all copies are
     /// rewritten), otherwise insert it fresh.
     pub fn insert(&mut self, key: K, value: V) -> Result<InsertReport, McFull<K, V>> {
-        if let Some(report) = self.try_update(&key, &value) {
-            self.obs.record_insert(&report);
-            return Ok(report);
-        }
-        self.insert_new(key, value)
+        let out = self.insert_unrecorded(key, value);
+        self.obs
+            .record_insert(out.as_ref().unwrap_or_else(|f| &f.report));
+        out
     }
 
     /// Insert a key **known to be absent** (checked in debug builds).
@@ -624,10 +577,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// existence probe of [`Engine::insert`] is skipped.
     pub fn insert_new(&mut self, key: K, value: V) -> Result<InsertReport, McFull<K, V>> {
         let out = self.insert_new_unrecorded(key, value);
-        match &out {
-            Ok(report) => self.obs.record_insert(report),
-            Err(full) => self.obs.record_insert(&full.report),
-        }
+        self.obs
+            .record_insert(out.as_ref().unwrap_or_else(|f| &f.report));
         out
     }
 
@@ -635,16 +586,20 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// layers that can rescue a full-table failure (e.g.
     /// [`crate::McMap`]'s growth path) go through this and record the
     /// *final* outcome once via [`Engine::obs`], so a rescued insert is
-    /// never counted as the `Failed` the inner table saw.
+    /// never counted as the `Failed` the inner table saw. The key is
+    /// hashed and tagged once, for both the update probe and the
+    /// placement.
     pub(crate) fn insert_unrecorded(
         &mut self,
         key: K,
         value: V,
     ) -> Result<InsertReport, McFull<K, V>> {
-        if let Some(report) = self.try_update(&key, &value) {
+        let cands = self.candidate_buckets(&key);
+        let tag = self.tag_of(&key);
+        if let Some(report) = self.try_update(&key, &value, &cands, tag) {
             return Ok(report);
         }
-        self.insert_new_unrecorded(key, value)
+        self.place_new(key, value, &cands, tag)
     }
 
     /// [`Engine::insert_new`] without observability recording. Internal
@@ -660,13 +615,26 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             "insert_new requires a fresh key"
         );
         let cands = self.candidate_buckets(&key);
+        let tag = self.tag_of(&key);
+        self.place_new(key, value, &cands, tag)
+    }
+
+    /// Place an absent key: the insertion principles, then collision
+    /// resolution on a real collision.
+    fn place_new(
+        &mut self,
+        key: K,
+        value: V,
+        cands: &[usize; MAX_D],
+        tag: u8,
+    ) -> Result<InsertReport, McFull<K, V>> {
         self.meter_counter_scan();
-        if let Some(copies) = self.try_place(&key, &value, &cands) {
+        if let Some(copies) = self.try_place(&key, &value, cands, tag) {
             self.distinct += 1;
             self.check_paranoid();
             return Ok(InsertReport::clean(copies));
         }
-        let out = self.resolve_collision(key, value);
+        let out = self.resolve_collision(key, value, cands, tag);
         self.check_paranoid();
         out
     }
@@ -675,15 +643,18 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// at most one slot per bucket, writes all copies with a shared hint
     /// set, finalizes counters. `None` on a real collision (all `d·l`
     /// candidate counters equal 1).
-    fn try_place(&mut self, key: &K, value: &V, cands: &[usize; MAX_D]) -> Option<u8> {
+    fn try_place(&mut self, key: &K, value: &V, cands: &[usize; MAX_D], tag: u8) -> Option<u8> {
         let l = self.layout.slots();
         let mut claimed: [Option<u8>; MAX_D] = [None; MAX_D];
         let mut claimed_len = 0usize;
+        // The candidates' counters, re-read after every victim
+        // decrement (a victim's siblings may share the candidate set).
+        let mut cv = self.candidate_counters(cands);
 
         // Principle 1: one copy into every bucket with a free slot
         // (counter 0 reads as empty for insertion; tombstones too).
         for i in 0..self.d {
-            if let Some(s) = (0..l).find(|&s| self.counters.get(self.slot_idx(cands[i], s)) == 0) {
+            if let Some(s) = cv[i][..l].iter().position(|&c| c == 0) {
                 claimed[i] = Some(s as u8);
                 claimed_len += 1;
             }
@@ -707,12 +678,10 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                     if claimed[i].is_some() {
                         continue;
                     }
-                    let Some(s) =
-                        (0..l).find(|&s| self.counters.get(self.slot_idx(cands[i], s)) == target)
-                    else {
+                    let Some(s) = cv[i][..l].iter().position(|&c| c == target) else {
                         continue;
                     };
-                    let sum = self.bucket_sum(cands[i]);
+                    let sum = cv[i][..l].iter().map(|&c| c as u32).sum();
                     // MSRV 1.75: spelled without `Option::is_none_or`.
                     if best.map(|(_, _, bs)| sum > bs).unwrap_or(true) {
                         best = Some((i, s, sum));
@@ -720,6 +689,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                 }
                 let Some((i, s, _)) = best else { break };
                 self.decrement_victim_siblings(cands[i], s);
+                cv = self.candidate_counters(cands);
                 claimed[i] = Some(s as u8);
                 claimed_len += 1;
             }
@@ -727,14 +697,24 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
 
         if claimed_len == 0 {
             debug_assert!(
-                (0..self.d)
-                    .all(|i| (0..l).all(|s| self.counters.get(self.slot_idx(cands[i], s)) == 1)),
+                cv[..self.d].iter().all(|b| b[..l].iter().all(|&c| c == 1)),
                 "collision ⇔ all ones"
             );
             return None;
         }
-        self.write_copies(key, value, cands, &claimed, claimed_len);
+        self.write_copies(key, value, cands, tag, &claimed, claimed_len);
         Some(claimed_len as u8)
+    }
+
+    /// Raw counters of the candidate buckets' slots (`[bucket][slot]`).
+    fn candidate_counters(&self, cands: &[usize; MAX_D]) -> [[u8; 8]; MAX_D] {
+        let mut cv = [[0u8; 8]; MAX_D];
+        for (i, bucket) in cv.iter_mut().enumerate().take(self.d) {
+            for (s, c) in bucket.iter_mut().enumerate().take(self.layout.slots()) {
+                *c = self.counter(self.slot_idx(cands[i], s));
+            }
+        }
+        cv
     }
 
     /// Read the victim in `(bucket, slot)` (about to be overwritten) and
@@ -742,40 +722,43 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// hints (copy-set disambiguation).
     fn decrement_victim_siblings(&mut self, bucket: usize, slot: usize) {
         let idx = self.slot_idx(bucket, slot);
-        let vcount = self.counters.get(idx);
+        let vcount = self.counter(idx);
         debug_assert!(vcount >= 2, "principle 2: never overwrite value 1");
         // The victim's identity (and hint set) is needed to locate its
         // siblings: one off-chip read.
         self.meter.offchip_read(1);
-        let victim = self.slots[idx].as_ref().expect("counter ≥ 1 ⇒ occupied");
-        let vkey = victim.key.clone();
-        let vhints = victim.hints;
-        let siblings = self.locate_siblings(&vkey, &vhints, vcount, idx);
+        let victim = self.store.entry(idx).expect("counter ≥ 1 ⇒ occupied");
+        let vcands = self.candidate_buckets(&victim.key);
+        let siblings = self.locate_siblings(&victim.key, &vcands, &victim.hints, vcount, idx);
         debug_assert_eq!(siblings.len(), vcount as usize - 1);
         self.meter.onchip_write(siblings.len() as u64);
-        for sidx in siblings {
-            self.counters.set(sidx, vcount - 1);
+        for &sidx in siblings.as_slice() {
+            self.store.set_counter(sidx, vcount - 1);
         }
     }
 
-    /// Locate the live sibling copies of `key` (total `count` copies,
-    /// excluding the one at `exclude`), using its hint set verified
-    /// against counters and, when ambiguous, slot contents.
+    /// Locate the live sibling copies of `key` (candidates `cands`,
+    /// total `count` copies, excluding the one at `exclude`), using its
+    /// hint set verified against counters and, when ambiguous, slot
+    /// contents.
     pub(crate) fn locate_siblings(
         &self,
         key: &K,
-        hints: &[u8; MAX_D],
+        cands: &[usize; MAX_D],
+        hints: &[SlotHint; MAX_D],
         count: u8,
         exclude: usize,
-    ) -> Vec<usize> {
-        let cands = self.candidate_buckets(key);
+    ) -> SlotList {
         self.meter.onchip_read(self.d as u64);
         let needed = count as usize - 1;
-        let matches: Vec<usize> = (0..self.d)
-            .filter(|&t| hints[t] != NO_SLOT)
-            .map(|t| self.slot_idx(cands[t], hints[t] as usize))
-            .filter(|&p| p != exclude && self.counters.get(p) == count)
-            .collect();
+        let mut matches = SlotList::default();
+        for t in 0..self.d {
+            let Some(s) = hints[t].slot() else { continue };
+            let p = self.slot_idx(cands[t], s);
+            if p != exclude && self.counter(p) == count {
+                matches.push(p);
+            }
+        }
         debug_assert!(matches.len() >= needed, "copies must be among matches");
         if matches.len() == needed {
             return matches;
@@ -787,17 +770,21 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
         // the modelled system fetched the slot either way — so the
         // access counts are bit-identical to the untagged scan.
         let tag = self.tag_of(key);
-        let mut confirmed = Vec::with_capacity(needed);
+        let matches = matches.as_slice();
+        let mut confirmed = SlotList::default();
         for (pos, &m) in matches.iter().enumerate() {
             if confirmed.len() == needed {
                 break;
             }
             if matches.len() - pos == needed - confirmed.len() {
-                confirmed.extend_from_slice(&matches[pos..]);
+                for &rest in &matches[pos..] {
+                    confirmed.push(rest);
+                }
                 break;
             }
             self.meter.verify_read(1);
-            if self.tags[m] == tag && self.slots[m].as_ref().is_some_and(|e| e.key == *key) {
+            if self.store.tag_matches(m, tag) && self.store.entry(m).is_some_and(|e| e.key == *key)
+            {
                 confirmed.push(m);
             }
         }
@@ -806,53 +793,59 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     }
 
     /// Write the claimed copies with a shared hint set and finalize
-    /// counters.
+    /// counters, each copy's content before its counter.
     fn write_copies(
         &mut self,
         key: &K,
         value: &V,
         cands: &[usize; MAX_D],
+        tag: u8,
         claimed: &[Option<u8>; MAX_D],
         claimed_len: usize,
     ) {
-        let mut hints = [NO_SLOT; MAX_D];
+        let mut hints = [SlotHint::None; MAX_D];
         for i in 0..self.d {
             if let Some(s) = claimed[i] {
-                hints[i] = s;
+                hints[i] = SlotHint::at(s as usize);
             }
         }
         self.meter.offchip_write(claimed_len as u64);
         self.meter.onchip_write(claimed_len as u64);
-        let tag = self.tag_of(key);
         for i in 0..self.d {
             let Some(s) = claimed[i] else { continue };
             let idx = self.slot_idx(cands[i], s as usize);
-            self.slots[idx] = Some(Entry {
+            let entry = Entry {
                 key: key.clone(),
                 value: value.clone(),
                 hints,
-            });
-            self.tags[idx] = tag;
-            self.counters.set(idx, claimed_len as u8);
+            };
+            self.store.put(idx, entry, tag);
+            self.store.set_counter(idx, claimed_len as u8);
         }
         self.redundant_writes += claimed_len as u64 - 1;
     }
 
     /// Collision resolution: the counters have already proven that every
     /// candidate slot holds a sole copy, so a displacement chain is
-    /// needed. Dispatch on the configured [`KickPolicyKind`]: the
-    /// paper's random walk and its MinCounter variant mutate as they go
-    /// (§III.D, preserved bit-for-bit); BFS and bubbling plan a complete
-    /// chain through the [`kick`] layer first and execute it only if it
-    /// exists, so their failed inserts leave the main table untouched.
-    fn resolve_collision(&mut self, key: K, value: V) -> Result<InsertReport, McFull<K, V>> {
+    /// needed. The paper's random walk and its MinCounter variant mutate
+    /// as they go (§III.D, preserved bit-for-bit on the plain store); BFS
+    /// and bubbling — and every policy on a store whose readers race the
+    /// writer ([`SlotStore::PLANS_FIRST`], where MinCounter is planned as
+    /// the walk) — plan a complete chain through the [`kick`] layer first
+    /// and execute it only if it exists, so their failed inserts leave
+    /// the main table untouched.
+    fn resolve_collision(
+        &mut self,
+        key: K,
+        value: V,
+        cands: &[usize; MAX_D],
+        tag: u8,
+    ) -> Result<InsertReport, McFull<K, V>> {
         match self.kick {
-            KickPolicyKind::RandomWalk | KickPolicyKind::MinCounter => {
+            KickPolicyKind::RandomWalk | KickPolicyKind::MinCounter if !S::PLANS_FIRST => {
                 self.resolve_collision_walk(key, value)
             }
-            KickPolicyKind::Bfs | KickPolicyKind::Bubble => {
-                self.resolve_collision_planned(key, value)
-            }
+            _ => self.resolve_collision_planned(key, value, cands, tag),
         }
     }
 
@@ -878,31 +871,31 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             let vb = cands[vi];
             let vslot = self.layout.draw_slot(&mut self.rng);
             let idx = self.slot_idx(vb, vslot);
-            debug_assert_eq!(self.counters.get(idx), 1, "walk only sees sole copies");
-            let mut hints = [NO_SLOT; MAX_D];
-            hints[vi] = vslot as u8;
+            debug_assert_eq!(self.counter(idx), 1, "walk only sees sole copies");
+            let mut hints = [SlotHint::None; MAX_D];
+            hints[vi] = SlotHint::at(vslot);
             // Swap the carried item into the victim's slot: one read
             // (victim identity) + one write. Counter stays 1 (sole copy
             // out, sole copy in).
             self.meter.offchip_read(1);
             self.meter.offchip_write(1);
             let tag = self.tag_of(&carried_key);
-            let old = self.slots[idx]
-                .replace(Entry {
-                    key: carried_key,
-                    value: carried_value,
-                    hints,
-                })
-                .expect("victims hold sole copies");
-            self.tags[idx] = tag;
+            let old = self.store.take(idx).expect("victims hold sole copies");
+            let entry = Entry {
+                key: carried_key,
+                value: carried_value,
+                hints,
+            };
+            self.store.put(idx, entry, tag);
             carried_key = old.key;
             carried_value = old.value;
             prev_bucket = vb;
             kickouts += 1;
             // Try to settle the evicted item by the normal principles.
             let cands = self.candidate_buckets(&carried_key);
+            let tag = self.tag_of(&carried_key);
             self.meter_counter_scan();
-            if let Some(copies) = self.try_place(&carried_key, &carried_value, &cands) {
+            if let Some(copies) = self.try_place(&carried_key, &carried_value, &cands, tag) {
                 self.distinct += 1;
                 return Ok(InsertReport {
                     outcome: InsertOutcome::Placed,
@@ -914,18 +907,21 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
         }
     }
 
-    /// Plan-first collision resolution (BFS / bubbling): ask the [`kick`]
-    /// layer for a complete displacement chain, then execute it —
-    /// settle the terminal occupant by the ordinary insertion
-    /// principles, shift the chain backward one slot each, write the
-    /// inserted key into the freed front slot. Planning only reads, so
-    /// a plan failure stashes the *original* key with the main table
-    /// strictly untouched (no unwind log needed — contrast with the
-    /// random walk, which leaves its relocations in place).
+    /// Plan-first collision resolution: ask the [`kick`] layer for a
+    /// complete displacement chain, then execute it back to front —
+    /// settle the terminal occupant by the ordinary insertion principles,
+    /// shift the chain backward one slot each (each destination written
+    /// before its source is overwritten), write the inserted key into the
+    /// freed front slot. Planning only reads, so a plan failure stashes
+    /// the *original* key with the main table strictly untouched (no
+    /// unwind log needed — contrast with the random walk, which leaves
+    /// its relocations in place).
     fn resolve_collision_planned(
         &mut self,
         key: K,
         value: V,
+        cands: &[usize; MAX_D],
+        tag: u8,
     ) -> Result<InsertReport, McFull<K, V>> {
         let mut path = Vec::new();
         // The planner borrows the table immutably; lend it the RNG.
@@ -943,61 +939,64 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
         // 1. Settle the terminal occupant via the insertion principles.
         //    The planner guaranteed a counter-0 slot or an overwritable
         //    redundant copy among its candidates, and nothing has moved
-        //    since (sequential table), so this cannot fail. Its `distinct`
-        //    was counted when it first entered the table; its stale copy
-        //    at the terminal slot is overwritten in step 2.
+        //    since (one writer), so this cannot fail. Its `distinct` was
+        //    counted when it first entered the table; its stale copy at
+        //    the terminal slot is overwritten in step 2.
         let last = *path.last().expect("planned chains are non-empty");
         self.meter.offchip_read(1);
-        let terminal = self.slots[last]
-            .as_ref()
+        let terminal = self
+            .store
+            .entry(last)
             .expect("chain slots hold sole copies");
         let (tkey, tvalue) = (terminal.key.clone(), terminal.value.clone());
         let tcands = self.candidate_buckets(&tkey);
+        let ttag = self.store.tag(last);
         self.meter_counter_scan();
         let copies = self
-            .try_place(&tkey, &tvalue, &tcands)
+            .try_place(&tkey, &tvalue, &tcands, ttag)
             .expect("planned terminal occupant must settle");
 
         // 2. Shift the chain backward: the occupant of `path[w]` moves
         //    into `path[w+1]` (just vacated logically). Sole copies move
         //    between sole-copy slots, so every counter on the chain stays
         //    1; each hop is one victim read + one write, like a walk hop.
+        //    A hop's sub-table is its destination bucket's, and its tag
+        //    travels from the source slot.
         for w in (0..path.len() - 1).rev() {
             let (src, dst) = (path[w], path[w + 1]);
             self.meter.offchip_read(1);
             self.meter.offchip_write(1);
-            let e = self.slots[src]
-                .as_ref()
-                .expect("chain slots hold sole copies");
-            let (mkey, mvalue) = (e.key.clone(), e.value.clone());
-            let mcands = self.candidate_buckets(&mkey);
+            let e = self.store.entry(src).expect("chain slots hold sole copies");
             let dst_bucket = dst / l;
-            let t = (0..self.d)
-                .find(|&t| mcands[t] == dst_bucket)
-                .expect("chain hop lands in a candidate bucket");
-            let mut hints = [NO_SLOT; MAX_D];
-            hints[t] = (dst % l) as u8;
-            let tag = self.tag_of(&mkey);
-            self.slots[dst] = Some(Entry {
-                key: mkey,
-                value: mvalue,
+            let t = dst_bucket / self.n;
+            assert_eq!(
+                self.family.bucket(&e.key, t),
+                dst_bucket % self.n,
+                "chain hop lands in a candidate bucket"
+            );
+            let mut hints = [SlotHint::None; MAX_D];
+            hints[t] = SlotHint::at(dst % l);
+            let moved = Entry {
+                key: e.key.clone(),
+                value: e.value.clone(),
                 hints,
-            });
-            self.tags[dst] = tag;
+            };
+            let mtag = self.store.tag(src);
+            self.store.put(dst, moved, mtag);
         }
 
         // 3. The front slot now belongs to the inserted key (sole copy).
         let s0 = path[0];
-        let cands = self.candidate_buckets(&key);
-        let t = (0..self.d)
-            .find(|&t| cands[t] == s0 / l)
-            .expect("chains start at a candidate of the inserted key");
-        let mut hints = [NO_SLOT; MAX_D];
-        hints[t] = (s0 % l) as u8;
+        let t = s0 / l / self.n;
+        assert_eq!(
+            cands[t],
+            s0 / l,
+            "chains start at a candidate of the inserted key"
+        );
+        let mut hints = [SlotHint::None; MAX_D];
+        hints[t] = SlotHint::at(s0 % l);
         self.meter.offchip_write(1);
-        let tag = self.tag_of(&key);
-        self.slots[s0] = Some(Entry { key, value, hints });
-        self.tags[s0] = tag;
+        self.store.put(s0, Entry { key, value, hints }, tag);
         self.distinct += 1;
         Ok(InsertReport {
             outcome: InsertOutcome::Placed,
@@ -1013,7 +1012,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             KickPolicyKind::MinCounter => {
                 let hist = self.kick_history.as_ref().expect("policy has history");
                 self.meter.onchip_read(self.d as u64);
-                let mut best: Vec<usize> = Vec::with_capacity(self.d);
+                let mut best = SlotList::default();
                 let mut best_val = u8::MAX;
                 for i in 0..self.d {
                     if cands[i] == prev_bucket {
@@ -1023,14 +1022,14 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                     match h.cmp(&best_val) {
                         std::cmp::Ordering::Less => {
                             best_val = h;
-                            best.clear();
+                            best = SlotList::default();
                             best.push(i);
                         }
                         std::cmp::Ordering::Equal => best.push(i),
                         std::cmp::Ordering::Greater => {}
                     }
                 }
-                let pick = best[self.rng.next_below(best.len() as u64) as usize];
+                let pick = best.as_slice()[self.rng.next_below(best.len() as u64) as usize];
                 let hist = self.kick_history.as_mut().unwrap();
                 hist[cands[pick]] = (hist[cands[pick]] + 1).min(31); // 5-bit saturating
                 self.meter.onchip_write(1);
@@ -1064,7 +1063,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             Ok(()) => {
                 self.meter.offchip_write(self.d as u64);
                 for &c in cands.iter().take(self.d) {
-                    self.flags[c] = true;
+                    self.store.raise_flag(c);
                 }
                 Ok(report)
             }
@@ -1078,20 +1077,29 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
         }
     }
 
-    /// If `key` exists, rewrite the value of every copy (and/or the stash
-    /// entry) and return an `Updated` report.
-    fn try_update(&mut self, key: &K, value: &V) -> Option<InsertReport> {
-        match L::probe_copies(self, key, &self.candidate_buckets(key), self.tag_of(key)) {
+    /// If `key` (candidates `cands`, tag `tag`) exists, rewrite the value
+    /// of every copy (and/or the stash entry) and return an `Updated`
+    /// report.
+    pub(crate) fn try_update(
+        &mut self,
+        key: &K,
+        value: &V,
+        cands: &[usize; MAX_D],
+        tag: u8,
+    ) -> Option<InsertReport> {
+        match L::probe_copies(self, key, cands, tag) {
             CopyProbe::Found { locations, .. } => {
                 self.meter.offchip_write(locations.len() as u64);
-                for &l in &locations {
-                    let hints = self.slots[l].as_ref().expect("copy occupied").hints;
-                    self.slots[l] = Some(Entry {
+                for &l in locations.as_slice() {
+                    let hints = self.store.entry(l).expect("copy occupied").hints;
+                    let entry = Entry {
                         key: key.clone(),
                         value: value.clone(),
                         hints,
-                    });
+                    };
+                    self.store.put(l, entry, tag);
                 }
+                self.check_paranoid();
                 Some(InsertReport {
                     outcome: InsertOutcome::Updated,
                     kickouts: 0,
@@ -1143,7 +1151,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     fn get_prepared(&self, key: &K, cands: &[usize; MAX_D], tag: u8) -> Option<&V> {
         let before = self.meter.snapshot();
         let found = match L::probe_first(self, key, cands, tag) {
-            Probe::Found(idx) => self.slots[idx].as_ref().map(|e| &e.value),
+            Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
             Probe::Miss { check_stash } => {
                 if check_stash {
                     self.stash.get(key, &self.meter)
@@ -1175,7 +1183,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     ) -> (Option<&V>, u64) {
         let (probe, mut probes) = L::probe_planned(self, key, cands, tag, plan);
         let found = match probe {
-            Probe::Found(idx) => self.slots[idx].as_ref().map(|e| &e.value),
+            Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
             Probe::Miss { check_stash } => {
                 if check_stash {
                     // Rare path: only a stash consultation needs the
@@ -1244,7 +1252,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// Number of live copies of `key` in the main table (0 if absent or
     /// stashed). Unmetered diagnostic.
     pub fn copy_count(&self, key: &K) -> u8 {
-        self.raw_find(key).map_or(0, |idx| self.counters.get(idx))
+        self.raw_find(key).map_or(0, |idx| self.counter(idx))
     }
 
     /// Stash screening (§III.E–F): decide whether a failed main-table
@@ -1259,7 +1267,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             DeletionMode::Disabled => {
                 let l = self.layout.slots();
                 let all_ones = (0..self.d)
-                    .all(|i| (0..l).all(|s| self.counters.get(self.slot_idx(cands[i], s)) == 1));
+                    .all(|i| (0..l).all(|s| self.counter(self.slot_idx(cands[i], s)) == 1));
                 all_ones && visited_flags_ok
             }
             // With deletions, re-occupied buckets may carry any counter;
@@ -1280,24 +1288,32 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// Panics if the table was configured with
     /// [`DeletionMode::Disabled`].
     pub fn remove(&mut self, key: &K) -> Option<V> {
+        let out = self.remove_unrecorded(key);
+        self.obs.record_remove(out.is_some());
+        out
+    }
+
+    /// [`Engine::remove`] without observability recording.
+    pub(crate) fn remove_unrecorded(&mut self, key: &K) -> Option<V> {
         assert!(
             self.deletion != DeletionMode::Disabled,
             "this table was configured with DeletionMode::Disabled"
         );
-        let out = match L::probe_copies(self, key, &self.candidate_buckets(key), self.tag_of(key)) {
+        let cands = self.candidate_buckets(key);
+        let out = match L::probe_copies(self, key, &cands, self.tag_of(key)) {
             CopyProbe::Found { locations, primary } => {
                 self.meter.onchip_write(locations.len() as u64);
                 #[cfg(feature = "testhooks")]
                 let skip_first = crate::testhooks::take_skip_counter_reset();
                 #[cfg(not(feature = "testhooks"))]
                 let skip_first = false;
-                for (i, &l) in locations.iter().enumerate() {
+                for (i, &l) in locations.as_slice().iter().enumerate() {
                     if skip_first && i == 0 {
                         continue;
                     }
                     match self.deletion {
-                        DeletionMode::Reset => self.counters.set(l, 0),
-                        DeletionMode::Tombstone => self.counters.set_tombstone(l),
+                        DeletionMode::Reset => self.store.set_counter(l, 0),
+                        DeletionMode::Tombstone => self.store.set_tombstone(l),
                         DeletionMode::Disabled => unreachable!(),
                     }
                 }
@@ -1306,8 +1322,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                 // no modelled write and keeps the `counter = 0 ⇔ vacant`
                 // invariant tight.
                 let mut value = None;
-                for &l in &locations {
-                    let e = self.slots[l].take();
+                for &l in locations.as_slice() {
+                    let e = self.store.take(l);
                     if l == primary {
                         value = e.map(|e| e.value);
                     }
@@ -1323,7 +1339,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                 }
             }
         };
-        self.obs.record_remove(out.is_some());
         self.check_paranoid();
         out
     }
@@ -1337,8 +1352,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// re-stash and re-raise their flags). Returns how many items left
     /// the stash. The bulk flag clear is metered as one write per bucket.
     pub fn refresh_stash(&mut self) -> usize {
-        self.meter.offchip_write(self.flags.len() as u64);
-        self.flags.fill(false);
+        self.meter.offchip_write((self.d * self.n) as u64);
+        self.store.clear_flags();
         let items = self.stash.drain_all();
         let before = items.len();
         for (k, v) in items {
@@ -1356,11 +1371,9 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// Iterate distinct `(key, value)` pairs (main table, then stash).
     /// Unmetered: iteration is a host-side maintenance operation.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(idx, s)| {
-                let e = s.as_ref()?;
+        (0..self.store.len())
+            .filter_map(move |idx| {
+                let e = self.store.entry(idx)?;
                 // Emit an item only at its smallest copy location.
                 let locs = self.raw_copy_locations(&e.key);
                 (locs.iter().min() == Some(&idx)).then_some((&e.key, &e.value))
@@ -1368,19 +1381,18 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             .chain(self.stash.iter())
     }
 
-    /// Unmetered: the first candidate slot holding `key`, if any.
-    pub(crate) fn raw_find(&self, key: &K) -> Option<usize> {
+    /// Unmetered: every slot holding `key`, in candidate order.
+    fn raw_slots<'a>(&'a self, key: &'a K) -> impl Iterator<Item = usize> + 'a {
         let cands = self.candidate_buckets(key);
         let l = self.layout.slots();
-        for &c in cands.iter().take(self.d) {
-            for s in 0..l {
-                let idx = self.slot_idx(c, s);
-                if self.slots[idx].as_ref().is_some_and(|e| e.key == *key) {
-                    return Some(idx);
-                }
-            }
-        }
-        None
+        (0..self.d)
+            .flat_map(move |t| (0..l).map(move |s| cands[t] * l + s))
+            .filter(move |&i| self.store.entry(i).is_some_and(|e| e.key == *key))
+    }
+
+    /// Unmetered: the first candidate slot holding `key`, if any.
+    pub(crate) fn raw_find(&self, key: &K) -> Option<usize> {
+        self.raw_slots(key).next()
     }
 
     pub(crate) fn raw_in_stash(&self, key: &K) -> bool {
@@ -1389,18 +1401,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
 
     /// Unmetered: every slot holding `key`.
     pub(crate) fn raw_copy_locations(&self, key: &K) -> Vec<usize> {
-        let cands = self.candidate_buckets(key);
-        let l = self.layout.slots();
-        let mut out = Vec::new();
-        for &c in cands.iter().take(self.d) {
-            for s in 0..l {
-                let idx = self.slot_idx(c, s);
-                if self.slots[idx].as_ref().is_some_and(|e| e.key == *key) {
-                    out.push(idx);
-                }
-            }
-        }
-        out
+        self.raw_slots(key).collect()
     }
 
     /// Exhaustive structural validation; returns the first violation as a
@@ -1408,16 +1409,15 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// every mutation under the `paranoid` feature.
     pub fn check_invariants(&self) -> Result<(), String> {
         let l = self.layout.slots();
-        if self.counters.len() != self.slots.len()
-            || self.tags.len() != self.slots.len()
-            || self.flags.len() * l != self.slots.len()
+        if self.store.counters().len() != self.store.len()
+            || self.store.len() != self.d * self.n * l
         {
             return Err("length mismatch between planes".into());
         }
         let mut distinct_seen = 0usize;
-        for idx in 0..self.slots.len() {
-            let c = self.counters.get(idx);
-            match (&self.slots[idx], c) {
+        for idx in 0..self.store.len() {
+            let c = self.counter(idx);
+            match (self.store.entry(idx), c) {
                 (None, 0) => {}
                 (None, c) => return Err(format!("slot {idx}: vacant but counter {c}")),
                 (Some(_), 0) => return Err(format!("slot {idx}: occupied but counter 0")),
@@ -1425,7 +1425,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                     // The tag filter is may-match: a live copy whose tag
                     // byte went stale would be a false *negative*, which
                     // the probe paths cannot recover from.
-                    if self.tags[idx] != self.tag_of(&e.key) {
+                    if !self.store.tag_matches(idx, self.tag_of(&e.key)) {
                         return Err(format!("slot {idx}: tag does not match occupant"));
                     }
                     let bucket = idx / l;
@@ -1434,7 +1434,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                         return Err(format!("slot {idx}: occupant not hashed here"));
                     };
                     // Self-hint must be accurate.
-                    if e.hints[t] as usize != idx % l {
+                    if e.hints[t].slot() != Some(idx % l) {
                         return Err(format!("slot {idx}: self-hint wrong"));
                     }
                     let locs = self.raw_copy_locations(&e.key);
@@ -1445,10 +1445,10 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
                         ));
                     }
                     for &loc in &locs {
-                        if self.counters.get(loc) != c {
+                        if self.counter(loc) != c {
                             return Err(format!(
                                 "slot {idx}: sibling {loc} has counter {} ≠ {c}",
-                                self.counters.get(loc)
+                                self.counter(loc)
                             ));
                         }
                     }
@@ -1481,11 +1481,66 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     }
 }
 
+/// Host-side maintenance of the plain store: the rehash/resize path
+/// rebuilds it from scratch (unmetered except through the callers that
+/// model it, see `rehash`).
+impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
+    /// Remove and return every stored item (main table + stash),
+    /// leaving the table empty.
+    pub(crate) fn drain_items(&mut self) -> Vec<(K, V)> {
+        let mut items: Vec<(K, V)> = Vec::with_capacity(self.len());
+        for idx in 0..self.store.len() {
+            if self.counter(idx) == 0 {
+                continue; // vacant (or tombstoned)
+            }
+            let entry = self.store.take(idx).expect("counter>0 ⇒ occupied");
+            // Emit once per item: clear the counters of all copies so the
+            // siblings are skipped when the scan reaches them.
+            let locs = self.raw_copy_locations(&entry.key);
+            self.store.set_counter(idx, 0);
+            for l in locs {
+                self.store.set_counter(l, 0);
+                self.store.take(l);
+            }
+            items.push((entry.key, entry.value));
+        }
+        for (k, v) in self.stash.drain_all() {
+            items.push((k, v));
+        }
+        self.distinct = 0;
+        items
+    }
+
+    /// Re-derive hash functions (and optionally the geometry) and clear
+    /// all storage planes.
+    pub(crate) fn rebuild_storage(&mut self, new_buckets_per_table: Option<usize>, seed: u64) {
+        if let Some(n) = new_buckets_per_table {
+            assert!(n > 0, "table must be non-empty");
+            self.n = n;
+        }
+        self.family = self.family.reseeded_with_len(seed, self.n);
+        let total_buckets = self.d * self.n;
+        self.store = PlainStore::new(
+            total_buckets * self.layout.slots(),
+            total_buckets,
+            self.d as u8,
+        );
+        if let Some(h) = &mut self.kick_history {
+            h.clear();
+            h.resize(total_buckets, 0);
+        }
+        self.distinct = 0;
+        self.redundant_writes = 0;
+    }
+}
+
 /// The engine's read-only view for the [`kick`] planners. `occupant`
 /// meters one off-chip read (the planner is charged for every victim
 /// identity it inspects, exactly like the mutate-as-you-walk loop);
 /// counter peeks are raw and the planners meter the scans they model.
-impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> EvictionGraph for Engine<K, V, L> {
+impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> EvictionGraph
+    for Engine<K, V, L, S>
+{
     type Key = K;
 
     fn d(&self) -> usize {
@@ -1497,7 +1552,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> EvictionGraph for Engin
     }
 
     fn counter(&self, slot: usize) -> u8 {
-        self.counters.get(slot)
+        Engine::counter(self, slot)
     }
 
     fn cands(&self, key: &K) -> [usize; MAX_D] {
@@ -1510,7 +1565,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> EvictionGraph for Engin
 
     fn occupant(&self, slot: usize) -> Option<K> {
         self.meter.offchip_read(1);
-        self.slots[slot].as_ref().map(|e| e.key.clone())
+        self.store.entry(slot).map(|e| e.key.clone())
     }
 
     fn meter_onchip(&self, n: u64) {
@@ -1529,10 +1584,10 @@ mod tests {
         // buckets → 45 bits → 6 bytes (truncating division said 5).
         let config = McConfig::paper(3, 1).with_kick_policy(crate::KickPolicyKind::MinCounter);
         let t: McCuckoo<u64, u64> = McCuckoo::new(config);
-        assert_eq!(t.onchip_bytes(), t.counters.onchip_bytes() + 6);
+        assert_eq!(t.onchip_bytes(), t.store.counters.onchip_bytes() + 6);
         // Without kick history the counter array is all there is.
         let t2: McCuckoo<u64, u64> = McCuckoo::new(McConfig::paper(3, 1));
-        assert_eq!(t2.onchip_bytes(), t2.counters.onchip_bytes());
+        assert_eq!(t2.onchip_bytes(), t2.store.counters.onchip_bytes());
     }
 
     #[test]
@@ -1544,14 +1599,14 @@ mod tests {
             let min_counter = kind == crate::KickPolicyKind::MinCounter;
             assert_eq!(t.kick_history.is_some(), min_counter, "{kind:?}");
             let history = if min_counter { 6 } else { 0 };
-            assert_eq!(t.onchip_bytes(), t.counters.onchip_bytes() + history);
+            assert_eq!(t.onchip_bytes(), t.store.counters.onchip_bytes() + history);
         }
     }
 
     /// The flag plane a refresh must leave behind: exactly the union of
     /// the candidate buckets of the items still stashed afterwards.
     fn expected_flags(t: &McCuckoo<u64, u64>) -> Vec<bool> {
-        let mut want = vec![false; t.flags.len()];
+        let mut want = vec![false; t.store.flags.len()];
         let stashed: Vec<u64> = t.stash.iter().map(|(k, _)| *k).collect();
         for k in stashed {
             for &b in t.candidate_buckets(&k).iter().take(t.d) {
@@ -1605,14 +1660,14 @@ mod tests {
             let delta = t.meter.snapshot() - before;
 
             prop_assert_eq!(moved, stashed_before - t.stash_len());
-            prop_assert_eq!(&t.flags, &expected_flags(&t),
+            prop_assert_eq!(&t.store.flags, &expected_flags(&t),
                 "flags must be exactly the candidates of still-stashed items");
             prop_assert!(
-                delta.offchip_writes >= t.flags.len() as u64,
+                delta.offchip_writes >= t.store.flags.len() as u64,
                 "the bulk clear alone posts one write per bucket"
             );
             if stashed_before == 0 {
-                prop_assert_eq!(delta.offchip_writes, t.flags.len() as u64,
+                prop_assert_eq!(delta.offchip_writes, t.store.flags.len() as u64,
                     "an empty stash refresh is exactly the flag clear");
             }
             let inv = t.check_invariants();
@@ -1624,7 +1679,7 @@ mod tests {
             let stash_now = t.stash_len();
             t.refresh_stash();
             prop_assert!(t.stash_len() <= stash_now);
-            prop_assert_eq!(&t.flags, &expected_flags(&t));
+            prop_assert_eq!(&t.store.flags, &expected_flags(&t));
         }
     }
 }

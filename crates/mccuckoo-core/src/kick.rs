@@ -3,20 +3,17 @@
 //! A *real* collision (every candidate slot of the inserted key holds a
 //! sole copy, `EvictionGraph::counter` 1 everywhere) is
 //! resolved by displacing a chain of sole-copy items. This module owns
-//! the *choice* of that chain; the tables own its *execution*:
-//!
-//! * [`crate::engine::Engine`] executes a plan with plain mutations
-//!   (terminal settle → backward chain shift → front write), or runs
-//!   the paper's original mutate-as-you-walk random walk when the
-//!   configured policy is [`KickPolicyKind::RandomWalk`] or its
-//!   [`KickPolicyKind::MinCounter`] variant — that walk's observable
-//!   behaviour (RNG draw order, metering, MinCounter kick history,
-//!   failure semantics) predates this layer and is preserved
-//!   bit-for-bit, so it cannot be expressed as plan-then-execute;
-//! * [`crate::ConcurrentMcCuckoo`] plans every policy — random-walk
-//!   included — under its writer lock and then executes the chain back
-//!   to front (MemC3 order), so its lock-free readers never see a
-//!   displaced item missing.
+//! the *choice* of that chain; the [`crate::engine::Engine`] — the one
+//! `EvictionGraph` implementor, and the writer of every table,
+//! [`crate::ConcurrentMcCuckoo`] included — owns its *execution*
+//! (terminal settle → backward chain shift → front write, back to front
+//! in MemC3 order). On the plain store the configured
+//! [`KickPolicyKind::RandomWalk`] and [`KickPolicyKind::MinCounter`]
+//! instead run the paper's original mutate-as-you-walk random walk,
+//! whose observable behaviour (RNG draw order, metering, kick history,
+//! failure semantics) predates this layer and is preserved bit-for-bit;
+//! the concurrent table's seqlocked store plans every policy, so its
+//! lock-free readers never see a displaced item missing.
 //!
 //! A plan is a `Vec<usize>` of global slot indices: `path[0]` is a
 //! candidate slot of the inserted key, each `path[i+1]` is a candidate
@@ -52,8 +49,8 @@ use hash_kit::SplitMix64;
 use crate::config::KickPolicyKind;
 use crate::engine::MAX_D;
 
-/// Read-only view of a table's eviction graph, implemented by both the
-/// sequential engine and the concurrent table. All methods are reads;
+/// Read-only view of a table's eviction graph, implemented by the
+/// engine over either slot store. All methods are reads;
 /// implementors meter them (one off-chip read per
 /// [`occupant`](EvictionGraph::occupant), on-chip reads via
 /// [`meter_onchip`](EvictionGraph::meter_onchip) — raw
@@ -66,7 +63,7 @@ pub(crate) trait EvictionGraph {
     /// Number of hash functions (`d`).
     fn d(&self) -> usize;
 
-    /// Slots per bucket (`l`; 1 for the concurrent table).
+    /// Slots per bucket (`l`).
     fn l(&self) -> usize;
 
     /// Raw, unmetered peek at a slot's copy counter.
@@ -79,8 +76,8 @@ pub(crate) trait EvictionGraph {
     fn slot_of(&self, bucket: usize, slot: usize) -> usize;
 
     /// The key occupying `slot`, metering one off-chip read. `None` for
-    /// an empty slot, which planners treat as a dead end. Both tables
-    /// plan under exclusive write access, so the answer is exact.
+    /// an empty slot, which planners treat as a dead end. Planning runs
+    /// under exclusive write access, so the answer is exact.
     fn occupant(&self, slot: usize) -> Option<Self::Key>;
 
     /// Meter `n` on-chip counter reads.
@@ -211,8 +208,7 @@ pub(crate) fn plan_bfs<G: EvictionGraph>(
         visited.push(b);
         for s in 0..l {
             let slot = g.slot_of(b, s);
-            // Only sole copies are displaceable chain links; a raced
-            // counter ≠ 1 root would fail re-validation anyway.
+            // Only sole copies are displaceable chain links.
             if g.counter(slot) == 1 {
                 nodes.push((slot, usize::MAX));
             }

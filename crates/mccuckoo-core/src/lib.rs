@@ -23,17 +23,18 @@
 //!
 //! # Crate layout
 //!
-//! One shared engine, two instantiations, one public trait:
+//! One shared engine over two slot stores, one public trait:
 //!
 //! * [`engine`] — the generic multi-copy cuckoo core:
 //!   [`Engine`](engine::Engine) holds the shared
 //!   insert/lookup/remove/kick-walk/stash control flow, parameterised by
 //!   a [`BucketLayout`](engine::BucketLayout) (slots per bucket, victim
-//!   slot choice, the two probe strategies),
+//!   slot choice, the two probe strategies) and a slot store (plain, or
+//!   the concurrent table's seqlocked cells),
 //! * [`kick`] — the pluggable `KickPolicy` layer: random-walk, BFS, and
-//!   bubbling displacement-chain planners shared by the engine and the
-//!   concurrent table (configured via [`KickPolicyKind`], whose
-//!   MinCounter variant guides the engine's walk by kick history),
+//!   bubbling displacement-chain planners the engine runs (configured
+//!   via [`KickPolicyKind`], whose MinCounter variant guides the plain
+//!   engine's walk by kick history),
 //! * [`McCuckoo`] = `Engine<K, V, SingleLayout>` — the single-slot d-ary
 //!   table (d = 3 in the paper) with partition-pruned lookups
 //!   ([`single`]),
@@ -43,9 +44,10 @@
 //! * [`McTable`] — the object-safe trait ([`table`]) implemented by both
 //!   instantiations, [`ConcurrentMcCuckoo`], and the baseline tables, so
 //!   harnesses and benchmarks drive every variant through one interface,
-//! * [`counters`] — the packed on-chip counter array,
+//! * [`counters`] — the packed on-chip counter array (both stores),
 //! * [`stash`] — off-chip stash structures,
-//! * [`concurrent`] — one-writer-many-readers wrapper (§III.H),
+//! * [`concurrent`] — one-writer-many-readers table (§III.H): lock-free
+//!   seqlock readers plus the engine as its one writer,
 //! * [`shard`] — N-way sharded multi-writer serving layer with batched
 //!   operations, built from independent [`concurrent`] shards,
 //! * [`maint`] — cooperative background maintenance for the sharded
@@ -89,6 +91,7 @@ pub mod rehash;
 pub mod shard;
 pub mod single;
 pub mod stash;
+mod store;
 pub mod table;
 #[cfg(feature = "testhooks")]
 pub mod testhooks;

@@ -17,7 +17,8 @@
 use hash_kit::{KeyHash, SplitMix64};
 
 use crate::config::DeletionMode;
-use crate::engine::{BucketLayout, CopyProbe, Engine, Probe, ProbePlan};
+use crate::engine::{BucketLayout, CopyProbe, Engine, Probe, ProbePlan, SlotList};
+use crate::store::SlotStore;
 
 pub use crate::engine::{McFull, MAX_D};
 
@@ -48,8 +49,8 @@ impl BucketLayout for SingleLayout {
 
     /// Partition-pruned first-hit probe (§III.B.2). At `l = 1` the
     /// global bucket index doubles as the slot index.
-    fn probe_first<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_first<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -63,26 +64,19 @@ impl BucketLayout for SingleLayout {
         // Partitions in decreasing counter value. Partition membership
         // fits in a fixed array — no heap traffic on the lookup path.
         for v in (1..=t.d as u8).rev() {
-            let mut positions = [0usize; MAX_D];
-            let mut plen = 0usize;
-            for i in 0..t.d {
-                if cvals[i] == v {
-                    positions[plen] = cands[i];
-                    plen += 1;
-                }
-            }
-            if plen < v as usize {
+            let positions = partition(t, cands, &cvals, v);
+            if positions.len() < v as usize {
                 continue; // rule 2: impossible partition
             }
-            let budget = plen - v as usize + 1; // rule 3
-            for &p in positions.iter().take(budget) {
+            let budget = positions.len() - v as usize + 1; // rule 3
+            for &p in positions.as_slice().iter().take(budget) {
                 t.meter.offchip_read(1);
-                visited_flags_ok &= t.flags[p];
+                visited_flags_ok &= t.store.flag(p);
                 // Tag filter (software fast path, zero modelled cost):
                 // the bucket read is already metered above; the tag only
                 // decides whether to touch the boxed entry and compare
                 // the full key. May-match ⇒ confirm on the entry.
-                if t.tags[p] == tag && t.slots[p].as_ref().is_some_and(|e| e.key == *key) {
+                if holds(t, p, key, tag) {
                     return Probe::Found(p);
                 }
             }
@@ -95,8 +89,8 @@ impl BucketLayout for SingleLayout {
     /// Deletion/update probe: locate **all** copies of `key` (deletion
     /// principles, §III.B.3). Within the matching partition, probing may
     /// stop early once the remaining copies are pinned by counting.
-    fn probe_copies<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_copies<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -105,21 +99,25 @@ impl BucketLayout for SingleLayout {
         if rule1_miss(t, cands, &cvals) {
             return CopyProbe::Miss { check_stash: false };
         }
+        // The probe's reads depend on each other's results: prefetch every
+        // live candidate so their misses overlap (unmetered hints).
+        for i in 0..t.d {
+            if cvals[i] != 0 {
+                t.store.prefetch(cands[i]);
+            }
+        }
         let mut visited_flags_ok = true;
         for v in (1..=t.d as u8).rev() {
-            let positions: Vec<usize> = (0..t.d)
-                .filter(|&i| cvals[i] == v)
-                .map(|i| cands[i])
-                .collect();
+            let positions = partition(t, cands, &cvals, v);
+            let positions = positions.as_slice();
             if positions.len() < v as usize {
                 continue;
             }
             let budget = positions.len() - v as usize + 1;
-            let mut found: Vec<usize> = Vec::new();
-            let mut first: Option<usize> = None;
+            let mut found = SlotList::default();
             for (probed, &p) in positions.iter().enumerate() {
                 let remaining_positions = positions.len() - probed;
-                let remaining_needed = if found.is_empty() {
+                let remaining_needed = if found.len() == 0 {
                     // Not yet found: only the probe budget limits us.
                     if probed >= budget {
                         break;
@@ -131,23 +129,22 @@ impl BucketLayout for SingleLayout {
                 if remaining_needed == 0 {
                     break;
                 }
-                if !found.is_empty() && remaining_needed == remaining_positions {
+                if found.len() > 0 && remaining_needed == remaining_positions {
                     // The rest are forced to be copies: no reads needed.
-                    found.extend_from_slice(&positions[probed..]);
+                    for &rest in &positions[probed..] {
+                        found.push(rest);
+                    }
                     break;
                 }
                 t.meter.offchip_read(1);
-                visited_flags_ok &= t.flags[p];
+                visited_flags_ok &= t.store.flag(p);
                 // Tag-filtered entry confirm (see `probe_first`); the
                 // counting-based early stops above never consult tags.
-                if t.tags[p] == tag && t.slots[p].as_ref().is_some_and(|e| e.key == *key) {
-                    if first.is_none() {
-                        first = Some(p);
-                    }
+                if holds(t, p, key, tag) {
                     found.push(p);
                 }
             }
-            if let Some(first) = first {
+            if let Some(&first) = found.as_slice().first() {
                 debug_assert_eq!(found.len(), v as usize, "all copies located");
                 return CopyProbe::Found {
                     locations: found,
@@ -167,13 +164,13 @@ impl BucketLayout for SingleLayout {
     /// all-candidates default would fetch `d` — and records them so
     /// [`BucketLayout::probe_planned`] can replay without re-deriving
     /// the partitions.
-    fn plan_probe<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan {
         let mut cvals = [0u8; MAX_D];
         for i in 0..t.d {
-            cvals[i] = t.counters.get(cands[i]);
+            cvals[i] = t.counter(cands[i]);
         }
         let mut plan = ProbePlan::FALLBACK;
         if rule1_miss(t, cands, &cvals) {
@@ -181,22 +178,13 @@ impl BucketLayout for SingleLayout {
             return plan;
         }
         for v in (1..=t.d as u8).rev() {
-            let mut positions = [0usize; MAX_D];
-            let mut plen = 0usize;
-            for i in 0..t.d {
-                if cvals[i] == v {
-                    positions[plen] = cands[i];
-                    plen += 1;
-                }
-            }
-            if plen < v as usize {
+            let positions = partition(t, cands, &cvals, v);
+            if positions.len() < v as usize {
                 continue;
             }
-            let budget = plen - v as usize + 1;
-            for &p in positions.iter().take(budget) {
-                crate::prefetch::prefetch_index(&t.slots, p);
-                crate::prefetch::prefetch_index(&t.tags, p);
-                crate::prefetch::prefetch_index(&t.flags, p);
+            let budget = positions.len() - v as usize + 1;
+            for &p in positions.as_slice().iter().take(budget) {
+                t.store.prefetch(p);
                 plan.order[plan.len as usize] = p;
                 plan.len += 1;
             }
@@ -210,8 +198,8 @@ impl BucketLayout for SingleLayout {
     /// one off-chip read per visited position, and the same
     /// stash-screening decision (rule 1 carries `check_stash: false`;
     /// an exhausted probe consults the visited flags).
-    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone>(
-        t: &Engine<K, V, Self>,
+    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+        t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
         tag: u8,
@@ -226,8 +214,8 @@ impl BucketLayout for SingleLayout {
         for &p in plan.order[..plan.len as usize].iter() {
             t.meter.offchip_read(1);
             visited += 1;
-            visited_flags_ok &= t.flags[p];
-            if t.tags[p] == tag && t.slots[p].as_ref().is_some_and(|e| e.key == *key) {
+            visited_flags_ok &= t.store.flag(p);
+            if holds(t, p, key, tag) {
                 return (Probe::Found(p), visited);
             }
         }
@@ -243,21 +231,49 @@ impl BucketLayout for SingleLayout {
 /// Counter values of the candidates, metered as one on-chip read per
 /// counter.
 #[inline]
-fn read_counters<K: KeyHash + Eq + Clone, V: Clone>(
-    t: &Engine<K, V, SingleLayout>,
+fn read_counters<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+    t: &Engine<K, V, SingleLayout, S>,
     cands: &[usize; MAX_D],
 ) -> [u8; MAX_D] {
     t.meter.onchip_read(t.d as u64);
     let mut vals = [0u8; MAX_D];
     for i in 0..t.d {
-        vals[i] = t.counters.get(cands[i]);
+        vals[i] = t.counter(cands[i]);
     }
     vals
 }
 
+/// The candidates whose counter equals `v`, in candidate order.
+#[inline]
+fn partition<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+    t: &Engine<K, V, SingleLayout, S>,
+    cands: &[usize; MAX_D],
+    cvals: &[u8; MAX_D],
+    v: u8,
+) -> SlotList {
+    let mut positions = SlotList::default();
+    for i in 0..t.d {
+        if cvals[i] == v {
+            positions.push(cands[i]);
+        }
+    }
+    positions
+}
+
+/// Whether slot `p` holds `key` (tag filter, then entry confirm).
+#[inline]
+fn holds<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+    t: &Engine<K, V, SingleLayout, S>,
+    p: usize,
+    key: &K,
+    tag: u8,
+) -> bool {
+    t.store.tag_matches(p, tag) && t.store.entry(p).is_some_and(|e| e.key == *key)
+}
+
 /// Lookup rule 1: a definitely-empty candidate proves absence.
-fn rule1_miss<K: KeyHash + Eq + Clone, V: Clone>(
-    t: &Engine<K, V, SingleLayout>,
+fn rule1_miss<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+    t: &Engine<K, V, SingleLayout, S>,
     cands: &[usize; MAX_D],
     cvals: &[u8; MAX_D],
 ) -> bool {
@@ -267,7 +283,7 @@ fn rule1_miss<K: KeyHash + Eq + Clone, V: Clone>(
         DeletionMode::Reset => false,
         // Tombstones read as non-zero for lookups.
         DeletionMode::Tombstone => {
-            (0..t.d).any(|i| cvals[i] == 0 && !t.counters.is_tombstone(cands[i]))
+            (0..t.d).any(|i| cvals[i] == 0 && !t.store.counters().is_tombstone(cands[i]))
         }
     }
 }
@@ -301,9 +317,9 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
             }
             let p = cands[i];
             self.meter.offchip_read(1);
-            visited_flags_ok &= self.flags[p];
-            if self.tags[p] == tag && self.slots[p].as_ref().is_some_and(|e| e.key == *key) {
-                return self.slots[p].as_ref().map(|e| &e.value);
+            visited_flags_ok &= self.store.flag(p);
+            if holds(self, p, key, tag) {
+                return self.store.entry(p).map(|e| &e.value);
             }
         }
         if self.stash_screen(&cands, visited_flags_ok) {
@@ -756,7 +772,7 @@ mod tests {
             // Every candidate counter of a present key must be non-zero.
             let cands = t.candidate_buckets(&k);
             for &c in cands.iter().take(t.d()) {
-                assert!(t.counters.get(c) > 0);
+                assert!(t.counter(c) > 0);
             }
         }
     }

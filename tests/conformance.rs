@@ -74,10 +74,12 @@ fn conformance<T: McTable<u64, u64>>(mut t: T) {
     let _ = t.stash_len();
     let drained = t.refresh_stash();
     assert!(drained <= N as usize);
-    let _ = t.mem_stats();
 
-    // Clear, then the table must be reusable from scratch.
+    // Clear, then the table must be reusable from scratch. Clearing is
+    // maintenance, not traffic: it meters nothing.
+    let before_clear = t.mem_stats();
     t.clear();
+    assert_eq!(t.mem_stats(), before_clear, "clear() metered accesses");
     assert!(t.is_empty());
     assert_eq!(t.len(), 0);
     assert_eq!(t.stash_len(), 0);
