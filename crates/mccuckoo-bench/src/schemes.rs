@@ -157,11 +157,7 @@ impl AnyTable {
                 } else {
                     McConfig::paper(cap_slots / 9, seed)
                 };
-                let mut cfg = BlockedConfig {
-                    base,
-                    slots: 3,
-                    aggressive_lookup: false,
-                };
+                let mut cfg = BlockedConfig { base, slots: 3 };
                 cfg.base.maxloop = maxloop;
                 cfg.base.kick = kick;
                 Box::new(BlockedMcCuckoo::new(cfg))

@@ -12,16 +12,13 @@
 //!
 //! Lookup follows Algorithm 2 faithfully: only the bucket-sum-zero skip
 //! is counter-driven ("the lookup routine is more like a traditional one
-//! that does not rely much on the counters"). The
-//! [`BlockedConfig::aggressive_lookup`] extension additionally treats a
-//! sum-zero candidate bucket as proof of absence when deletions are
-//! disabled (sound for the same reason as the single-slot rule 1); it is
-//! benchmarked by the ablation suite.
+//! that does not rely much on the counters"). A read bucket is scanned
+//! slot by slot, comparing the key in each entry.
 
 use hash_kit::{KeyHash, SplitMix64};
 
-use crate::config::{DeletionMode, McConfig};
-use crate::engine::{swar_first_lane, BucketLayout, CopyProbe, Engine, Probe, ProbePlan, MAX_D};
+use crate::config::McConfig;
+use crate::engine::{BucketLayout, CopyProbe, Engine, Probe, ProbePlan, MAX_D};
 use crate::store::SlotStore;
 
 /// Configuration of a [`BlockedMcCuckoo`].
@@ -32,9 +29,6 @@ pub struct BlockedConfig {
     pub base: McConfig,
     /// Slots per bucket.
     pub slots: usize,
-    /// Extension: treat a sum-zero candidate bucket as a definite miss
-    /// when deletions are disabled (see module docs).
-    pub aggressive_lookup: bool,
 }
 
 impl BlockedConfig {
@@ -43,14 +37,7 @@ impl BlockedConfig {
         Self {
             base: McConfig::paper(buckets_per_table, seed),
             slots: 3,
-            aggressive_lookup: false,
         }
-    }
-
-    /// Toggle the aggressive-lookup extension.
-    pub fn with_aggressive_lookup(mut self, on: bool) -> Self {
-        self.aggressive_lookup = on;
-        self
     }
 }
 
@@ -59,7 +46,6 @@ impl BlockedConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct BlockedLayout {
     pub(crate) l: usize,
-    pub(crate) aggressive: bool,
 }
 
 /// Multi-slot multi-copy cuckoo table ("B-McCuckoo").
@@ -95,30 +81,16 @@ impl BucketLayout for BlockedLayout {
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> Probe {
         t.meter_counter_scan();
-        let mut sums = [0u32; MAX_D];
-        for i in 0..t.d {
-            sums[i] = t.bucket_sum(cands[i]);
-        }
-        // Extension: Bloom-style early miss (sound without deletions —
-        // an insertion leaves no candidate bucket entirely empty).
-        if t.layout.aggressive && t.deletion == DeletionMode::Disabled && sums[..t.d].contains(&0) {
-            return Probe::Miss { check_stash: false };
-        }
         let mut visited_flags_ok = true;
-        // SWAR tag filter: compare all l fingerprint bytes of a bucket
-        // against the key's tag in one u64 operation, then confirm each
-        // matching lane on the full entry. Pure software fast path — the
-        // bucket read stays metered as one off-chip access either way.
-        for i in 0..t.d {
-            if sums[i] == 0 {
+        for &c in cands.iter().take(t.d) {
+            if t.bucket_sum(c) == 0 {
                 continue; // Algorithm 2: skip empty buckets
             }
             t.meter.offchip_read(1);
-            visited_flags_ok &= t.store.flag(cands[i]);
-            if let Some(idx) = find_in_bucket(t, cands[i], key, tag) {
+            visited_flags_ok &= t.store.flag(c);
+            if let Some(idx) = find_in_bucket(t, c, key) {
                 return Probe::Found(idx);
             }
         }
@@ -133,9 +105,8 @@ impl BucketLayout for BlockedLayout {
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> CopyProbe {
-        match Self::probe_first(t, key, cands, tag) {
+        match Self::probe_first(t, key, cands) {
             Probe::Found(idx) => {
                 let hints = t.store.entry(idx).expect("probe found it").hints;
                 let mut locations = t.locate_siblings(key, cands, &hints, t.counter(idx), idx);
@@ -150,55 +121,41 @@ impl BucketLayout for BlockedLayout {
     }
 
     /// Stage-1 plan for Algorithm 2: unmetered sum peeks decide which
-    /// buckets the probe will read (sum-zero buckets are skipped, the
-    /// aggressive Bloom rule may kill the probe outright); only those
-    /// are prefetched — bucket line and tag lane.
+    /// buckets the probe will read (sum-zero buckets are skipped); only
+    /// those are prefetched.
     fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan {
-        let mut plan = ProbePlan::FALLBACK;
-        let mut any_zero = false;
+        let mut plan = ProbePlan::EMPTY;
         for &c in cands.iter().take(t.d) {
             if t.bucket_sum(c) == 0 {
-                any_zero = true;
                 continue;
             }
+            t.store.prefetch(t.slot_idx(c, 0));
             plan.order[plan.len as usize] = c;
             plan.len += 1;
-        }
-        if t.layout.aggressive && t.deletion == DeletionMode::Disabled && any_zero {
-            plan.rule1 = true;
-            plan.len = 0; // definite miss: nothing worth prefetching
-            return plan;
-        }
-        for &c in plan.order[..plan.len as usize].iter() {
-            t.store.prefetch(t.slot_idx(c, 0));
         }
         plan
     }
 
     /// Replay of `probe_first` over the planned buckets: the metered
-    /// counter scan, one off-chip read plus SWAR tag match per non-empty
+    /// counter scan, one off-chip read plus a slot scan per non-empty
     /// bucket, and the same stash-screening decision.
     fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
         plan: &ProbePlan,
     ) -> (Probe, u64) {
         t.meter_counter_scan();
-        if plan.rule1 {
-            return (Probe::Miss { check_stash: false }, 0);
-        }
         let mut visited_flags_ok = true;
         let mut visited = 0u64;
         for &c in plan.order[..plan.len as usize].iter() {
             t.meter.offchip_read(1);
             visited += 1;
             visited_flags_ok &= t.store.flag(c);
-            if let Some(idx) = find_in_bucket(t, c, key, tag) {
+            if let Some(idx) = find_in_bucket(t, c, key) {
                 return (Probe::Found(idx), visited);
             }
         }
@@ -211,25 +168,16 @@ impl BucketLayout for BlockedLayout {
     }
 }
 
-/// The slot of `bucket` holding `key`: SWAR tag match over the bucket's
-/// `l` lanes, each hit confirmed on the full entry.
+/// The slot of `bucket` holding `key`: a scan of the bucket's `l`
+/// entries (the caller meters the bucket as one access).
 #[inline]
 fn find_in_bucket<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
     t: &Engine<K, V, BlockedLayout, S>,
     bucket: usize,
     key: &K,
-    tag: u8,
 ) -> Option<usize> {
     let base = t.slot_idx(bucket, 0);
-    let mut hits = t.store.tag_hits(base, t.layout.l, tag);
-    while hits != 0 {
-        let idx = base + swar_first_lane(hits);
-        if t.store.entry(idx).is_some_and(|e| e.key == *key) {
-            return Some(idx);
-        }
-        hits &= hits - 1; // clear the lowest matching lane
-    }
-    None
+    (base..base + t.layout.l).find(|&idx| t.store.entry(idx).is_some_and(|e| e.key == *key))
 }
 
 impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
@@ -243,23 +191,12 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
             (1..=8).contains(&config.slots),
             "slots per bucket must be 1..=8"
         );
-        Engine::from_config(
-            config.base,
-            BlockedLayout {
-                l: config.slots,
-                aggressive: config.aggressive_lookup,
-            },
-        )
+        Engine::from_config(config.base, BlockedLayout { l: config.slots })
     }
 
     /// Slots per bucket.
     pub fn slots_per_bucket(&self) -> usize {
         self.layout.l
-    }
-
-    /// Whether the aggressive-lookup extension is enabled.
-    pub fn aggressive_lookup_enabled(&self) -> bool {
-        self.layout.aggressive
     }
 }
 
@@ -351,7 +288,6 @@ mod tests {
         let mut t: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
             base: McConfig::paper_with_deletion(n, 8),
             slots: 3,
-            aggressive_lookup: false,
         });
         let mut keys = UniqueKeys::new(9);
         let ks = keys.take_vec(3 * n * 3 / 2);
@@ -373,7 +309,6 @@ mod tests {
         let mut t: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
             base: McConfig::paper_with_deletion(512, 10),
             slots: 3,
-            aggressive_lookup: false,
         });
         let mut model: HashMap<u64, u64> = HashMap::new();
         let mut keys = UniqueKeys::new(11);
@@ -434,7 +369,6 @@ mod tests {
         let mut t: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
             base: McConfig::paper(n, 14).with_maxloop(50),
             slots: 3,
-            aggressive_lookup: false,
         });
         let mut keys = UniqueKeys::new(15);
         let cap = 3 * n * 3;
@@ -464,44 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn aggressive_lookup_extension_is_sound_and_cheaper() {
-        let n = 2_000;
-        let mut plain = paper_table(n, 16);
-        let mut aggro: BlockedMcCuckoo<u64, u64> =
-            BlockedMcCuckoo::new(BlockedConfig::paper(n, 16).with_aggressive_lookup(true));
-        let mut keys = UniqueKeys::new(17);
-        let ks = keys.take_vec(3 * n * 3 / 4); // 25% load
-        for &k in &ks {
-            plain.insert_new(k, k).unwrap();
-            aggro.insert_new(k, k).unwrap();
-        }
-        let (b_plain, b_aggro) = (plain.meter().snapshot(), aggro.meter().snapshot());
-        for j in 0..2_000 {
-            let a = keys.absent_key(j);
-            assert_eq!(plain.get(&a), None);
-            assert_eq!(aggro.get(&a), None);
-        }
-        let d_plain = plain.meter().snapshot() - b_plain;
-        let d_aggro = aggro.meter().snapshot() - b_aggro;
-        assert!(
-            d_aggro.offchip_reads < d_plain.offchip_reads,
-            "aggressive {} vs plain {}",
-            d_aggro.offchip_reads,
-            d_plain.offchip_reads
-        );
-        // Hits must still work.
-        for &k in ks.iter().take(500) {
-            assert_eq!(aggro.get(&k), Some(&k));
-        }
-    }
-
-    #[test]
     fn single_slot_blocked_matches_single_behaviour() {
         // l=1 blocked table must behave like the single-slot design.
         let mut t: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
             base: McConfig::paper(512, 18),
             slots: 1,
-            aggressive_lookup: false,
         });
         let mut keys = UniqueKeys::new(19);
         let ks = keys.take_vec(3 * 512 * 80 / 100);
@@ -535,7 +436,6 @@ mod tests {
         let _ = BlockedMcCuckoo::<u64, u64>::new(BlockedConfig {
             base: McConfig::paper(8, 0),
             slots: 9,
-            aggressive_lookup: false,
         });
     }
 }

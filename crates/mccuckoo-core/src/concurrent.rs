@@ -535,8 +535,7 @@ where
     pub(crate) fn update_existing_unrecorded(&self, key: &K, value: &V) -> bool {
         self.write(|w| {
             let cands = w.candidate_buckets(key);
-            let tag = w.tag_of(key);
-            w.try_update(key, value, &cands, tag).is_some()
+            w.try_update(key, value, &cands).is_some()
         })
     }
 

@@ -58,39 +58,6 @@ use crate::store::{Entry, PlainStore, SlotHint, SlotStore};
 /// Maximum supported `d` (the paper argues d = 3 suffices in practice).
 pub const MAX_D: usize = 4;
 
-/// Seed tweak for the per-slot fingerprint tags. Dedicated salt so the
-/// tag byte is independent of every bucket-choice hash.
-const TAG_SALT: u64 = 0x7A95_C0DE_5EED_7A65;
-
-/// Broadcast a tag byte across all 8 lanes of a `u64`.
-#[inline]
-pub(crate) fn swar_broadcast(tag: u8) -> u64 {
-    tag as u64 * 0x0101_0101_0101_0101
-}
-
-/// SWAR byte-equality mask: bit 7 of each of the first `lanes` bytes is
-/// set iff that byte of `packed` equals the broadcast `needle`. Classic
-/// zero-byte detection over `packed ^ needle`; lanes past `lanes` are
-/// cleared so zero-padding never aliases a real slot.
-#[inline]
-pub(crate) fn swar_eq_mask(packed: u64, needle: u64, lanes: usize) -> u64 {
-    debug_assert!((1..=8).contains(&lanes));
-    let x = packed ^ needle;
-    let hit = x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080;
-    if lanes == 8 {
-        hit
-    } else {
-        hit & ((1u64 << (8 * lanes)) - 1)
-    }
-}
-
-/// Lane index (0-based byte position) of the lowest set hit in a
-/// [`swar_eq_mask`] result.
-#[inline]
-pub(crate) fn swar_first_lane(mask: u64) -> usize {
-    (mask.trailing_zeros() / 8) as usize
-}
-
 /// Global bucket indices of `key`'s `d` candidates under `family` over
 /// `n` buckets per sub-table (entries past `d` are `usize::MAX`).
 #[inline]
@@ -202,28 +169,24 @@ pub trait BucketLayout: std::fmt::Debug {
     fn draw_slot(&self, rng: &mut SplitMix64) -> usize;
 
     /// Find the first slot holding `key`, or decide the miss path
-    /// (including stash screening). `cands` and `tag` are the key's
-    /// candidate buckets and fingerprint, precomputed by the caller so
-    /// each operation hashes its key exactly once (the batched read path
-    /// computes them in stage 1 for prefetching; stage 2 probes with
-    /// them).
+    /// (including stash screening). `cands` are the key's candidate
+    /// buckets, precomputed by the caller so each operation hashes its
+    /// key exactly once (the batched read path computes them in stage 1
+    /// for prefetching; stage 2 probes with them).
     fn probe_first<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> Probe
     where
         Self: Sized;
 
     /// Locate **all** copies of `key` (deletion principles, §III.B.3).
-    /// Same precomputed-`cands`/`tag` contract as
-    /// [`BucketLayout::probe_first`].
+    /// Same precomputed-`cands` contract as [`BucketLayout::probe_first`].
     fn probe_copies<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> CopyProbe
     where
         Self: Sized;
@@ -237,29 +200,12 @@ pub trait BucketLayout: std::fmt::Debug {
     /// directly, never through the metered readers): the modelled access
     /// counts of a batched lookup are required to equal the per-key
     /// path's exactly.
-    ///
-    /// The default covers any layout soundly: it prefetches every
-    /// candidate bucket with a non-zero counter (an all-zero bucket is
-    /// skipped by every probe strategy) and returns a fallback plan
-    /// that makes `probe_planned` take the ordinary `probe_first` path.
-    /// Layouts with tighter pruning should override **both** hooks
-    /// together.
     fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan
     where
-        Self: Sized,
-    {
-        let l = t.layout.slots();
-        for &c in cands.iter().take(t.d) {
-            let base = t.slot_idx(c, 0);
-            if (0..l).any(|s| t.counter(base + s) != 0) {
-                t.store.prefetch(base);
-            }
-        }
-        ProbePlan::FALLBACK
-    }
+        Self: Sized;
 
     /// Stage 2 of the batched read pipeline: probe with the positions
     /// stage 1 planned (and prefetched), metering exactly like
@@ -272,32 +218,20 @@ pub trait BucketLayout: std::fmt::Debug {
     /// (the replay counts its own visits), so the batched path can feed
     /// the probe histogram without bracketing every key in two full
     /// meter snapshots.
-    ///
-    /// The default ignores the plan and runs `probe_first` under a
-    /// snapshot pair, which is trivially equivalent (that's the
-    /// fallback contract of the default [`BucketLayout::plan_probe`]).
     fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
         plan: &ProbePlan,
     ) -> (Probe, u64)
     where
-        Self: Sized,
-    {
-        let _ = plan;
-        let before = t.meter.snapshot();
-        let probe = Self::probe_first(t, key, cands, tag);
-        let delta = t.meter.snapshot() - before;
-        (probe, delta.offchip_reads)
-    }
+        Self: Sized;
 }
 
 /// Output of [`BucketLayout::plan_probe`]: the off-chip positions
 /// (slots for the single layout, buckets for the blocked one) that
 /// `probe_first` on the same key would visit, in probe order, plus the
-/// rule-1 verdict. `FALLBACK` marks "no plan — probe normally".
+/// rule-1 verdict.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbePlan {
     /// Probe positions in visit order (`order[..len]` are valid). A key
@@ -310,9 +244,9 @@ pub struct ProbePlan {
 }
 
 impl ProbePlan {
-    /// The empty non-rule1 plan — and, by the default-hook contract,
-    /// the "replay via `probe_first`" sentinel.
-    pub(crate) const FALLBACK: ProbePlan = ProbePlan {
+    /// No positions and no rule-1 verdict: the plan every
+    /// [`BucketLayout::plan_probe`] starts from.
+    pub(crate) const EMPTY: ProbePlan = ProbePlan {
         order: [0; MAX_D],
         len: 0,
         rule1: false,
@@ -335,8 +269,8 @@ pub struct Engine<K, V, L: BucketLayout, S = PlainStore<K, V>> {
     /// (optionally MinCounter-guided), or a plan-first policy (BFS /
     /// bubbling) from the [`kick`] layer.
     pub(crate) kick: KickPolicyKind,
-    /// Off-chip slots (`(table * n + bucket) * l + slot`), their tags and
-    /// flags, and the on-chip per-slot copy counters.
+    /// Off-chip slots (`(table * n + bucket) * l + slot`), the bucket
+    /// stash flags, and the on-chip per-slot copy counters.
     pub(crate) store: S,
     /// On-chip 5-bit kick-history counters, one per bucket
     /// ([`KickPolicyKind::MinCounter`] walks only).
@@ -529,17 +463,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         bucket * self.layout.slots() + slot
     }
 
-    /// Fingerprint byte of `key` for the tag plane (top byte of a
-    /// dedicated-salt hash, independent of the bucket-choice hashes; 0
-    /// on a store without tags).
-    #[inline]
-    pub(crate) fn tag_of(&self, key: &K) -> u8 {
-        if !S::TAGGED {
-            return 0;
-        }
-        (key.hash_seeded(self.seed ^ TAG_SALT) >> 56) as u8
-    }
-
     /// Raw copy counter of slot `i`.
     #[inline]
     pub(crate) fn counter(&self, i: usize) -> u8 {
@@ -587,19 +510,17 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// [`crate::McMap`]'s growth path) go through this and record the
     /// *final* outcome once via [`Engine::obs`], so a rescued insert is
     /// never counted as the `Failed` the inner table saw. The key is
-    /// hashed and tagged once, for both the update probe and the
-    /// placement.
+    /// hashed once, for both the update probe and the placement.
     pub(crate) fn insert_unrecorded(
         &mut self,
         key: K,
         value: V,
     ) -> Result<InsertReport, McFull<K, V>> {
         let cands = self.candidate_buckets(&key);
-        let tag = self.tag_of(&key);
-        if let Some(report) = self.try_update(&key, &value, &cands, tag) {
+        if let Some(report) = self.try_update(&key, &value, &cands) {
             return Ok(report);
         }
-        self.place_new(key, value, &cands, tag)
+        self.place_new(key, value, &cands)
     }
 
     /// [`Engine::insert_new`] without observability recording. Internal
@@ -615,8 +536,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             "insert_new requires a fresh key"
         );
         let cands = self.candidate_buckets(&key);
-        let tag = self.tag_of(&key);
-        self.place_new(key, value, &cands, tag)
+        self.place_new(key, value, &cands)
     }
 
     /// Place an absent key: the insertion principles, then collision
@@ -626,15 +546,14 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         key: K,
         value: V,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> Result<InsertReport, McFull<K, V>> {
         self.meter_counter_scan();
-        if let Some(copies) = self.try_place(&key, &value, cands, tag) {
+        if let Some(copies) = self.try_place(&key, &value, cands) {
             self.distinct += 1;
             self.check_paranoid();
             return Ok(InsertReport::clean(copies));
         }
-        let out = self.resolve_collision(key, value, cands, tag);
+        let out = self.resolve_collision(key, value, cands);
         self.check_paranoid();
         out
     }
@@ -643,7 +562,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// at most one slot per bucket, writes all copies with a shared hint
     /// set, finalizes counters. `None` on a real collision (all `d·l`
     /// candidate counters equal 1).
-    fn try_place(&mut self, key: &K, value: &V, cands: &[usize; MAX_D], tag: u8) -> Option<u8> {
+    fn try_place(&mut self, key: &K, value: &V, cands: &[usize; MAX_D]) -> Option<u8> {
         let l = self.layout.slots();
         let mut claimed: [Option<u8>; MAX_D] = [None; MAX_D];
         let mut claimed_len = 0usize;
@@ -702,7 +621,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             );
             return None;
         }
-        self.write_copies(key, value, cands, tag, &claimed, claimed_len);
+        self.write_copies(key, value, cands, &claimed, claimed_len);
         Some(claimed_len as u8)
     }
 
@@ -763,13 +682,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         if matches.len() == needed {
             return matches;
         }
-        // Ambiguous: verify contents until the remainder is forced. The
-        // tag plane pre-filters the entry compare (a mismatched tag
-        // byte proves a different occupant without dereferencing the
-        // `Option<Entry>`); the verification read is still metered —
-        // the modelled system fetched the slot either way — so the
-        // access counts are bit-identical to the untagged scan.
-        let tag = self.tag_of(key);
+        // Ambiguous: verify contents until the remainder is forced.
         let matches = matches.as_slice();
         let mut confirmed = SlotList::default();
         for (pos, &m) in matches.iter().enumerate() {
@@ -783,8 +696,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
                 break;
             }
             self.meter.verify_read(1);
-            if self.store.tag_matches(m, tag) && self.store.entry(m).is_some_and(|e| e.key == *key)
-            {
+            if self.store.entry(m).is_some_and(|e| e.key == *key) {
                 confirmed.push(m);
             }
         }
@@ -799,7 +711,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         key: &K,
         value: &V,
         cands: &[usize; MAX_D],
-        tag: u8,
         claimed: &[Option<u8>; MAX_D],
         claimed_len: usize,
     ) {
@@ -819,7 +730,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
                 value: value.clone(),
                 hints,
             };
-            self.store.put(idx, entry, tag);
+            self.store.put(idx, entry);
             self.store.set_counter(idx, claimed_len as u8);
         }
         self.redundant_writes += claimed_len as u64 - 1;
@@ -839,13 +750,12 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         key: K,
         value: V,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> Result<InsertReport, McFull<K, V>> {
         match self.kick {
             KickPolicyKind::RandomWalk | KickPolicyKind::MinCounter if !S::PLANS_FIRST => {
                 self.resolve_collision_walk(key, value)
             }
-            _ => self.resolve_collision_planned(key, value, cands, tag),
+            _ => self.resolve_collision_planned(key, value, cands),
         }
     }
 
@@ -879,23 +789,21 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             // out, sole copy in).
             self.meter.offchip_read(1);
             self.meter.offchip_write(1);
-            let tag = self.tag_of(&carried_key);
             let old = self.store.take(idx).expect("victims hold sole copies");
             let entry = Entry {
                 key: carried_key,
                 value: carried_value,
                 hints,
             };
-            self.store.put(idx, entry, tag);
+            self.store.put(idx, entry);
             carried_key = old.key;
             carried_value = old.value;
             prev_bucket = vb;
             kickouts += 1;
             // Try to settle the evicted item by the normal principles.
             let cands = self.candidate_buckets(&carried_key);
-            let tag = self.tag_of(&carried_key);
             self.meter_counter_scan();
-            if let Some(copies) = self.try_place(&carried_key, &carried_value, &cands, tag) {
+            if let Some(copies) = self.try_place(&carried_key, &carried_value, &cands) {
                 self.distinct += 1;
                 return Ok(InsertReport {
                     outcome: InsertOutcome::Placed,
@@ -921,7 +829,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         key: K,
         value: V,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> Result<InsertReport, McFull<K, V>> {
         let mut path = Vec::new();
         // The planner borrows the table immutably; lend it the RNG.
@@ -950,18 +857,16 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             .expect("chain slots hold sole copies");
         let (tkey, tvalue) = (terminal.key.clone(), terminal.value.clone());
         let tcands = self.candidate_buckets(&tkey);
-        let ttag = self.store.tag(last);
         self.meter_counter_scan();
         let copies = self
-            .try_place(&tkey, &tvalue, &tcands, ttag)
+            .try_place(&tkey, &tvalue, &tcands)
             .expect("planned terminal occupant must settle");
 
         // 2. Shift the chain backward: the occupant of `path[w]` moves
         //    into `path[w+1]` (just vacated logically). Sole copies move
         //    between sole-copy slots, so every counter on the chain stays
         //    1; each hop is one victim read + one write, like a walk hop.
-        //    A hop's sub-table is its destination bucket's, and its tag
-        //    travels from the source slot.
+        //    A hop's sub-table is its destination bucket's.
         for w in (0..path.len() - 1).rev() {
             let (src, dst) = (path[w], path[w + 1]);
             self.meter.offchip_read(1);
@@ -981,8 +886,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
                 value: e.value.clone(),
                 hints,
             };
-            let mtag = self.store.tag(src);
-            self.store.put(dst, moved, mtag);
+            self.store.put(dst, moved);
         }
 
         // 3. The front slot now belongs to the inserted key (sole copy).
@@ -996,7 +900,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         let mut hints = [SlotHint::None; MAX_D];
         hints[t] = SlotHint::at(s0 % l);
         self.meter.offchip_write(1);
-        self.store.put(s0, Entry { key, value, hints }, tag);
+        self.store.put(s0, Entry { key, value, hints });
         self.distinct += 1;
         Ok(InsertReport {
             outcome: InsertOutcome::Placed,
@@ -1077,17 +981,15 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         }
     }
 
-    /// If `key` (candidates `cands`, tag `tag`) exists, rewrite the value
-    /// of every copy (and/or the stash entry) and return an `Updated`
-    /// report.
+    /// If `key` (candidates `cands`) exists, rewrite the value of every
+    /// copy (and/or the stash entry) and return an `Updated` report.
     pub(crate) fn try_update(
         &mut self,
         key: &K,
         value: &V,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> Option<InsertReport> {
-        match L::probe_copies(self, key, cands, tag) {
+        match L::probe_copies(self, key, cands) {
             CopyProbe::Found { locations, .. } => {
                 self.meter.offchip_write(locations.len() as u64);
                 for &l in locations.as_slice() {
@@ -1097,7 +999,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
                         value: value.clone(),
                         hints,
                     };
-                    self.store.put(l, entry, tag);
+                    self.store.put(l, entry);
                 }
                 self.check_paranoid();
                 Some(InsertReport {
@@ -1140,17 +1042,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// Look up `key` using the layout's probe strategy and the stash
     /// screening rules (§III.E–F).
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.get_prepared(key, &self.candidate_buckets(key), self.tag_of(key))
-    }
-
-    /// [`Engine::get`] with the key's candidate buckets and tag already
-    /// in hand. The batched path computes both during its planning stage
-    /// and probes with them here, so each key is hashed exactly once per
-    /// batch; metering is identical because every meter call lives
-    /// inside the probe bodies and the stash, not in the hashing.
-    fn get_prepared(&self, key: &K, cands: &[usize; MAX_D], tag: u8) -> Option<&V> {
         let before = self.meter.snapshot();
-        let found = match L::probe_first(self, key, cands, tag) {
+        let found = match L::probe_first(self, key, &self.candidate_buckets(key)) {
             Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
             Probe::Miss { check_stash } => {
                 if check_stash {
@@ -1166,7 +1059,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         found
     }
 
-    /// Stage 2 of the batched pipeline: like [`Engine::get_prepared`]
+    /// Stage 2 of the batched pipeline: like [`Engine::get`]
     /// but probing through the layout's plan replay
     /// ([`BucketLayout::probe_planned`]) instead of a fresh
     /// `probe_first` — the plan was computed against this same immutable
@@ -1174,14 +1067,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// Returns the probe count instead of recording it: the caller
     /// tallies per-key outcomes locally and flushes the whole batch's
     /// observability in one [`Obs::absorb_lookups`] pass.
-    fn get_planned(
-        &self,
-        key: &K,
-        cands: &[usize; MAX_D],
-        tag: u8,
-        plan: &ProbePlan,
-    ) -> (Option<&V>, u64) {
-        let (probe, mut probes) = L::probe_planned(self, key, cands, tag, plan);
+    fn get_planned(&self, key: &K, cands: &[usize; MAX_D], plan: &ProbePlan) -> (Option<&V>, u64) {
+        let (probe, mut probes) = L::probe_planned(self, key, cands, plan);
         let found = match probe {
             Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
             Probe::Miss { check_stash } => {
@@ -1227,20 +1114,17 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         self.obs.record_batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         let mut cands_buf = [[usize::MAX; MAX_D]; BATCH_CHUNK];
-        let mut tag_buf = [0u8; BATCH_CHUNK];
-        let mut plan_buf = [ProbePlan::FALLBACK; BATCH_CHUNK];
+        let mut plan_buf = [ProbePlan::EMPTY; BATCH_CHUNK];
         let mut tally = crate::obs::LookupTally::default();
         for chunk in keys.chunks(BATCH_CHUNK) {
             for (i, key) in chunk.iter().enumerate() {
                 cands_buf[i] = self.candidate_buckets(key);
-                tag_buf[i] = self.tag_of(key);
                 // The on-chip counters tell stage 1 exactly which lines
                 // the probe will fetch; prefetch them and keep the plan.
                 plan_buf[i] = L::plan_probe(self, &cands_buf[i]);
             }
             for (i, key) in chunk.iter().enumerate() {
-                let (found, probes) =
-                    self.get_planned(key, &cands_buf[i], tag_buf[i], &plan_buf[i]);
+                let (found, probes) = self.get_planned(key, &cands_buf[i], &plan_buf[i]);
                 tally.record(found.is_some(), probes);
                 out.push(found.cloned());
             }
@@ -1300,7 +1184,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             "this table was configured with DeletionMode::Disabled"
         );
         let cands = self.candidate_buckets(key);
-        let out = match L::probe_copies(self, key, &cands, self.tag_of(key)) {
+        let out = match L::probe_copies(self, key, &cands) {
             CopyProbe::Found { locations, primary } => {
                 self.meter.onchip_write(locations.len() as u64);
                 #[cfg(feature = "testhooks")]
@@ -1422,12 +1306,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
                 (None, c) => return Err(format!("slot {idx}: vacant but counter {c}")),
                 (Some(_), 0) => return Err(format!("slot {idx}: occupied but counter 0")),
                 (Some(e), c) => {
-                    // The tag filter is may-match: a live copy whose tag
-                    // byte went stale would be a false *negative*, which
-                    // the probe paths cannot recover from.
-                    if !self.store.tag_matches(idx, self.tag_of(&e.key)) {
-                        return Err(format!("slot {idx}: tag does not match occupant"));
-                    }
                     let bucket = idx / l;
                     let cands = self.candidate_buckets(&e.key);
                     let Some(t) = (0..self.d).find(|&t| cands[t] == bucket) else {

@@ -55,15 +55,15 @@ impl<K: FromJson, V: FromJson> FromJson for TableSnapshot<K, V> {
     }
 }
 
-/// A serialisable snapshot of a blocked table.
+/// A serialisable snapshot of a blocked table. Reading ignores the
+/// `aggressive_lookup` flag older snapshots carry: the lookup extension
+/// it switched on is gone, and the items restore the same without it.
 #[derive(Debug, Clone)]
 pub struct BlockedSnapshot<K, V> {
     /// Base configuration.
     pub config: McConfig,
     /// Slots per bucket.
     pub slots: usize,
-    /// Aggressive-lookup extension flag.
-    pub aggressive_lookup: bool,
     /// Every stored pair, unordered.
     pub items: Vec<(K, V)>,
 }
@@ -73,10 +73,6 @@ impl<K: ToJson, V: ToJson> ToJson for BlockedSnapshot<K, V> {
         Json::Obj(vec![
             ("config".to_owned(), self.config.to_json()),
             ("slots".to_owned(), self.slots.to_json()),
-            (
-                "aggressive_lookup".to_owned(),
-                self.aggressive_lookup.to_json(),
-            ),
             ("items".to_owned(), self.items.to_json()),
         ])
     }
@@ -91,7 +87,6 @@ impl<K: FromJson, V: FromJson> FromJson for BlockedSnapshot<K, V> {
         Ok(Self {
             config: FromJson::from_json(field("config")?)?,
             slots: FromJson::from_json(field("slots")?)?,
-            aggressive_lookup: FromJson::from_json(field("aggressive_lookup")?)?,
             items: FromJson::from_json(field("items")?)?,
         })
     }
@@ -165,7 +160,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
         BlockedSnapshot {
             config: self.config_snapshot(),
             slots: self.slots_per_bucket(),
-            aggressive_lookup: self.aggressive_lookup_enabled(),
             items: self.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
         }
     }
@@ -179,7 +173,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
         let mut t = BlockedMcCuckoo::new(BlockedConfig {
             base: snapshot.config,
             slots: snapshot.slots,
-            aggressive_lookup: snapshot.aggressive_lookup,
         });
         let mut leftover = Vec::new();
         for (k, v) in snapshot.items {
@@ -252,17 +245,22 @@ mod tests {
         let mut t: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
             base: McConfig::paper_with_deletion(128, 5),
             slots: 3,
-            aggressive_lookup: true,
         });
         let mut keys = UniqueKeys::new(6);
         let ks = keys.take_vec(1_000);
         for &k in &ks {
             t.insert_new(k, k.wrapping_mul(3)).unwrap();
         }
-        let json = jsonlite::to_string(&t.to_snapshot());
+        // Older snapshots also carried an `aggressive_lookup` flag; one
+        // that still does must restore every key.
+        let json = jsonlite::to_string(&t.to_snapshot()).replacen(
+            "\"slots\":3,",
+            "\"slots\":3,\"aggressive_lookup\":true,",
+            1,
+        );
+        assert!(json.contains("\"aggressive_lookup\":true"));
         let back: BlockedSnapshot<u64, u64> = jsonlite::from_str(&json).unwrap();
         assert_eq!(back.slots, 3);
-        assert!(back.aggressive_lookup);
         let restored = BlockedMcCuckoo::try_from_snapshot(back).expect("restore fits");
         for &k in &ks {
             assert_eq!(restored.get(&k), Some(&(k.wrapping_mul(3))));
@@ -338,7 +336,6 @@ mod tests {
                 ..McConfig::paper(4, 13)
             },
             slots: 2,
-            aggressive_lookup: false,
             items: (0..200u64).map(|k| (k, k ^ 0xA5)).collect(),
         };
         let items = snap.items.clone();

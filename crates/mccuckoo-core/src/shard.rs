@@ -72,7 +72,8 @@
 //! returned in the caller's original order.
 
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use hash_kit::{KeyHash, SplitMix64};
@@ -119,12 +120,12 @@ fn decode_entry(e: u64) -> (usize, Option<usize>) {
     (tid, if f == 0 { None } else { Some(f - 1) })
 }
 
-/// One slot of the grow-only table arena. The pointer is published with
-/// a release store before any directory entry (or the table count)
-/// names the slot, so an acquire load through either is always safe to
-/// dereference.
+/// One slot of the grow-only table arena. The table is set once, before
+/// any directory entry (or the table count) names the slot, so a reader
+/// that reaches the slot through either finds it set. Boxed, so an
+/// unused slot costs one pointer.
 struct ShardSlot<K, V> {
-    table: AtomicPtr<CachePadded<ConcurrentMcCuckoo<K, V>>>,
+    table: OnceLock<Box<CachePadded<ConcurrentMcCuckoo<K, V>>>>,
     /// The selector-prefix this table owns (`depth` bits wide).
     prefix: AtomicU32,
     /// How many selector bits the prefix spans.
@@ -134,10 +135,16 @@ struct ShardSlot<K, V> {
 impl<K, V> ShardSlot<K, V> {
     fn empty() -> Self {
         Self {
-            table: AtomicPtr::new(std::ptr::null_mut()),
+            table: OnceLock::new(),
             prefix: AtomicU32::new(0),
             depth: AtomicU32::new(0),
         }
+    }
+
+    /// Set the slot's table; the arena is grow-only, so each slot is set
+    /// at most once.
+    fn publish(&self, table: Box<CachePadded<ConcurrentMcCuckoo<K, V>>>) {
+        assert!(self.table.set(table).is_ok(), "arena slot published twice");
     }
 }
 
@@ -301,27 +308,6 @@ pub struct ShardedMcCuckoo<K, V> {
     split_lock: Mutex<()>,
 }
 
-// SAFETY: the raw table pointers are owned by the slots (freed only in
-// `Drop`, which holds `&mut self`), published with release stores before
-// the directory or table count names them, and only ever dereferenced
-// shared. The pointed-to tables carry the actual concurrency story, so
-// we forward exactly `ConcurrentMcCuckoo`'s bounds (`K: Send, V: Send`).
-unsafe impl<K: Send, V: Send> Send for ShardedMcCuckoo<K, V> {}
-unsafe impl<K: Send, V: Send> Sync for ShardedMcCuckoo<K, V> {}
-
-impl<K, V> Drop for ShardedMcCuckoo<K, V> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.table.load(Ordering::Acquire);
-            if !p.is_null() {
-                // SAFETY: every published slot pointer came from
-                // `Box::into_raw` and is dropped exactly once, here.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
 impl<K, V> ShardedMcCuckoo<K, V>
 where
     K: KeyHash + Eq + Copy,
@@ -353,7 +339,7 @@ where
             let table = Box::new(CachePadded::new(ConcurrentMcCuckoo::new(shard_config)));
             slot.prefix.store(s as u32, Ordering::Relaxed);
             slot.depth.store(base_bits, Ordering::Relaxed);
-            slot.table.store(Box::into_raw(table), Ordering::Release);
+            slot.publish(table);
         }
         let dir: Box<[AtomicU64]> = (0..DIR_SIZE)
             .map(|r| AtomicU64::new(encode_entry(r >> (DIR_BITS - base_bits), None)))
@@ -412,10 +398,10 @@ where
     /// The table behind arena slot `tid`.
     #[inline]
     fn table(&self, tid: usize) -> &CachePadded<ConcurrentMcCuckoo<K, V>> {
-        let p = self.slots[tid].table.load(Ordering::Acquire);
-        debug_assert!(!p.is_null(), "table {tid} dereferenced before publish");
-        // SAFETY: published pointers are valid until `Drop` (&mut).
-        unsafe { &*p }
+        self.slots[tid]
+            .table
+            .get()
+            .expect("table read before publish")
     }
 
     /// Decoded directory entry for `route`.
@@ -840,9 +826,7 @@ where
                 self.slots[child]
                     .depth
                     .store(child_depth, Ordering::Relaxed);
-                self.slots[child]
-                    .table
-                    .store(Box::into_raw(table), Ordering::Release);
+                self.slots[child].publish(table);
                 self.ntables.store(ntables + 1, Ordering::Release);
                 // The parent keeps the 0-suffix half of its old prefix.
                 self.slots[shard]

@@ -53,7 +53,6 @@ impl BucketLayout for SingleLayout {
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> Probe {
         let cvals = read_counters(t, cands);
         // Lookup rule 1 (mode-dependent).
@@ -72,11 +71,7 @@ impl BucketLayout for SingleLayout {
             for &p in positions.as_slice().iter().take(budget) {
                 t.meter.offchip_read(1);
                 visited_flags_ok &= t.store.flag(p);
-                // Tag filter (software fast path, zero modelled cost):
-                // the bucket read is already metered above; the tag only
-                // decides whether to touch the boxed entry and compare
-                // the full key. May-match ⇒ confirm on the entry.
-                if holds(t, p, key, tag) {
+                if holds(t, p, key) {
                     return Probe::Found(p);
                 }
             }
@@ -93,7 +88,6 @@ impl BucketLayout for SingleLayout {
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
     ) -> CopyProbe {
         let cvals = read_counters(t, cands);
         if rule1_miss(t, cands, &cvals) {
@@ -138,9 +132,7 @@ impl BucketLayout for SingleLayout {
                 }
                 t.meter.offchip_read(1);
                 visited_flags_ok &= t.store.flag(p);
-                // Tag-filtered entry confirm (see `probe_first`); the
-                // counting-based early stops above never consult tags.
-                if holds(t, p, key, tag) {
+                if holds(t, p, key) {
                     found.push(p);
                 }
             }
@@ -160,8 +152,8 @@ impl BucketLayout for SingleLayout {
     /// Replicates the partition-pruned probe order of `probe_first`
     /// (rules 1–3) with **unmetered** counter peeks, prefetching only
     /// the positions a probe on this key would actually read — on a hit
-    /// with all counters at `d` that is a single line, where the naive
-    /// all-candidates default would fetch `d` — and records them so
+    /// with all counters at `d` that is a single line, where prefetching
+    /// every candidate would fetch `d` — and records them so
     /// [`BucketLayout::probe_planned`] can replay without re-deriving
     /// the partitions.
     fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
@@ -172,7 +164,7 @@ impl BucketLayout for SingleLayout {
         for i in 0..t.d {
             cvals[i] = t.counter(cands[i]);
         }
-        let mut plan = ProbePlan::FALLBACK;
+        let mut plan = ProbePlan::EMPTY;
         if rule1_miss(t, cands, &cvals) {
             plan.rule1 = true; // the probe reads nothing off-chip
             return plan;
@@ -202,7 +194,6 @@ impl BucketLayout for SingleLayout {
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
-        tag: u8,
         plan: &ProbePlan,
     ) -> (Probe, u64) {
         t.meter.onchip_read(t.d as u64);
@@ -215,7 +206,7 @@ impl BucketLayout for SingleLayout {
             t.meter.offchip_read(1);
             visited += 1;
             visited_flags_ok &= t.store.flag(p);
-            if holds(t, p, key, tag) {
+            if holds(t, p, key) {
                 return (Probe::Found(p), visited);
             }
         }
@@ -260,15 +251,14 @@ fn partition<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
     positions
 }
 
-/// Whether slot `p` holds `key` (tag filter, then entry confirm).
+/// Whether slot `p` holds `key` (the key compare on its entry).
 #[inline]
 fn holds<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
     t: &Engine<K, V, SingleLayout, S>,
     p: usize,
     key: &K,
-    tag: u8,
 ) -> bool {
-    t.store.tag_matches(p, tag) && t.store.entry(p).is_some_and(|e| e.key == *key)
+    t.store.entry(p).is_some_and(|e| e.key == *key)
 }
 
 /// Lookup rule 1: a definitely-empty candidate proves absence.
@@ -310,7 +300,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
             return None;
         }
         let mut visited_flags_ok = true;
-        let tag = self.tag_of(key);
         for i in 0..self.d {
             if cvals[i] == 0 {
                 continue;
@@ -318,7 +307,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
             let p = cands[i];
             self.meter.offchip_read(1);
             visited_flags_ok &= self.store.flag(p);
-            if holds(self, p, key, tag) {
+            if holds(self, p, key) {
                 return self.store.entry(p).map(|e| &e.value);
             }
         }

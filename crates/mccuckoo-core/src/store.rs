@@ -1,12 +1,13 @@
 //! Slot storage: the one seam through which the
 //! [`Engine`](crate::engine::Engine) reaches its slots and counters.
-//! [`PlainStore`] holds the sequential tables' planes (slots, tags,
-//! stash flags, [`CounterArray`]). [`SeqStore`] is the concurrent
-//! table's writer handle on [`SeqCells`] — one cell and seqlock version
-//! per bucket plus the counters, shared through an `Arc` with the
-//! lock-free readers; every content write is one version bracket. It is
-//! unique and writes through `&mut self`, so the writer borrows a cell
-//! only while no write is in flight.
+//! [`PlainStore`] holds the sequential tables' planes (slots, stash
+//! flags, [`CounterArray`]). [`SeqStore`] is the concurrent table's
+//! writer handle on [`SeqCells`] — one cell and seqlock version per
+//! bucket plus the counters, shared through an `Arc` with the lock-free
+//! readers; every content write is one version bracket. It is unique
+//! and writes through `&mut self`, so the writer borrows a cell only
+//! while no write is in flight. Neither store keeps a fingerprint tag:
+//! probes confirm a slot by the key in its entry.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -14,7 +15,7 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::counters::CounterArray;
-use crate::engine::{swar_broadcast, swar_eq_mask, MAX_D};
+use crate::engine::MAX_D;
 
 /// Slot `S0..=S7` of a copy within its bucket, or `None` when a
 /// candidate table holds no copy (the Fig. 5 slot hints; blocked buckets
@@ -72,8 +73,6 @@ pub trait SlotStore<K, V> {
     /// carried item in no slot at all, which readers racing the writer
     /// would observe as a lost key (§III.H).
     const PLANS_FIRST: bool;
-    /// The store keeps fingerprint tags (without them, skip hashing one).
-    const TAGGED: bool;
     /// Empty storage for `slots` slots in `buckets` buckets whose
     /// counters hold `0..=max_count`.
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self;
@@ -87,28 +86,15 @@ pub trait SlotStore<K, V> {
     fn set_counter(&mut self, i: usize, v: u8);
     /// The entry in slot `i`.
     fn entry(&self, i: usize) -> Option<&Entry<K, V>>;
-    /// Write `entry` with fingerprint `tag` into slot `i`.
-    fn put(&mut self, i: usize, entry: Entry<K, V>, tag: u8);
+    /// Write `entry` into slot `i`.
+    fn put(&mut self, i: usize, entry: Entry<K, V>);
     /// Clear slot `i`, returning its entry.
     fn take(&mut self, i: usize) -> Option<Entry<K, V>>;
-    // The defaults describe a store with no tag plane (every tag may
-    // match), no stash flags and no tombstones.
+    // The defaults describe a store with no stash flags and no
+    // tombstones.
     /// Tombstone counter `i`.
     fn set_tombstone(&mut self, _i: usize) {
         unreachable!("this store deletes by counter reset");
-    }
-    /// The fingerprint tag stored with slot `i`.
-    fn tag(&self, _i: usize) -> u8 {
-        0
-    }
-    /// Whether slot `i`'s tag may match `tag`.
-    fn tag_matches(&self, _i: usize, _tag: u8) -> bool {
-        true
-    }
-    /// SWAR lane mask of the slots among `base..base + l` whose tags may
-    /// match `tag` (bit 7 of byte `s` set for slot `base + s`).
-    fn tag_hits(&self, _base: usize, l: usize, _tag: u8) -> u64 {
-        swar_eq_mask(0, 0, l)
     }
     /// Stash flag of `bucket`.
     fn flag(&self, _bucket: usize) -> bool {
@@ -122,8 +108,8 @@ pub trait SlotStore<K, V> {
     fn clear_flags(&mut self) {}
     /// Empty every slot, counter and flag.
     fn clear(&mut self);
-    /// Prefetch slot `i` (its entry and tag; stash flags are read only
-    /// while the stash holds items, so they are not worth a line).
+    /// Prefetch slot `i`'s entry (stash flags are read only while the
+    /// stash holds items, so they are not worth a line).
     fn prefetch(&self, i: usize);
 }
 
@@ -132,13 +118,6 @@ pub trait SlotStore<K, V> {
 pub struct PlainStore<K, V> {
     /// Off-chip slots.
     pub(crate) slots: Vec<Option<Entry<K, V>>>,
-    /// Dense fingerprint plane: one tag byte per slot, same indexing as
-    /// `slots`, so a bucket's `l` tags are contiguous and SWAR-comparable
-    /// in one `u64` load. Tags are a pure software-side probe filter —
-    /// may-match with entry confirmation — and are deliberately left
-    /// stale on removal (counters and the entry compare gate occupancy),
-    /// so they add **zero** metered off-chip accesses.
-    pub(crate) tags: Vec<u8>,
     /// Off-chip 1-bit stash flags, one per bucket (read/written together
     /// with the bucket, so they cost no dedicated accesses on lookups).
     pub(crate) flags: Vec<bool>,
@@ -148,12 +127,10 @@ pub struct PlainStore<K, V> {
 
 impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
     const PLANS_FIRST: bool = false;
-    const TAGGED: bool = true;
 
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self {
         Self {
             slots: (0..slots).map(|_| None).collect(),
-            tags: vec![0u8; slots],
             flags: vec![false; buckets],
             counters: CounterArray::new(slots, max_count),
         }
@@ -175,29 +152,12 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
         self.slots[i].as_ref()
     }
 
-    fn put(&mut self, i: usize, entry: Entry<K, V>, tag: u8) {
+    fn put(&mut self, i: usize, entry: Entry<K, V>) {
         self.slots[i] = Some(entry);
-        self.tags[i] = tag;
     }
 
     fn take(&mut self, i: usize) -> Option<Entry<K, V>> {
         self.slots[i].take()
-    }
-
-    fn tag(&self, i: usize) -> u8 {
-        self.tags[i]
-    }
-
-    fn tag_matches(&self, i: usize, tag: u8) -> bool {
-        self.tags[i] == tag
-    }
-
-    fn tag_hits(&self, base: usize, l: usize, tag: u8) -> u64 {
-        let mut packed = 0u64;
-        for (s, &t) in self.tags[base..base + l].iter().enumerate() {
-            packed |= (t as u64) << (8 * s);
-        }
-        swar_eq_mask(packed, swar_broadcast(tag), l)
     }
 
     fn flag(&self, bucket: usize) -> bool {
@@ -216,14 +176,12 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
         for s in &mut self.slots {
             *s = None;
         }
-        self.tags.fill(0);
         self.flags.fill(false);
         self.counters.reset();
     }
 
     fn prefetch(&self, i: usize) {
         crate::prefetch::prefetch_index(&self.slots, i);
-        crate::prefetch::prefetch_index(&self.tags, i);
     }
 }
 
@@ -343,7 +301,6 @@ impl<K: Copy, V: Copy> SeqStore<K, V> {
 
 impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
     const PLANS_FIRST: bool = true;
-    const TAGGED: bool = false;
 
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self {
         debug_assert_eq!(slots, buckets, "one slot per bucket");
@@ -370,7 +327,7 @@ impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
         unsafe { (*self.shared.cells[i].get()).as_ref() }
     }
 
-    fn put(&mut self, i: usize, entry: Entry<K, V>, _tag: u8) {
+    fn put(&mut self, i: usize, entry: Entry<K, V>) {
         self.publish(i, Some(entry));
     }
 

@@ -335,7 +335,6 @@ mod tests {
         let mut blocked: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
             base: McConfig::paper_with_deletion(64, 2),
             slots: 2,
-            aggressive_lookup: false,
         });
         exercise(&mut blocked);
     }

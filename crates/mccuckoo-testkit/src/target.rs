@@ -81,12 +81,10 @@ impl TableKind {
 
     /// Build a fresh table of this kind.
     pub fn build(self, buckets: usize, seed: u64) -> Box<dyn DiffTarget> {
-        let blocked =
-            |deletion: DeletionMode, slots: usize, aggressive_lookup: bool| BlockedConfig {
-                base: McConfig::paper(buckets, seed).with_deletion(deletion),
-                slots,
-                aggressive_lookup,
-            };
+        let blocked = |deletion: DeletionMode, slots: usize| BlockedConfig {
+            base: McConfig::paper(buckets, seed).with_deletion(deletion),
+            slots,
+        };
         match self {
             TableKind::Single => Box::new(Shim::new(
                 self.name(),
@@ -100,15 +98,15 @@ impl TableKind {
             )),
             TableKind::Blocked => Box::new(Shim::new(
                 self.name(),
-                BlockedMcCuckoo::new(blocked(DeletionMode::Reset, 2, true)),
+                BlockedMcCuckoo::new(blocked(DeletionMode::Reset, 2)),
             )),
             TableKind::BlockedTombstone => Box::new(Shim::new(
                 self.name(),
-                BlockedMcCuckoo::new(blocked(DeletionMode::Tombstone, 2, false)),
+                BlockedMcCuckoo::new(blocked(DeletionMode::Tombstone, 2)),
             )),
             TableKind::Blocked3 => Box::new(Shim::new(
                 self.name(),
-                BlockedMcCuckoo::new(blocked(DeletionMode::Reset, 3, true)),
+                BlockedMcCuckoo::new(blocked(DeletionMode::Reset, 3)),
             )),
             TableKind::Concurrent => Box::new(Shim::new(
                 self.name(),

@@ -94,7 +94,6 @@ fn main() {
     let mut blocked2: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
         base: McConfig::paper_with_deletion(512, 3),
         slots: 3,
-        aggressive_lookup: false,
     });
     let mut baseline: DaryCuckoo<u64, u64> = DaryCuckoo::new(CuckooConfig::paper(1024, 3));
     for (name, (len, load)) in [

@@ -112,7 +112,6 @@ fn blocked_two_slot_conforms() {
     conformance(BlockedMcCuckoo::<u64, u64>::new(BlockedConfig {
         base: McConfig::paper_with_deletion(512, 13),
         slots: 2,
-        aggressive_lookup: true,
     }));
 }
 
@@ -121,8 +120,29 @@ fn blocked_three_slot_tombstone_conforms() {
     conformance(BlockedMcCuckoo::<u64, u64>::new(BlockedConfig {
         base: McConfig::paper(512, 14).with_deletion(DeletionMode::Tombstone),
         slots: 3,
-        aggressive_lookup: false,
     }));
+}
+
+/// A blocked table of `slots` per bucket under both deleting modes.
+fn blocked_width_conforms(slots: usize, buckets: usize, seed: u64) {
+    for deletion in [DeletionMode::Reset, DeletionMode::Tombstone] {
+        conformance(BlockedMcCuckoo::<u64, u64>::new(BlockedConfig {
+            base: McConfig::paper(buckets, seed).with_deletion(deletion),
+            slots,
+        }));
+    }
+}
+
+#[test]
+fn blocked_one_slot_conforms() {
+    blocked_width_conforms(1, 512, 23);
+}
+
+#[test]
+fn blocked_eight_slot_conforms() {
+    // The widest bucket. 48 buckets of 8 slots take every slot, the
+    // last (hinted `S7`) included, once 128 keys hold three copies.
+    blocked_width_conforms(8, 16, 24);
 }
 
 #[test]
@@ -151,7 +171,6 @@ fn bfs_and_bubble_policies_conform() {
         conformance(BlockedMcCuckoo::<u64, u64>::new(BlockedConfig {
             base: McConfig::paper_with_deletion(512, 20).with_kick_policy(kind),
             slots: 2,
-            aggressive_lookup: true,
         }));
         conformance(ConcurrentMcCuckoo::<u64, u64>::new(
             McConfig::paper(1024, 21).with_kick_policy(kind),
@@ -241,7 +260,6 @@ fn near_full_upserts_blocked() {
         BlockedMcCuckoo::<u64, u64>::new(BlockedConfig {
             base: McConfig::paper_with_deletion(64, 22),
             slots: 3,
-            aggressive_lookup: true,
         }),
         Some(3),
     );

@@ -92,7 +92,6 @@ fn invariants_after_churn() {
     let mut blocked: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
         base: McConfig::paper_with_deletion(2_730, 531),
         slots: 3,
-        aggressive_lookup: false,
     });
     let mut stream = OpStream::new(OpMix::churn(), 532);
     for k in stream.preload(4_000) {

@@ -141,7 +141,6 @@ fn blocked_no_stash_overflow_accounting() {
             .with_maxloop(8)
             .with_stash(StashPolicy::None),
         slots: 2,
-        aggressive_lookup: false,
     });
     let cap = t.capacity();
     let mut stored: Vec<u64> = Vec::new();

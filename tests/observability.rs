@@ -59,7 +59,6 @@ fn all_eight_implementors_populate_stats() {
             Box::new(BlockedMcCuckoo::new(BlockedConfig {
                 base: McConfig::paper_with_deletion(buckets, 3),
                 slots: 3,
-                aggressive_lookup: false,
             })),
         ),
         (
@@ -134,7 +133,6 @@ proptest! {
             Box::new(BlockedMcCuckoo::new(BlockedConfig {
                 base: McConfig::paper(512, seed),
                 slots: 2,
-                aggressive_lookup: true,
             }))
         } else {
             Box::new(McCuckoo::new(McConfig::paper(512, seed)))

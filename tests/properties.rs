@@ -76,7 +76,6 @@ proptest! {
         let mut t: BlockedMcCuckoo<u16, u32> = BlockedMcCuckoo::new(BlockedConfig {
             base: McConfig::paper_with_deletion(128, 3),
             slots: 3,
-            aggressive_lookup: false,
         });
         replay_against_model!(t, &ops);
         t.check_invariants().unwrap();

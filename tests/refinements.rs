@@ -86,7 +86,6 @@ fn blocked_geometry_sweep() {
             let mut t: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {
                 base: McConfig::paper_with_deletion(n, 920).with_d(d),
                 slots: l,
-                aggressive_lookup: false,
             });
             let cap = d * n * l;
             let target = cap / 2;
