@@ -9,16 +9,21 @@
 //!
 //! Covered implementors — all eight tables that implement [`McTable`]:
 //!
-//! | table                | batch path                     |
-//! |----------------------|--------------------------------|
-//! | `McCuckoo`           | engine override (plan/replay)  |
-//! | `BlockedMcCuckoo`    | engine override (plan/replay)  |
-//! | `ConcurrentMcCuckoo` | seqlock `get_batch` override   |
-//! | `ShardedMcCuckoo`    | shard-grouped override         |
-//! | `McMap`              | default per-key method         |
-//! | `DaryCuckoo`         | default per-key method         |
-//! | `Bcht`               | default per-key method         |
-//! | `BloomGuidedCuckoo`  | default per-key method         |
+//! | table                | batch path                                   |
+//! |----------------------|----------------------------------------------|
+//! | `McCuckoo`           | engine override (plan, prefetch, same probe) |
+//! | `BlockedMcCuckoo`    | engine override (plan, prefetch, same probe) |
+//! | `ConcurrentMcCuckoo` | seqlock `get_batch` override                 |
+//! | `ShardedMcCuckoo`    | shard-grouped override                       |
+//! | `McMap`              | default per-key method                       |
+//! | `DaryCuckoo`         | default per-key method                       |
+//! | `Bcht`               | default per-key method                       |
+//! | `BloomGuidedCuckoo`  | default per-key method                       |
+//!
+//! The two engine tables run one `Engine::probe` on both paths (a
+//! single-key `get` plans and probes at once, a batch plans a chunk
+//! first), so for them this suite pins the batch bookkeeping — chunking,
+//! prefetch, batch-local tallies — rather than two copies of the probe.
 //!
 //! Each case runs the same query set twice against one table — once
 //! through the per-key loop, once batched — and diffs the observable

@@ -7,13 +7,15 @@
 //! is one off-chip access. The structural algorithm (insertion
 //! principles, kick walk, counter maintenance, deletion, stash,
 //! copy-set disambiguation via slot hints — "(d−1)·log l bits per slot",
-//! Fig. 5) is documented on [`Engine`]; this
-//! module contributes [`BlockedLayout`] and the blocked lookup strategy.
+//! Fig. 5) and the lookup's probe (`Engine::probe`) are documented on
+//! [`Engine`]; this module contributes [`BlockedLayout`] and its lookup
+//! plan.
 //!
-//! Lookup follows Algorithm 2 faithfully: only the bucket-sum-zero skip
-//! is counter-driven ("the lookup routine is more like a traditional one
-//! that does not rely much on the counters"). A read bucket is scanned
-//! slot by slot, comparing the key in each entry.
+//! Lookup follows Algorithm 2 faithfully: only the empty-bucket skip is
+//! counter-driven ("the lookup routine is more like a traditional one
+//! that does not rely much on the counters"). The plan lists every
+//! candidate bucket with a non-zero slot counter, in candidate order;
+//! the probe reads each as one access and scans its `l` entries.
 
 use hash_kit::{KeyHash, SplitMix64};
 
@@ -75,38 +77,14 @@ impl BucketLayout for BlockedLayout {
         rng.next_below(self.l as u64) as usize
     }
 
-    /// Algorithm 2: skip sum-zero buckets, otherwise read the bucket
-    /// (one off-chip access) and scan its `l` slots.
-    fn probe_first<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-        t: &Engine<K, V, Self, S>,
-        key: &K,
-        cands: &[usize; MAX_D],
-    ) -> Probe {
-        t.meter_counter_scan();
-        let mut visited_flags_ok = true;
-        for &c in cands.iter().take(t.d) {
-            if t.bucket_sum(c) == 0 {
-                continue; // Algorithm 2: skip empty buckets
-            }
-            t.meter.offchip_read(1);
-            visited_flags_ok &= t.store.flag(c);
-            if let Some(idx) = find_in_bucket(t, c, key) {
-                return Probe::Found(idx);
-            }
-        }
-        Probe::Miss {
-            check_stash: t.stash_screen(cands, visited_flags_ok),
-        }
-    }
-
-    /// All-copies probe: first hit via Algorithm 2, siblings through the
-    /// verified hint set.
+    /// All-copies probe: first hit via the Algorithm 2 lookup, siblings
+    /// through the verified hint set.
     fn probe_copies<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         key: &K,
         cands: &[usize; MAX_D],
     ) -> CopyProbe {
-        match Self::probe_first(t, key, cands) {
+        match t.probe(key, cands, &Self::plan_probe(t, cands)).0 {
             Probe::Found(idx) => {
                 let hints = t.store.entry(idx).expect("probe found it").hints;
                 let mut locations = t.locate_siblings(key, cands, &hints, t.counter(idx), idx);
@@ -120,64 +98,13 @@ impl BucketLayout for BlockedLayout {
         }
     }
 
-    /// Stage-1 plan for Algorithm 2: unmetered sum peeks decide which
-    /// buckets the probe will read (sum-zero buckets are skipped); only
-    /// those are prefetched.
+    /// Algorithm 2: every non-empty candidate bucket, in candidate order.
     fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan {
-        let mut plan = ProbePlan::EMPTY;
-        for &c in cands.iter().take(t.d) {
-            if t.bucket_sum(c) == 0 {
-                continue;
-            }
-            t.store.prefetch(t.slot_idx(c, 0));
-            plan.order[plan.len as usize] = c;
-            plan.len += 1;
-        }
-        plan
+        t.plan_nonempty(cands)
     }
-
-    /// Replay of `probe_first` over the planned buckets: the metered
-    /// counter scan, one off-chip read plus a slot scan per non-empty
-    /// bucket, and the same stash-screening decision.
-    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-        t: &Engine<K, V, Self, S>,
-        key: &K,
-        cands: &[usize; MAX_D],
-        plan: &ProbePlan,
-    ) -> (Probe, u64) {
-        t.meter_counter_scan();
-        let mut visited_flags_ok = true;
-        let mut visited = 0u64;
-        for &c in plan.order[..plan.len as usize].iter() {
-            t.meter.offchip_read(1);
-            visited += 1;
-            visited_flags_ok &= t.store.flag(c);
-            if let Some(idx) = find_in_bucket(t, c, key) {
-                return (Probe::Found(idx), visited);
-            }
-        }
-        (
-            Probe::Miss {
-                check_stash: t.stash_screen(cands, visited_flags_ok),
-            },
-            visited,
-        )
-    }
-}
-
-/// The slot of `bucket` holding `key`: a scan of the bucket's `l`
-/// entries (the caller meters the bucket as one access).
-#[inline]
-fn find_in_bucket<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-    t: &Engine<K, V, BlockedLayout, S>,
-    bucket: usize,
-    key: &K,
-) -> Option<usize> {
-    let base = t.slot_idx(bucket, 0);
-    (base..base + t.layout.l).find(|&idx| t.store.entry(idx).is_some_and(|e| e.key == *key))
 }
 
 impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {

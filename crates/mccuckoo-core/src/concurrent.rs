@@ -63,7 +63,7 @@ use mem_model::{InsertOutcome, InsertReport, MemStats};
 use parking_lot::Mutex;
 
 use crate::config::{DeletionMode, McConfig, StashPolicy};
-use crate::engine::{candidate_buckets, Engine, MAX_D};
+use crate::engine::{candidate_buckets, Engine, BATCH_CHUNK, MAX_D};
 use crate::obs::{InsertTally, LookupTally, Obs, TableStats};
 use crate::pad::CachePadded;
 use crate::single::SingleLayout;
@@ -461,7 +461,6 @@ where
     /// [`Self::get_batch`] body, returning per-key probe counts for the
     /// caller to tally against whichever table answered.
     pub(crate) fn get_batch_with_probes(&self, keys: &[K]) -> Vec<(Option<V>, u64)> {
-        const BATCH_CHUNK: usize = 16;
         let mut out = Vec::with_capacity(keys.len());
         let mut cands_buf = [[usize::MAX; MAX_D]; BATCH_CHUNK];
         for chunk in keys.chunks(BATCH_CHUNK) {

@@ -27,15 +27,21 @@
 //!    inserted item's current copy count `c` satisfies `c + 2 ≤ V`).
 //!
 //! ## Lookup
-//! The probe strategy is the paper-mandated per-variant difference and
-//! therefore a [`BucketLayout`] hook:
+//! Every lookup is "plan, then probe". Which candidate buckets a lookup
+//! reads, and in what order, is the paper-mandated per-variant
+//! difference and therefore the one lookup hook of [`BucketLayout`]
+//! ([`BucketLayout::plan_probe`]):
 //!
 //! * the single-slot layout partitions candidates by counter value,
-//!   skips impossible partitions and probes at most `S − V + 1` buckets
+//!   skips impossible partitions and plans at most `S − V + 1` buckets
 //!   of a surviving partition (§III.B.2 / Theorem 3);
-//! * the blocked layout follows Algorithm 2: only the bucket-sum-zero
-//!   skip is counter-driven ("the lookup routine is more like a
-//!   traditional one that does not rely much on the counters").
+//! * the blocked layout follows Algorithm 2: only the empty-bucket skip
+//!   is counter-driven ("the lookup routine is more like a traditional
+//!   one that does not rely much on the counters").
+//!
+//! `Engine::probe` then reads the plan the same way for both layouts:
+//! one off-chip access per planned bucket, its stash flag, a scan of its
+//! `l` slots, and stash screening on a miss.
 //!
 //! ## Copy-set disambiguation
 //! When a redundant copy of victim `B` (copy count `v`) is overwritten,
@@ -57,6 +63,11 @@ use crate::store::{Entry, PlainStore, SlotHint, SlotStore};
 
 /// Maximum supported `d` (the paper argues d = 3 suffices in practice).
 pub const MAX_D: usize = 4;
+
+/// Keys in flight per pipeline round of the batched read paths: enough
+/// outstanding loads to cover DRAM latency, small enough to stay in the
+/// L1 TLB.
+pub(crate) const BATCH_CHUNK: usize = 16;
 
 /// Global bucket indices of `key`'s `d` candidates under `family` over
 /// `n` buckets per sub-table (entries past `d` are `usize::MAX`).
@@ -118,7 +129,7 @@ impl SlotList {
     }
 }
 
-/// Result of a layout's first-hit probe.
+/// Result of `Engine::probe`.
 #[derive(Debug)]
 pub enum Probe {
     /// Slot index of the first copy found.
@@ -148,8 +159,8 @@ pub enum CopyProbe {
     },
 }
 
-/// The per-variant half of the algorithm: geometry (slots per bucket)
-/// and the paper-mandated probe strategies.
+/// The per-variant half of the algorithm: geometry (slots per bucket),
+/// the lookup's probe order and the all-copies probe.
 ///
 /// [`SingleLayout`](crate::single::SingleLayout) is the `l = 1`
 /// instantiation with partition-pruned lookups;
@@ -168,21 +179,9 @@ pub trait BucketLayout: std::fmt::Debug {
     /// always draws, even for `l = 1`.
     fn draw_slot(&self, rng: &mut SplitMix64) -> usize;
 
-    /// Find the first slot holding `key`, or decide the miss path
-    /// (including stash screening). `cands` are the key's candidate
-    /// buckets, precomputed by the caller so each operation hashes its
-    /// key exactly once (the batched read path computes them in stage 1
-    /// for prefetching; stage 2 probes with them).
-    fn probe_first<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-        t: &Engine<K, V, Self, S>,
-        key: &K,
-        cands: &[usize; MAX_D],
-    ) -> Probe
-    where
-        Self: Sized;
-
     /// Locate **all** copies of `key` (deletion principles, §III.B.3).
-    /// Same precomputed-`cands` contract as [`BucketLayout::probe_first`].
+    /// `cands` are the key's candidate buckets, precomputed by the
+    /// caller so each operation hashes its key exactly once.
     fn probe_copies<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         key: &K,
@@ -191,66 +190,29 @@ pub trait BucketLayout: std::fmt::Debug {
     where
         Self: Sized;
 
-    /// Stage 1 of the batched read pipeline: consult the on-chip
-    /// counters to work out **exactly** which positions a subsequent
-    /// [`BucketLayout::probe_first`] on the same key would read, issue a
-    /// software prefetch for each, and return them as a [`ProbePlan`]
-    /// that stage 2 ([`BucketLayout::probe_planned`]) replays without
-    /// re-deriving the pruning. Must be **unmetered** (peek at counters
-    /// directly, never through the metered readers): the modelled access
-    /// counts of a batched lookup are required to equal the per-key
-    /// path's exactly.
+    /// The buckets a lookup of a key with candidates `cands` reads, in
+    /// visit order, or the rule-1 verdict. Pure: it peeks at the
+    /// counters directly (unmetered; `Engine::probe` meters them) and
+    /// issues no prefetch, so a plan costs nothing in the access model
+    /// and the batched path can compute it early.
     fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan
     where
         Self: Sized;
-
-    /// Stage 2 of the batched read pipeline: probe with the positions
-    /// stage 1 planned (and prefetched), metering exactly like
-    /// [`BucketLayout::probe_first`] would. The two stages run against
-    /// the same immutable `&Engine`, so the plan cannot go stale; the
-    /// replay is therefore equivalent by construction — same result,
-    /// same metered counts, same stash-screening decision.
-    ///
-    /// Also returns the number of off-chip reads the probe performed
-    /// (the replay counts its own visits), so the batched path can feed
-    /// the probe histogram without bracketing every key in two full
-    /// meter snapshots.
-    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-        t: &Engine<K, V, Self, S>,
-        key: &K,
-        cands: &[usize; MAX_D],
-        plan: &ProbePlan,
-    ) -> (Probe, u64)
-    where
-        Self: Sized;
 }
 
-/// Output of [`BucketLayout::plan_probe`]: the off-chip positions
-/// (slots for the single layout, buckets for the blocked one) that
-/// `probe_first` on the same key would visit, in probe order, plus the
-/// rule-1 verdict.
-#[derive(Debug, Clone, Copy)]
+/// Output of [`BucketLayout::plan_probe`]: the candidate buckets a
+/// lookup reads, in visit order, plus the rule-1 verdict.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProbePlan {
-    /// Probe positions in visit order (`order[..len]` are valid). A key
-    /// is probed at most once per candidate, so `MAX_D` always fits.
-    pub(crate) order: [usize; MAX_D],
-    pub(crate) len: u8,
+    /// Buckets in visit order. A key reads each candidate at most once,
+    /// so `MAX_D` always fits.
+    pub(crate) buckets: SlotList,
     /// Lookup rule 1 fired: a definite miss with zero off-chip reads
     /// and no stash consultation.
     pub(crate) rule1: bool,
-}
-
-impl ProbePlan {
-    /// No positions and no rule-1 verdict: the plan every
-    /// [`BucketLayout::plan_probe`] starts from.
-    pub(crate) const EMPTY: ProbePlan = ProbePlan {
-        order: [0; MAX_D],
-        len: 0,
-        rule1: false,
-    };
 }
 
 /// The generic multi-copy cuckoo table. Use through the
@@ -469,11 +431,17 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         self.store.counters().get(i)
     }
 
-    /// Sum of a bucket's slot counters (on-chip, metered by caller).
-    pub(crate) fn bucket_sum(&self, bucket: usize) -> u32 {
-        (0..self.layout.slots())
-            .map(|s| self.counter(self.slot_idx(bucket, s)) as u32)
-            .sum()
+    /// The plan that reads every non-empty candidate bucket in
+    /// candidate order (Algorithm 2's lookup). A bucket is non-empty
+    /// once any of its slot counters is non-zero; unmetered.
+    pub(crate) fn plan_nonempty(&self, cands: &[usize; MAX_D]) -> ProbePlan {
+        let mut plan = ProbePlan::default();
+        for &c in cands.iter().take(self.d) {
+            if (0..self.layout.slots()).any(|s| self.counter(self.slot_idx(c, s)) != 0) {
+                plan.buckets.push(c);
+            }
+        }
+        plan
     }
 
     /// Meter one on-chip read per slot counter of the candidate set.
@@ -1039,36 +1007,54 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     // Lookup
     // ------------------------------------------------------------------
 
-    /// Look up `key` using the layout's probe strategy and the stash
+    /// Look up `key` using the layout's probe order and the stash
     /// screening rules (§III.E–F).
     pub fn get(&self, key: &K) -> Option<&V> {
-        let before = self.meter.snapshot();
-        let found = match L::probe_first(self, key, &self.candidate_buckets(key)) {
-            Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
-            Probe::Miss { check_stash } => {
-                if check_stash {
-                    self.stash.get(key, &self.meter)
-                } else {
-                    None
-                }
-            }
-        };
-        let delta = self.meter.snapshot() - before;
-        self.obs
-            .record_lookup(found.is_some(), delta.offchip_reads + delta.stash_reads);
+        let cands = self.candidate_buckets(key);
+        let (found, probes) = self.get_planned(key, &cands, &L::plan_probe(self, &cands));
+        self.obs.record_lookup(found.is_some(), probes);
         found
     }
 
-    /// Stage 2 of the batched pipeline: like [`Engine::get`]
-    /// but probing through the layout's plan replay
-    /// ([`BucketLayout::probe_planned`]) instead of a fresh
-    /// `probe_first` — the plan was computed against this same immutable
-    /// `&self`, so the result and every metered count are identical.
-    /// Returns the probe count instead of recording it: the caller
-    /// tallies per-key outcomes locally and flushes the whole batch's
-    /// observability in one [`Obs::absorb_lookups`] pass.
-    fn get_planned(&self, key: &K, cands: &[usize; MAX_D], plan: &ProbePlan) -> (Option<&V>, u64) {
-        let (probe, mut probes) = L::probe_planned(self, key, cands, plan);
+    /// Read `key`'s planned buckets: meter the `d·l` counter reads the
+    /// plan consulted, return rule 1's miss, then read each planned
+    /// bucket (one metered off-chip access, its stash flag and a scan of
+    /// its `l` slots) and screen the stash on a miss. Also returns the
+    /// number of buckets read.
+    pub(crate) fn probe(&self, key: &K, cands: &[usize; MAX_D], plan: &ProbePlan) -> (Probe, u64) {
+        self.meter_counter_scan();
+        if plan.rule1 {
+            return (Probe::Miss { check_stash: false }, 0);
+        }
+        let mut visited_flags_ok = true;
+        for (read, &b) in plan.buckets.as_slice().iter().enumerate() {
+            self.meter.offchip_read(1);
+            visited_flags_ok &= self.store.flag(b);
+            let base = self.slot_idx(b, 0);
+            let mut slots = base..base + self.layout.slots();
+            if let Some(i) = slots.find(|&i| self.store.entry(i).is_some_and(|e| e.key == *key)) {
+                return (Probe::Found(i), read as u64 + 1);
+            }
+        }
+        (
+            Probe::Miss {
+                check_stash: self.stash_screen(cands, visited_flags_ok),
+            },
+            plan.buckets.len() as u64,
+        )
+    }
+
+    /// `Engine::probe` plus the stash on a screened miss. Returns the
+    /// probe count (bucket and stash reads) instead of recording it: the
+    /// batched path tallies per-key outcomes locally and flushes the
+    /// whole batch's observability in one [`Obs::absorb_lookups`] pass.
+    pub(crate) fn get_planned(
+        &self,
+        key: &K,
+        cands: &[usize; MAX_D],
+        plan: &ProbePlan,
+    ) -> (Option<&V>, u64) {
+        let (probe, mut probes) = self.probe(key, cands, plan);
         let found = match probe {
             Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
             Probe::Miss { check_stash } => {
@@ -1102,26 +1088,24 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// The throughput win comes from an interleaved two-stage state
     /// machine over fixed-size chunks, the software analogue of the
     /// paper's FPGA pipeline: stage 1 hashes every key of the chunk,
-    /// consults the on-chip counters to find the buckets a probe will
-    /// actually touch, and issues a software prefetch for each of them;
-    /// stage 2 runs the ordinary probe, by which time the lines are in
-    /// flight. Counter reads in stage 1 are on-chip and the prefetches
-    /// are hints, so the modelled access counts cannot change.
+    /// plans its probe from the on-chip counters and issues a software
+    /// prefetch for each planned bucket; stage 2 runs the same
+    /// `Engine::probe` as [`Engine::get`], by which time the lines are
+    /// in flight. Plans are unmetered and the prefetches are hints, so
+    /// the modelled access counts cannot change.
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        /// Keys in flight per pipeline round: enough outstanding loads
-        /// to cover DRAM latency, small enough to stay in the L1 TLB.
-        const BATCH_CHUNK: usize = 16;
         self.obs.record_batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         let mut cands_buf = [[usize::MAX; MAX_D]; BATCH_CHUNK];
-        let mut plan_buf = [ProbePlan::EMPTY; BATCH_CHUNK];
+        let mut plan_buf = [ProbePlan::default(); BATCH_CHUNK];
         let mut tally = crate::obs::LookupTally::default();
         for chunk in keys.chunks(BATCH_CHUNK) {
             for (i, key) in chunk.iter().enumerate() {
                 cands_buf[i] = self.candidate_buckets(key);
-                // The on-chip counters tell stage 1 exactly which lines
-                // the probe will fetch; prefetch them and keep the plan.
                 plan_buf[i] = L::plan_probe(self, &cands_buf[i]);
+                for &b in plan_buf[i].buckets.as_slice() {
+                    self.store.prefetch(self.slot_idx(b, 0));
+                }
             }
             for (i, key) in chunk.iter().enumerate() {
                 let (found, probes) = self.get_planned(key, &cands_buf[i], &plan_buf[i]);

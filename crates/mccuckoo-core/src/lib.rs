@@ -29,7 +29,8 @@
 //!   [`Engine`](engine::Engine) holds the shared
 //!   insert/lookup/remove/kick-walk/stash control flow, parameterised by
 //!   a [`BucketLayout`](engine::BucketLayout) (slots per bucket, victim
-//!   slot choice, the two probe strategies) and a slot store (plain, or
+//!   slot choice, the lookup's probe plan, the all-copies probe) and a
+//!   slot store (plain, or
 //!   the concurrent table's seqlocked cells),
 //! * [`kick`] — the pluggable `KickPolicy` layer: random-walk, BFS, and
 //!   bubbling displacement-chain planners the engine runs (configured

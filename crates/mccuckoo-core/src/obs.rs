@@ -622,16 +622,6 @@ pub struct Obs {
     read: CachePadded<ReadObs>,
 }
 
-impl Clone for Obs {
-    /// Cloning a table clones the counter *values* (the clone keeps its
-    /// own independent cells).
-    fn clone(&self) -> Self {
-        let fresh = Obs::default();
-        fresh.absorb(&self.snapshot());
-        fresh
-    }
-}
-
 impl Obs {
     /// Record the outcome of one public insert/upsert call.
     pub fn record_insert(&self, report: &InsertReport) {
@@ -765,51 +755,6 @@ impl Obs {
             maint: MaintStats::default(),
         }
     }
-
-    /// Add a snapshot's counts onto this recorder (used by `Clone` and by
-    /// aggregation paths that fold shard recorders together).
-    pub fn absorb(&self, stats: &TableStats) {
-        self.write
-            .inserts
-            .fetch_add(stats.ops.inserts, Ordering::Relaxed);
-        self.write
-            .updates
-            .fetch_add(stats.ops.updates, Ordering::Relaxed);
-        self.write
-            .failed_inserts
-            .fetch_add(stats.ops.failed_inserts, Ordering::Relaxed);
-        self.write
-            .stash_spills
-            .fetch_add(stats.ops.stash_spills, Ordering::Relaxed);
-        self.read
-            .lookup_hits
-            .fetch_add(stats.ops.lookup_hits, Ordering::Relaxed);
-        self.read
-            .lookup_misses
-            .fetch_add(stats.ops.lookup_misses, Ordering::Relaxed);
-        self.write
-            .removes
-            .fetch_add(stats.ops.removes, Ordering::Relaxed);
-        self.write
-            .remove_misses
-            .fetch_add(stats.ops.remove_misses, Ordering::Relaxed);
-        self.write
-            .kicks
-            .fetch_add(stats.ops.kicks, Ordering::Relaxed);
-        for (hist, snap) in [
-            (&self.read.probe_hist, &stats.probe_hist),
-            (&self.write.kick_hist, &stats.kick_hist),
-            (&self.write.batch_hist, &stats.batch_hist),
-        ] {
-            for (i, &n) in snap.buckets.iter().enumerate() {
-                if i < HIST_BUCKETS {
-                    hist.buckets[i].fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            hist.count.fetch_add(snap.count, Ordering::Relaxed);
-            hist.sum.fetch_add(snap.sum, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -940,15 +885,5 @@ mod tests {
         };
         a.merge(&c);
         assert_eq!(a.kick_policy, "bubble");
-    }
-
-    #[test]
-    fn clone_snapshots_values() {
-        let obs = Obs::default();
-        obs.record_lookup(false, 1);
-        let dup = obs.clone();
-        obs.record_lookup(false, 1);
-        assert_eq!(dup.snapshot().ops.lookup_misses, 1);
-        assert_eq!(obs.snapshot().ops.lookup_misses, 2);
     }
 }

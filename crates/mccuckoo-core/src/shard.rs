@@ -465,11 +465,7 @@ where
     pub fn mem_stats(&self) -> mem_model::MemStats {
         let mut agg = mem_model::MemStats::default();
         for t in 0..self.shard_count() {
-            let s = self.table(t).mem_stats();
-            agg.offchip_reads += s.offchip_reads;
-            agg.offchip_writes += s.offchip_writes;
-            agg.onchip_reads += s.onchip_reads;
-            agg.onchip_writes += s.onchip_writes;
+            agg += self.table(t).mem_stats();
         }
         agg
     }
@@ -1537,6 +1533,29 @@ mod tests {
             }
         }
         assert_eq!(t.len(), 200);
+    }
+
+    #[test]
+    fn mem_stats_sums_every_field_of_every_shard() {
+        // Churn at 85 % load overwrites redundant copies whose siblings
+        // need verification reads, so every counter field is exercised.
+        let t = ShardedMcCuckoo::new(4, McConfig::paper_with_deletion(1024, 6));
+        let mut keys = UniqueKeys::new(7);
+        let mut live = keys.take_vec(4 * 3 * 1024 * 85 / 100);
+        for &k in &live {
+            t.insert(k, k).unwrap();
+        }
+        for slot in live.iter_mut() {
+            assert_eq!(t.remove(slot), Some(*slot));
+            *slot = keys.next_key();
+            t.insert(*slot, *slot).unwrap();
+        }
+        let mut sum = mem_model::MemStats::default();
+        for s in 0..t.shard_count() {
+            sum += t.shard(s).mem_stats();
+        }
+        assert!(sum.verify_reads > 0, "churn made no verification reads");
+        assert_eq!(t.mem_stats(), sum);
     }
 
     #[test]

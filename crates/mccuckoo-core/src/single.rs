@@ -3,9 +3,9 @@
 //! [`engine`](crate::engine).
 //!
 //! Everything structural (insertion principles, kick walk, counter
-//! maintenance, deletion, stash, invariants) lives in
-//! [`Engine`]; this module contributes
-//! [`SingleLayout`] and the single-slot lookup strategy:
+//! maintenance, deletion, stash, invariants) and the lookup's probe
+//! itself (`Engine::probe`) live in [`Engine`]; this module
+//! contributes [`SingleLayout`], whose lookup plan applies:
 //!
 //! ## Lookup principles (§III.B.2)
 //! 1. any candidate counter of 0 ⇒ definite miss (disabled under
@@ -17,7 +17,7 @@
 use hash_kit::{KeyHash, SplitMix64};
 
 use crate::config::DeletionMode;
-use crate::engine::{BucketLayout, CopyProbe, Engine, Probe, ProbePlan, SlotList};
+use crate::engine::{BucketLayout, CopyProbe, Engine, ProbePlan, SlotList};
 use crate::store::SlotStore;
 
 pub use crate::engine::{McFull, MAX_D};
@@ -47,40 +47,6 @@ impl BucketLayout for SingleLayout {
         0 // sole slot; no randomness consumed
     }
 
-    /// Partition-pruned first-hit probe (§III.B.2). At `l = 1` the
-    /// global bucket index doubles as the slot index.
-    fn probe_first<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-        t: &Engine<K, V, Self, S>,
-        key: &K,
-        cands: &[usize; MAX_D],
-    ) -> Probe {
-        let cvals = read_counters(t, cands);
-        // Lookup rule 1 (mode-dependent).
-        if rule1_miss(t, cands, &cvals) {
-            return Probe::Miss { check_stash: false };
-        }
-        let mut visited_flags_ok = true;
-        // Partitions in decreasing counter value. Partition membership
-        // fits in a fixed array — no heap traffic on the lookup path.
-        for v in (1..=t.d as u8).rev() {
-            let positions = partition(t, cands, &cvals, v);
-            if positions.len() < v as usize {
-                continue; // rule 2: impossible partition
-            }
-            let budget = positions.len() - v as usize + 1; // rule 3
-            for &p in positions.as_slice().iter().take(budget) {
-                t.meter.offchip_read(1);
-                visited_flags_ok &= t.store.flag(p);
-                if holds(t, p, key) {
-                    return Probe::Found(p);
-                }
-            }
-        }
-        Probe::Miss {
-            check_stash: t.stash_screen(cands, visited_flags_ok),
-        }
-    }
-
     /// Deletion/update probe: locate **all** copies of `key` (deletion
     /// principles, §III.B.3). Within the matching partition, probing may
     /// stop early once the remaining copies are pinned by counting.
@@ -89,7 +55,8 @@ impl BucketLayout for SingleLayout {
         key: &K,
         cands: &[usize; MAX_D],
     ) -> CopyProbe {
-        let cvals = read_counters(t, cands);
+        t.meter_counter_scan();
+        let cvals = counter_values(t, cands);
         if rule1_miss(t, cands, &cvals) {
             return CopyProbe::Miss { check_stash: false };
         }
@@ -149,22 +116,15 @@ impl BucketLayout for SingleLayout {
         }
     }
 
-    /// Replicates the partition-pruned probe order of `probe_first`
-    /// (rules 1–3) with **unmetered** counter peeks, prefetching only
-    /// the positions a probe on this key would actually read — on a hit
-    /// with all counters at `d` that is a single line, where prefetching
-    /// every candidate would fetch `d` — and records them so
-    /// [`BucketLayout::probe_planned`] can replay without re-deriving
-    /// the partitions.
+    /// Partition-pruned probe order (§III.B.2, rules 1–3). On a hit
+    /// with all counters at `d` the plan is a single bucket, where
+    /// reading every candidate would fetch `d`.
     fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
     ) -> ProbePlan {
-        let mut cvals = [0u8; MAX_D];
-        for i in 0..t.d {
-            cvals[i] = t.counter(cands[i]);
-        }
-        let mut plan = ProbePlan::EMPTY;
+        let cvals = counter_values(t, cands);
+        let mut plan = ProbePlan::default();
         if rule1_miss(t, cands, &cvals) {
             plan.rule1 = true; // the probe reads nothing off-chip
             return plan;
@@ -172,61 +132,23 @@ impl BucketLayout for SingleLayout {
         for v in (1..=t.d as u8).rev() {
             let positions = partition(t, cands, &cvals, v);
             if positions.len() < v as usize {
-                continue;
+                continue; // rule 2: impossible partition
             }
-            let budget = positions.len() - v as usize + 1;
+            let budget = positions.len() - v as usize + 1; // rule 3
             for &p in positions.as_slice().iter().take(budget) {
-                t.store.prefetch(p);
-                plan.order[plan.len as usize] = p;
-                plan.len += 1;
+                plan.buckets.push(p);
             }
         }
         plan
     }
-
-    /// Replay of `probe_first` over the planned positions. Metering is
-    /// identical: one on-chip read per counter (`read_counters`'
-    /// tally — the values themselves were already peeked by the plan),
-    /// one off-chip read per visited position, and the same
-    /// stash-screening decision (rule 1 carries `check_stash: false`;
-    /// an exhausted probe consults the visited flags).
-    fn probe_planned<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-        t: &Engine<K, V, Self, S>,
-        key: &K,
-        cands: &[usize; MAX_D],
-        plan: &ProbePlan,
-    ) -> (Probe, u64) {
-        t.meter.onchip_read(t.d as u64);
-        if plan.rule1 {
-            return (Probe::Miss { check_stash: false }, 0);
-        }
-        let mut visited_flags_ok = true;
-        let mut visited = 0u64;
-        for &p in plan.order[..plan.len as usize].iter() {
-            t.meter.offchip_read(1);
-            visited += 1;
-            visited_flags_ok &= t.store.flag(p);
-            if holds(t, p, key) {
-                return (Probe::Found(p), visited);
-            }
-        }
-        (
-            Probe::Miss {
-                check_stash: t.stash_screen(cands, visited_flags_ok),
-            },
-            visited,
-        )
-    }
 }
 
-/// Counter values of the candidates, metered as one on-chip read per
-/// counter.
+/// Counter values of the candidates (unmetered peeks).
 #[inline]
-fn read_counters<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
+fn counter_values<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
     t: &Engine<K, V, SingleLayout, S>,
     cands: &[usize; MAX_D],
 ) -> [u8; MAX_D] {
-    t.meter.onchip_read(t.d as u64);
     let mut vals = [0u8; MAX_D];
     for i in 0..t.d {
         vals[i] = t.counter(cands[i]);
@@ -295,27 +217,9 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
     /// identical to `get`, only the access counts differ.
     pub fn get_unpruned(&self, key: &K) -> Option<&V> {
         let cands = self.candidate_buckets(key);
-        let cvals = read_counters(self, &cands);
-        if rule1_miss(self, &cands, &cvals) {
-            return None;
-        }
-        let mut visited_flags_ok = true;
-        for i in 0..self.d {
-            if cvals[i] == 0 {
-                continue;
-            }
-            let p = cands[i];
-            self.meter.offchip_read(1);
-            visited_flags_ok &= self.store.flag(p);
-            if holds(self, p, key) {
-                return self.store.entry(p).map(|e| &e.value);
-            }
-        }
-        if self.stash_screen(&cands, visited_flags_ok) {
-            self.stash.get(key, &self.meter)
-        } else {
-            None
-        }
+        let mut plan = self.plan_nonempty(&cands);
+        plan.rule1 = rule1_miss(self, &cands, &counter_values(self, &cands));
+        self.get_planned(key, &cands, &plan).0
     }
 }
 
@@ -689,6 +593,64 @@ mod tests {
         assert!(t.stash_len() > 0);
         for k in &inserted {
             assert!(t.contains(k));
+        }
+    }
+
+    #[test]
+    fn get_unpruned_agrees_with_get_and_never_reads_less() {
+        let modes = [
+            DeletionMode::Disabled,
+            DeletionMode::Reset,
+            DeletionMode::Tombstone,
+        ];
+        for mode in modes {
+            let n = 150;
+            let mut t: McCuckoo<u64, u64> = McCuckoo::new(
+                McConfig::paper(n, 40)
+                    .with_maxloop(30)
+                    .with_deletion(mode)
+                    .with_stash(StashPolicy::Linear),
+            );
+            let mut keys = UniqueKeys::new(41);
+            let mut live = keys.take_vec(3 * n);
+            for &k in &live {
+                t.insert_new(k, k + 1).unwrap();
+            }
+            // Early keys were placed before the stash filled: removing
+            // them leaves scars (or tombstones) and keeps the stash.
+            let gone: Vec<u64> = if mode == DeletionMode::Disabled {
+                Vec::new()
+            } else {
+                live.drain(..n / 2).collect()
+            };
+            for k in &gone {
+                assert_eq!(t.remove(k), Some(k + 1));
+            }
+            assert!(t.stash_len() > 0, "{mode:?}: stash is empty");
+            let absent = (0..500).map(|j| keys.absent_key(j));
+            let (mut hit_reads, mut stashed_hits) = ([0u64; 2], 0);
+            for k in live.iter().chain(&gone).copied().chain(absent) {
+                let m0 = t.meter().snapshot();
+                let pruned = t.get(&k).copied();
+                let m1 = t.meter().snapshot();
+                let unpruned = t.get_unpruned(&k).copied();
+                let m2 = t.meter().snapshot();
+                assert_eq!(unpruned, pruned, "{mode:?}: key {k}");
+                let reads = [(m1 - m0).offchip_reads, (m2 - m1).offchip_reads];
+                if pruned.is_some() {
+                    hit_reads[0] += reads[0];
+                    hit_reads[1] += reads[1];
+                    stashed_hits += usize::from(t.copy_count(&k) == 0);
+                } else {
+                    // A miss reads its whole plan, and the pruned plan is
+                    // a subset of the non-empty candidates.
+                    assert!(reads[1] >= reads[0], "{mode:?}: miss {k} {reads:?}");
+                }
+            }
+            assert_eq!(stashed_hits, t.stash_len(), "{mode:?}");
+            // A hit may sit earlier in candidate order than in partition
+            // order, so only the total is ordered.
+            assert!(hit_reads[1] >= hit_reads[0], "{mode:?}: {hit_reads:?}");
         }
     }
 
