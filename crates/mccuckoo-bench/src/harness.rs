@@ -171,8 +171,10 @@ pub const LOOKUP_BATCH: usize = 256;
 /// vector — the single-key pass loops [`AnyTable::get`], the batched
 /// pass feeds [`LOOKUP_BATCH`]-sized chunks to [`AnyTable::get_batch`]
 /// (the prefetch-interleaved state machine on the multi-copy schemes).
-/// Each pass is repeated `runs` times and the fastest run wins, so a
-/// stray scheduler hiccup does not masquerade as a throughput ratio.
+/// One untimed single-key pass over the keys runs first, so the first
+/// timed pass does not run colder than the batched one after it. Each
+/// pass is repeated `runs` times and the fastest run wins, so a stray
+/// scheduler hiccup does not masquerade as a throughput ratio.
 pub fn measure_lookup_throughput(
     table: &AnyTable,
     seed: u64,
@@ -184,6 +186,9 @@ pub fn measure_lookup_throughput(
     let step = (inserted as usize / samples.max(1)).max(1);
     let all: Vec<u64> = (0..inserted).map(|_| gen.next_key()).collect();
     let keys: Vec<u64> = all.iter().step_by(step).copied().collect();
+    for k in &keys {
+        std::hint::black_box(table.get(k));
+    }
     let mut single_best = f64::INFINITY;
     let mut batch_best = f64::INFINITY;
     for _ in 0..runs.max(1) {

@@ -13,8 +13,8 @@
 //! |----------------------|----------------------------------------------|
 //! | `McCuckoo`           | engine override (plan, prefetch, same probe) |
 //! | `BlockedMcCuckoo`    | engine override (plan, prefetch, same probe) |
-//! | `ConcurrentMcCuckoo` | seqlock `get_batch` override                 |
-//! | `ShardedMcCuckoo`    | shard-grouped override                       |
+//! | `ConcurrentMcCuckoo` | one-table read pipeline (`get_batch`)        |
+//! | `ShardedMcCuckoo`    | cross-shard read pipeline                    |
 //! | `McMap`              | default per-key method                       |
 //! | `DaryCuckoo`         | default per-key method                       |
 //! | `Bcht`               | default per-key method                       |
@@ -187,6 +187,78 @@ fn sharded_table_batch_is_equivalent() {
     let mut t = ShardedMcCuckoo::<u64, u64>::new(4, McConfig::paper(256, 41));
     let q = fill_and_queries(&mut t, 0x41F0, FILL);
     assert_batch_equiv("ShardedMcCuckoo", &t, &q, true);
+}
+
+/// Every shard's read counters and access tallies.
+fn shard_snapshots(t: &ShardedMcCuckoo<u64, u64>) -> Vec<(TableStats, MemStats)> {
+    (0..t.shard_count())
+        .map(|i| (t.shard(i).stats(), t.shard(i).mem_stats()))
+        .collect()
+}
+
+/// The serving shape of the `lookup_batch_dram` benchmark: 16 shards,
+/// 32-key requests, plus one request longer than the pipeline window.
+/// The batched pass runs one read pipeline across all shards, so this
+/// pins each shard's share of hits, misses, probes and metered reads —
+/// not only their sum — and each shard's `batch_hist`, which must
+/// record exactly the keys every request routed to that shard.
+#[test]
+fn sharded_requests_match_per_key_lookups_shard_by_shard() {
+    let mut t = ShardedMcCuckoo::<u64, u64>::new(16, McConfig::paper(256, 43));
+    let mut q = fill_and_queries(&mut t, 0x43F0, 9_000);
+    q.truncate(q.len() / 32 * 32);
+    let mut requests: Vec<&[u64]> = q.chunks(32).collect();
+    // Longer than any pipeline window, with keys on every shard.
+    requests.push(&q[..1_000]);
+
+    let (s0, m0, p0) = (t.stats(), t.mem_stats(), shard_snapshots(&t));
+    let per_key: Vec<Option<u64>> = requests
+        .iter()
+        .flat_map(|r| r.iter().map(|k| t.get(k)))
+        .collect();
+    let (s1, m1, p1) = (t.stats(), t.mem_stats(), shard_snapshots(&t));
+    let batched: Vec<Option<u64>> = requests.iter().flat_map(|r| t.lookup_batch(r)).collect();
+    let (s2, m2, p2) = (t.stats(), t.mem_stats(), shard_snapshots(&t));
+
+    assert_eq!(batched, per_key, "batched results diverge");
+    assert_eq!(
+        footprint_delta(&s1, &m1, &s2, &m2),
+        footprint_delta(&s0, &m0, &s1, &m1),
+        "total read footprints diverge"
+    );
+    let mut requests_in = vec![0u64; t.shard_count()];
+    let mut keys_in = vec![0u64; t.shard_count()];
+    for r in &requests {
+        let mut touched = vec![false; t.shard_count()];
+        for k in r.iter() {
+            keys_in[t.shard_of(k)] += 1;
+            touched[t.shard_of(k)] = true;
+        }
+        for (n, hit) in requests_in.iter_mut().zip(touched) {
+            *n += u64::from(hit);
+        }
+    }
+    for i in 0..t.shard_count() {
+        let single = footprint_delta(&p0[i].0, &p0[i].1, &p1[i].0, &p1[i].1);
+        let batch = footprint_delta(&p1[i].0, &p1[i].1, &p2[i].0, &p2[i].1);
+        assert_eq!(batch, single, "shard {i}: read footprints diverge");
+        assert!(single.hits + single.misses > 0, "shard {i} saw no keys");
+        let (h1, h2) = (&p1[i].0.batch_hist, &p2[i].0.batch_hist);
+        assert_eq!(
+            h1, &p0[i].0.batch_hist,
+            "shard {i}: per-key pass recorded a batch"
+        );
+        assert_eq!(
+            h2.count - h1.count,
+            requests_in[i],
+            "shard {i}: batch count"
+        );
+        assert_eq!(h2.sum - h1.sum, keys_in[i], "shard {i}: batched keys");
+    }
+    assert_eq!(
+        s2.batch_hist.count - s1.batch_hist.count,
+        requests.len() as u64 + requests_in.iter().sum::<u64>()
+    );
 }
 
 #[test]

@@ -12,9 +12,11 @@
 //!
 //! Readers are genuinely lock-free. Each bucket is a plain cell guarded
 //! by a seqlock version counter, bumped to odd before and back to even
-//! after every content write. A probe reads the cell with a volatile
-//! load into uninitialised storage, and only interprets the bytes after
-//! re-reading the version and finding it unchanged and even — a torn
+//! after every content write; version and cell share one slot record
+//! (32 B for `u64` keys and values), so a probe touches one cache line.
+//! A probe reads the cell with a volatile load into uninitialised
+//! storage, and only interprets the bytes after re-reading the version
+//! and finding it unchanged and even — a torn
 //! read is discarded before it is ever typed, so readers never observe
 //! a half-written entry. A probe that *misses* must additionally prove
 //! it did not race a relocation: an item moving from a not-yet-checked
@@ -29,6 +31,11 @@
 //! single-slot partition pruning is deliberately not used by concurrent
 //! readers — a reader racing a counter update could otherwise prune away
 //! the bucket that still holds the key. See `DESIGN.md` §4.
+//!
+//! Batched reads run one two-stage pipeline (`read_pipeline`), shared
+//! with the sharded table: stage 1 hashes a window of keys and hints
+//! their candidates' slot records and counter words toward the cache,
+//! deciding nothing; stage 2 runs the single-key probe above on each.
 //!
 //! # The writer is the engine
 //!
@@ -63,11 +70,19 @@ use mem_model::{InsertOutcome, InsertReport, MemStats};
 use parking_lot::Mutex;
 
 use crate::config::{DeletionMode, McConfig, StashPolicy};
-use crate::engine::{candidate_buckets, Engine, BATCH_CHUNK, MAX_D};
+use crate::engine::{candidate_buckets, Engine, MAX_D};
 use crate::obs::{InsertTally, LookupTally, Obs, TableStats};
 use crate::pad::CachePadded;
 use crate::single::SingleLayout;
 use crate::store::{SeqCells, SeqStore, SlotStore};
+
+/// Keys per window of the batched pipeline ([`read_pipeline`], and the
+/// write hints of [`crate::ShardedMcCuckoo::insert_batch`]): a 32-key
+/// serving request is staged whole, so all of its DRAM misses overlap,
+/// while a longer batch is windowed so its hints are still cached when
+/// stage 2 reaches them (32 keys × 3 candidates is 96 lines, far inside
+/// L1d).
+pub(crate) const PIPELINE_WINDOW: usize = 32;
 
 /// The writer: a single-slot engine over the seqlocked store.
 type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
@@ -263,8 +278,8 @@ where
         found
     }
 
-    /// [`Self::get`] body with the candidate buckets precomputed (the
-    /// batched path hashes every key up front so it can prefetch).
+    /// [`Self::get`] body with the candidate buckets precomputed: stage 2
+    /// of the batched pipeline, whose stage 1 hashed the key up front.
     /// Returns the probe count instead of recording it — the batched
     /// path tallies a whole batch locally and flushes the observability
     /// atomics once ([`Obs::absorb_lookups`]); access-model metering
@@ -321,26 +336,26 @@ where
         self.get(key).is_some()
     }
 
-    /// Look up a batch of keys with an interleaved multi-key probe state
-    /// machine: per chunk, hash every key, pick its live target buckets
-    /// from the on-chip counters, issue software prefetches for their
-    /// seqlock versions and cells, then run the (unchanged, lock-free)
-    /// per-key probes against lines already in flight — the software
+    /// Look up a batch of keys: the one-table case of the batched read
+    /// pipeline (`read_pipeline`). Per window of keys, stage 1 hashes
+    /// each key and hints its candidates' slot records and counter words
+    /// toward the cache; stage 2 then runs the unchanged lock-free probe
+    /// of [`Self::get`] on lines already in flight — the software
     /// analogue of the paper's FPGA pipeline. Results are positional and
-    /// semantically identical to a loop over [`Self::get`], including the
-    /// modelled access counts; the stage-1 counter peeks steer prefetch
-    /// only and are deliberately unmetered.
+    /// identical to a loop over [`Self::get`], including the modelled
+    /// access counts: stage 1 reads nothing.
     pub fn get_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
         let mut tally = LookupTally::default();
-        let out = self
-            .get_batch_with_probes(keys)
-            .into_iter()
-            .map(|(found, probes)| {
+        let mut out = Vec::with_capacity(keys.len());
+        read_pipeline(
+            keys.len(),
+            |i| (self, &keys[i]),
+            |_, found, probes| {
                 tally.record(found.is_some(), probes);
-                found
-            })
-            .collect();
+                out.push(found);
+            },
+        );
         self.obs.absorb_lookups(&tally);
         out
     }
@@ -458,25 +473,18 @@ where
         self.get_with_cands(key, &candidate_buckets(&self.family, self.d, self.n, key))
     }
 
-    /// [`Self::get_batch`] body, returning per-key probe counts for the
-    /// caller to tally against whichever table answered.
-    pub(crate) fn get_batch_with_probes(&self, keys: &[K]) -> Vec<(Option<V>, u64)> {
-        let mut out = Vec::with_capacity(keys.len());
-        let mut cands_buf = [[usize::MAX; MAX_D]; BATCH_CHUNK];
-        for chunk in keys.chunks(BATCH_CHUNK) {
-            for (key, cands) in chunk.iter().zip(cands_buf.iter_mut()) {
-                *cands = candidate_buckets(&self.family, self.d, self.n, key);
-                for &c in cands.iter().take(self.d) {
-                    if self.cells.counters.get(c) != 0 {
-                        self.cells.prefetch(c);
-                    }
-                }
-            }
-            for (key, cands) in chunk.iter().zip(cands_buf.iter()) {
-                out.push(self.get_with_cands(key, cands));
-            }
+    /// Stage 1 of the batched pipeline: `key`'s candidate buckets, with
+    /// a prefetch hint for each one's slot record and counter word. It
+    /// reads nothing and decides nothing: stage 2
+    /// ([`Self::get_with_cands`], or a writer) probes every candidate
+    /// as if no hint had been issued.
+    pub(crate) fn stage(&self, key: &K) -> [usize; MAX_D] {
+        let cands = candidate_buckets(&self.family, self.d, self.n, key);
+        for &c in &cands[..self.d] {
+            self.cells.prefetch(c);
+            self.cells.counters.prefetch(c);
         }
-        out
+        cands
     }
 
     /// Unrecorded upsert returning the full [`InsertReport`] — the
@@ -617,6 +625,36 @@ where
     fn record_upsert(&self, out: &Result<InsertReport, (K, V)>) {
         self.obs
             .record_insert(out.as_ref().unwrap_or(&InsertReport::failed()));
+    }
+}
+
+/// The batched read pipeline, over `jobs` lookups that may each name a
+/// different table (`job(j)` is lookup `j`'s table and key). Per window
+/// of [`PIPELINE_WINDOW`] jobs, stage 1 ([`ConcurrentMcCuckoo::stage`])
+/// hints every job's lines toward the cache, then stage 2 probes each
+/// job in order ([`ConcurrentMcCuckoo::get_with_cands`]) and hands
+/// `emit(j, found, probes)` its answer, unrecorded. So one request keeps
+/// a window's worth of keys in flight whichever shards they route to.
+pub(crate) fn read_pipeline<'a, K, V>(
+    jobs: usize,
+    job: impl Fn(usize) -> (&'a ConcurrentMcCuckoo<K, V>, &'a K),
+    mut emit: impl FnMut(usize, Option<V>, u64),
+) where
+    K: KeyHash + Eq + Copy + 'a,
+    V: Copy + 'a,
+{
+    let mut cands = [[usize::MAX; MAX_D]; PIPELINE_WINDOW];
+    for lo in (0..jobs).step_by(PIPELINE_WINDOW) {
+        let window = lo..jobs.min(lo + PIPELINE_WINDOW);
+        for (j, c) in window.clone().zip(cands.iter_mut()) {
+            let (table, key) = job(j);
+            *c = table.stage(key);
+        }
+        for (j, c) in window.zip(cands.iter()) {
+            let (table, key) = job(j);
+            let (found, probes) = table.get_with_cands(key, c);
+            emit(j, found, probes);
+        }
     }
 }
 

@@ -103,6 +103,12 @@ impl CounterArray {
         ((self.words[w].load(Ordering::Relaxed) >> off) & self.mask) as u8
     }
 
+    /// Prefetch the word holding counter `i`.
+    #[inline]
+    pub(crate) fn prefetch(&self, i: usize) {
+        crate::prefetch::prefetch_index(&self.words, self.locate(i).0);
+    }
+
     /// Set counter `i` to `v`, clearing any tombstone.
     #[inline]
     pub fn set(&mut self, i: usize, v: u8) {

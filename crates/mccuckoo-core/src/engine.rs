@@ -64,7 +64,7 @@ use crate::store::{Entry, PlainStore, SlotHint, SlotStore};
 /// Maximum supported `d` (the paper argues d = 3 suffices in practice).
 pub const MAX_D: usize = 4;
 
-/// Keys in flight per pipeline round of the batched read paths: enough
+/// Keys in flight per pipeline round of [`Engine::lookup_batch`]: enough
 /// outstanding loads to cover DRAM latency, small enough to stay in the
 /// L1 TLB.
 pub(crate) const BATCH_CHUNK: usize = 16;

@@ -81,7 +81,7 @@ use jsonlite::{FromJson, Json, JsonError, ToJson};
 use mem_model::{InsertOutcome, InsertReport};
 use parking_lot::Mutex;
 
-use crate::concurrent::{ConcurrentMcCuckoo, MigrateOutcome};
+use crate::concurrent::{read_pipeline, ConcurrentMcCuckoo, MigrateOutcome, PIPELINE_WINDOW};
 use crate::config::McConfig;
 use crate::obs::{InsertTally, LookupTally, MaintObs, MigrationObs, Obs, ShardStats, TableStats};
 use crate::pad::CachePadded;
@@ -1071,6 +1071,17 @@ where
         let ntables = self.shard_count();
         let (routes, entry_snap, gids) = self.plan_batch(items, |&(k, _)| k, ntables);
         let (order, offsets) = Self::group_positions(&gids, ntables + 1);
+        // Stage-1 hints for the first window of items, in write order,
+        // before any writer lock: a request-sized batch is wholly in
+        // flight by the time its shards write it. One window only — a
+        // long batch's later hints would be evicted before their turn.
+        for &i in order[..offsets[ntables] as usize]
+            .iter()
+            .take(PIPELINE_WINDOW)
+        {
+            let i = i as usize;
+            self.table(gids[i] as usize).stage(&items[i].0);
+        }
         // Every slot is overwritten: `order` is a permutation.
         let mut out: Vec<Result<bool, (K, V)>> = vec![Ok(false); items.len()];
         for g in 0..ntables {
@@ -1128,10 +1139,13 @@ where
         out
     }
 
-    /// Look up a batch. Lock-free; grouped by shard so consecutive
-    /// probes stay within one shard's working set. Results are
-    /// positional. Misses raced by a shard split are transparently
-    /// re-probed through the forwarding map.
+    /// Look up a batch. Lock-free; results are positional. One read
+    /// pipeline (`read_pipeline`) runs over every routed key of the
+    /// request, across all shards: per window, stage 1 hints every key's
+    /// lines, then stage 2 probes each key in shard order, so the whole
+    /// window's DRAM misses overlap whichever shards the keys hit.
+    /// Misses raced by a shard split are transparently re-probed through
+    /// the forwarding map.
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
         let ntables = self.shard_count();
@@ -1139,17 +1153,30 @@ where
         let (order, offsets) = Self::group_positions(&gids, ntables + 1);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
         for g in 0..ntables {
-            let (lo, hi) = (offsets[g] as usize, offsets[g + 1] as usize);
-            if lo == hi {
-                continue;
+            let keys_in = offsets[g + 1] - offsets[g];
+            if keys_in > 0 {
+                self.table(g).obs().record_batch(keys_in as usize);
             }
-            let table = self.table(g);
-            let sub: Vec<K> = order[lo..hi].iter().map(|&i| keys[i as usize]).collect();
-            table.obs().record_batch(sub.len());
-            let mut tally = LookupTally::default();
-            for (&i, (found, probes)) in order[lo..hi].iter().zip(table.get_batch_with_probes(&sub))
-            {
-                let idx = i as usize;
+        }
+        // `order[..fast]` runs group by group, so each shard's tally is
+        // flushed once, when the pipeline leaves its group.
+        let fast = offsets[ntables] as usize;
+        let mut tally = LookupTally::default();
+        let mut tally_group = 0;
+        read_pipeline(
+            fast,
+            |j| {
+                let idx = order[j] as usize;
+                (&**self.table(gids[idx] as usize), &keys[idx])
+            },
+            |j, found, probes| {
+                let idx = order[j] as usize;
+                let g = gids[idx] as usize;
+                if g != tally_group {
+                    self.table(tally_group).obs().absorb_lookups(&tally);
+                    tally = LookupTally::default();
+                    tally_group = g;
+                }
                 let r = routes[idx] as usize;
                 if found.is_some() || self.dir[r].load(Ordering::Acquire) == entry_snap[r] {
                     tally.record(found.is_some(), probes);
@@ -1161,11 +1188,10 @@ where
                     self.table(tid).obs().record_lookup(v.is_some(), probes2);
                     out[idx] = v;
                 }
-            }
-            table.obs().absorb_lookups(&tally);
-        }
-        let (lo, hi) = (offsets[ntables] as usize, offsets[ntables + 1] as usize);
-        for &i in &order[lo..hi] {
+            },
+        );
+        self.table(tally_group).obs().absorb_lookups(&tally);
+        for &i in &order[fast..] {
             let idx = i as usize;
             let (v, probes, tid) = self.get_routed(routes[idx] as usize, &keys[idx]);
             self.table(tid).obs().record_lookup(v.is_some(), probes);
@@ -1973,6 +1999,66 @@ mod tests {
             });
             assert_eq!(t.shard_count(), 2);
         }
+    }
+
+    #[test]
+    fn lookup_batch_never_misses_stable_keys_under_kicking_inserts() {
+        // Stage 1 of the batched read only hints lines; every decision
+        // is stage 2's. A stage 2 that trusted anything stage 1 saw (say,
+        // skipping a candidate whose counter read zero there) would miss
+        // a stable key that a kick moved into that candidate between the
+        // two stages. Stable keys fill 4 shards to 0.86 load; the writer
+        // keeps pushing fresh keys to 0.93 and removing them again, so
+        // its inserts kick stable keys from bucket to bucket.
+        let t = std::sync::Arc::new(table(4, 512, 0x57A6E));
+        let cap = t.capacity();
+        let mut keys = UniqueKeys::new(0x57A6);
+        let mut stable = Vec::new();
+        while stable.len() < cap * 86 / 100 {
+            let k = keys.next_key();
+            if t.insert(k, k ^ 0x5EED).is_ok() {
+                stable.push(k);
+            }
+        }
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        let missed = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut fresh = UniqueKeys::new(0xF2E5);
+                start.wait();
+                while !stop.load(Ordering::Acquire) {
+                    let mut placed = Vec::new();
+                    while t.len() < cap * 93 / 100 {
+                        let k = fresh.next_key();
+                        match t.insert(k, k) {
+                            Ok(_) => placed.push(k),
+                            Err(_) => break,
+                        }
+                    }
+                    for k in placed {
+                        t.remove(&k);
+                    }
+                }
+            });
+            start.wait();
+            // Stop the writer before reporting, so a miss fails the
+            // test instead of hanging it.
+            let mut missed = None;
+            'passes: for _ in 0..400 {
+                for batch in stable.chunks(3 * PIPELINE_WINDOW) {
+                    for (&k, v) in batch.iter().zip(t.lookup_batch(batch)) {
+                        if v != Some(k ^ 0x5EED) {
+                            missed = Some(k);
+                            break 'passes;
+                        }
+                    }
+                }
+            }
+            stop.store(true, Ordering::Release);
+            missed
+        });
+        assert_eq!(missed, None, "a stable key was missed");
+        assert!(t.stats().kick_hist.sum > 0, "the writer never kicked");
     }
 
     #[test]

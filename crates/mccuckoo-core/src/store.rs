@@ -2,9 +2,10 @@
 //! [`Engine`](crate::engine::Engine) reaches its slots and counters.
 //! [`PlainStore`] holds the sequential tables' planes (slots, stash
 //! flags, [`CounterArray`]). [`SeqStore`] is the concurrent table's
-//! writer handle on [`SeqCells`] — one cell and seqlock version per
-//! bucket plus the counters, shared through an `Arc` with the lock-free
-//! readers; every content write is one version bracket. It is unique
+//! writer handle on [`SeqCells`] — one [`SeqSlot`] record per bucket,
+//! its seqlock version beside its cell so a probe costs one line, plus
+//! the counters, shared through an `Arc` with the lock-free readers;
+//! every content write is one version bracket. It is unique
 //! and writes through `&mut self`, so the writer borrows a cell only
 //! while no write is in flight. Neither store keeps a fingerprint tag:
 //! probes confirm a slot by the key in its entry.
@@ -185,19 +186,26 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
     }
 }
 
-type Cells<K, V> = Box<[UnsafeCell<Option<Entry<K, V>>>]>;
+/// One seqlocked slot: the bucket's version and its cell in one record,
+/// so a probe's version check and content read share a cache line.
+/// Aligned to 32 B: for `u64`/`u64` (8 B version + 24 B cell) two slots
+/// fill a 64 B line and none straddles two.
+#[repr(C, align(32))]
+pub(crate) struct SeqSlot<K, V> {
+    /// Seqlock version: odd while a content write is in flight.
+    version: AtomicU64,
+    cell: UnsafeCell<Option<Entry<K, V>>>,
+}
 
-/// The seqlocked planes the concurrent table's writer and readers share
-/// (one slot per bucket).
+/// The seqlocked slot records and counters the concurrent table's
+/// writer and readers share (one slot per bucket).
 pub(crate) struct SeqCells<K, V> {
-    cells: Cells<K, V>,
-    /// Per-bucket seqlock versions: odd while a content write is in
-    /// flight.
-    versions: Box<[AtomicU64]>,
+    slots: Box<[SeqSlot<K, V>]>,
     pub(crate) counters: CounterArray,
 }
 
-// SAFETY: cells are written only through the one `SeqStore` handle
+// SAFETY: the versions and counters are atomics. The cells (each
+// slot's `UnsafeCell`) are written only through the one `SeqStore` handle
 // (`&mut self`, held by the engine behind the concurrent table's writer
 // lock), each write bracketed by its version. Everyone else reads either
 // through `read_at`/`read_stable`, which type the bytes only after the
@@ -209,25 +217,22 @@ unsafe impl<K: Send, V: Send> Sync for SeqCells<K, V> {}
 impl<K: Copy, V: Copy> SeqCells<K, V> {
     /// Acquire-load of cell `i`'s version.
     pub(crate) fn version(&self, i: usize) -> u64 {
-        self.versions[i].load(Ordering::Acquire)
+        self.slots[i].version.load(Ordering::Acquire)
     }
 
     /// Read cell `i`, which stood at the even `version` before the call:
     /// `None` when a writer intervened (the bytes were torn and are
     /// discarded untyped).
     pub(crate) fn read_at(&self, i: usize, version: u64) -> Option<Option<Entry<K, V>>> {
+        let slot = &self.slots[i];
         // SAFETY: the bytes land in `MaybeUninit`, so a torn read is
         // never typed; they are interpreted only after the version check
         // proves no writer intervened.
         let raw = unsafe {
-            std::ptr::read_volatile(
-                self.cells[i]
-                    .get()
-                    .cast::<MaybeUninit<Option<Entry<K, V>>>>(),
-            )
+            std::ptr::read_volatile(slot.cell.get().cast::<MaybeUninit<Option<Entry<K, V>>>>())
         };
         fence(Ordering::Acquire);
-        if self.versions[i].load(Ordering::Relaxed) != version {
+        if slot.version.load(Ordering::Relaxed) != version {
             return None;
         }
         // SAFETY: the version stood at the same even value before and
@@ -250,18 +255,17 @@ impl<K: Copy, V: Copy> SeqCells<K, V> {
         }
     }
 
-    /// Prefetch cell `i` and its version.
+    /// Prefetch slot `i`'s record (version and cell: one line).
     pub(crate) fn prefetch(&self, i: usize) {
-        crate::prefetch::prefetch_index(&self.versions, i);
-        crate::prefetch::prefetch_index(&self.cells, i);
+        crate::prefetch::prefetch_index(&self.slots, i);
     }
 
     /// Whether every version is even (no write in flight).
     pub(crate) fn quiescent(&self) -> Result<(), String> {
         match self
-            .versions
+            .slots
             .iter()
-            .position(|v| v.load(Ordering::Acquire) % 2 != 0)
+            .position(|s| s.version.load(Ordering::Acquire) % 2 != 0)
         {
             Some(i) => Err(format!("bucket {i}: odd version while quiescent")),
             None => Ok(()),
@@ -284,18 +288,18 @@ impl<K: Copy, V: Copy> SeqStore<K, V> {
     /// Writer-side content write, bracketed by version bumps (odd while
     /// in flight).
     fn publish(&mut self, i: usize, content: Option<Entry<K, V>>) {
-        let cells = &*self.shared;
+        let slot = &self.shared.slots[i];
         // One writer (`&mut self`), so the version moves by plain
         // loads/stores; the release fence keeps the odd store ahead of
         // the content bytes for any racing reader.
-        let v = cells.versions[i].load(Ordering::Relaxed);
+        let v = slot.version.load(Ordering::Relaxed);
         debug_assert_eq!(v % 2, 0, "bucket {i}: concurrent writers");
-        cells.versions[i].store(v + 1, Ordering::Relaxed);
+        slot.version.store(v + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         // SAFETY: this handle is the only writer; racing readers validate
         // against the odd version and discard whatever bytes they read.
-        unsafe { std::ptr::write_volatile(cells.cells[i].get(), content) };
-        cells.versions[i].store(v + 2, Ordering::Release);
+        unsafe { std::ptr::write_volatile(slot.cell.get(), content) };
+        slot.version.store(v + 2, Ordering::Release);
     }
 }
 
@@ -306,8 +310,12 @@ impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
         debug_assert_eq!(slots, buckets, "one slot per bucket");
         Self {
             shared: Arc::new(SeqCells {
-                cells: (0..slots).map(|_| UnsafeCell::new(None)).collect(),
-                versions: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+                slots: (0..slots)
+                    .map(|_| SeqSlot {
+                        version: AtomicU64::new(0),
+                        cell: UnsafeCell::new(None),
+                    })
+                    .collect(),
                 counters: CounterArray::new(slots, max_count),
             }),
         }
@@ -324,7 +332,7 @@ impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
     fn entry(&self, i: usize) -> Option<&Entry<K, V>> {
         // SAFETY: only this handle writes cells, through `&mut self`, so
         // no write can happen while the returned borrow lives.
-        unsafe { (*self.shared.cells[i].get()).as_ref() }
+        unsafe { (*self.shared.slots[i].cell.get()).as_ref() }
     }
 
     fn put(&mut self, i: usize, entry: Entry<K, V>) {
@@ -363,5 +371,19 @@ mod tests {
             assert_eq!(SlotHint::at(s).slot(), Some(s));
         }
         assert_eq!(SlotHint::None.slot(), None);
+    }
+
+    #[test]
+    fn seq_slots_are_half_a_line_and_never_straddle_one() {
+        assert_eq!(std::mem::size_of::<SeqSlot<u64, u64>>(), 32);
+        assert_eq!(std::mem::align_of::<SeqSlot<u64, u64>>(), 32);
+        let store = <SeqStore<u64, u64> as SlotStore<u64, u64>>::new(999, 999, 3);
+        let cells = store.share();
+        assert_eq!(cells.slots.len(), 999);
+        for slot in cells.slots.iter() {
+            let addr = slot as *const SeqSlot<u64, u64> as usize;
+            assert_eq!(addr % 32, 0, "slot at {addr:#x} is not 32-aligned");
+            assert_eq!(std::ptr::addr_of!(slot.version) as usize, addr);
+        }
     }
 }
