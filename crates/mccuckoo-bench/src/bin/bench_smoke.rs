@@ -7,7 +7,8 @@
 //! artefacts), this run exists to catch performance-shape regressions
 //! cheaply on every push: per-scheme insert/lookup access counts, wall
 //! times and the table's own observability counters at a moderate load,
-//! small enough to finish in seconds. Scale is controlled by the usual
+//! small enough to finish in seconds. The fill is timed as the best of
+//! [`FILL_RUNS`] identical fills. Scale is controlled by the usual
 //! `MCB_*` environment knobs; `bench_gate` compares the output against
 //! the committed baseline.
 
@@ -20,18 +21,33 @@ use mccuckoo_bench::report::csv_path;
 use mccuckoo_bench::smoke::{SchemeSmoke, SmokeReport};
 use mccuckoo_bench::{AnyTable, Scheme};
 
+/// Identical fills timed per scheme; the insert rate comes from the
+/// fastest. One smoke fill lasts 6–12 ms, inside its own run-to-run
+/// noise, so a single cold fill cannot resolve the gate's 30 % bound;
+/// the best of several, on an allocator and caches warmed by the
+/// earlier ones, can.
+const FILL_RUNS: usize = 5;
+
 fn main() {
     let cfg = Config::from_env();
     let target_load = 0.5;
     let mut schemes = Vec::new();
     for scheme in Scheme::WITH_SHARDED {
         let fill_seed = 0xF111;
-        let mut t = AnyTable::build(scheme, cfg.cap, 0x57A7, cfg.maxloop, false);
-        let start = Instant::now();
-        let before = t.snapshot();
-        fill_sweep(&mut t, &[target_load], fill_seed, |_, _| {});
-        let fill_us = start.elapsed().as_micros().max(1) as u64;
-        let fill_delta = t.snapshot() - before;
+        // Every run builds and fills the same table from the same seeds,
+        // so the last one's counts and stats are every run's.
+        let mut fill_us = u64::MAX;
+        let mut filled = None;
+        for _ in 0..FILL_RUNS {
+            let mut t = AnyTable::build(scheme, cfg.cap, 0x57A7, cfg.maxloop, false);
+            let start = Instant::now();
+            let before = t.snapshot();
+            fill_sweep(&mut t, &[target_load], fill_seed, |_, _| {});
+            fill_us = fill_us.min(start.elapsed().as_micros().max(1) as u64);
+            let delta = t.snapshot() - before;
+            filled = Some((t, delta));
+        }
+        let (t, fill_delta) = filled.expect("FILL_RUNS > 0");
         let inserted = t.len() as f64;
         let insert_mops = inserted / fill_us as f64;
 

@@ -30,6 +30,12 @@
 //! counters around each pass. A final test pins the *default method*
 //! itself on a foreign implementor that never touches the core crates'
 //! overrides.
+//!
+//! The sharded table's batched *writes* (`insert_batch`, `remove_batch`)
+//! run a pipeline too: stage 1 hashes a window of keys and hints their
+//! lines, stage 2 writes each key on the candidates stage 1 hashed.
+//! `sharded_write_batches_match_per_key_writes` pins them to per-key
+//! `insert`/`remove` loops on a twin table, shard by shard.
 
 use cuckoo_baselines::{Bcht, BchtConfig, BloomGuidedCuckoo, CuckooConfig, DaryCuckoo};
 use hash_kit::SplitMix64;
@@ -259,6 +265,105 @@ fn sharded_requests_match_per_key_lookups_shard_by_shard() {
         s2.batch_hist.count - s1.batch_hist.count,
         requests.len() as u64 + requests_in.iter().sum::<u64>()
     );
+}
+
+/// One shard's items (in bucket order), op counters, histograms and
+/// metered accesses.
+type ShardState = (Vec<(u64, u64)>, TableStats, MemStats);
+
+/// Every shard's state, without the batch-size histogram only the
+/// batched path records.
+fn shard_states(t: &ShardedMcCuckoo<u64, u64>) -> Vec<ShardState> {
+    (0..t.shard_count())
+        .map(|i| {
+            let s = t.shard(i);
+            let mut stats = s.stats();
+            stats.batch_hist = Default::default();
+            (s.items(), stats, s.mem_stats())
+        })
+        .collect()
+}
+
+#[test]
+fn sharded_write_batches_match_per_key_writes() {
+    // Twin tables, one written key by key and one in batches of every
+    // length around the pipeline window (32): a single key, one short of
+    // a window, one window, one past it, several windows, and the
+    // 4096-item bulk flush. Three bulk flushes push 16 × 3 × 256 buckets
+    // past full, so the last ones reject with nothing mutated.
+    let config = McConfig::paper(256, 0x3B17);
+    let single = ShardedMcCuckoo::<u64, u64>::new(16, config.clone());
+    let batched = ShardedMcCuckoo::<u64, u64>::new(16, config);
+    let mut rng = SplitMix64::new(0x3B18);
+    let mut live: Vec<u64> = Vec::new();
+    let mut rejected = 0;
+    for (round, len) in [1, 31, 32, 33, 97, 4096, 4096, 4096]
+        .into_iter()
+        .enumerate()
+    {
+        let mut items: Vec<(u64, u64)> =
+            (0..len).map(|_| (rng.next_u64(), rng.next_u64())).collect();
+        if len > 20 {
+            // A key repeated inside one window: its second occurrence
+            // is an update of the first.
+            items[20] = (items[3].0, items[3].1 ^ 1);
+        }
+        if round > 0 && len > 40 {
+            // A live key from an earlier batch: an update too.
+            items[40].0 = live[rng.next_below(live.len() as u64) as usize];
+        }
+        let want: Vec<_> = items.iter().map(|&(k, v)| single.insert(k, v)).collect();
+        let got = batched.insert_batch(&items);
+        assert_eq!(got, want, "insert batch of {len}: results diverge");
+        if len > 20 && want[3].is_ok() {
+            assert_eq!(got[20], Ok(true), "repeated key must update");
+        }
+        rejected += want.iter().filter(|r| r.is_err()).count();
+        live.extend(
+            items
+                .iter()
+                .zip(&want)
+                .filter(|(_, r)| **r == Ok(false))
+                .map(|(&(k, _), _)| k),
+        );
+        assert_eq!(
+            shard_states(&batched),
+            shard_states(&single),
+            "after insert batch of {len}"
+        );
+    }
+    assert!(rejected > 0, "the table never filled up");
+    assert!(
+        single.len() * 10 > single.capacity() * 9,
+        "load stayed below 0.9"
+    );
+
+    // Removals of the same lengths: live keys, absent keys and a key
+    // repeated in one window (only its first occurrence removes it).
+    for len in [1, 31, 32, 33, 97, 4096] {
+        let mut keys: Vec<u64> = (0..len)
+            .map(|i| match i % 3 {
+                0 => rng.next_u64(),
+                _ => live.swap_remove(rng.next_below(live.len() as u64) as usize),
+            })
+            .collect();
+        if len > 20 {
+            keys[20] = keys[2];
+        }
+        let want: Vec<_> = keys.iter().map(|k| single.remove(k)).collect();
+        let got = batched.remove_batch(&keys);
+        assert_eq!(got, want, "remove batch of {len}: results diverge");
+        if len > 20 {
+            assert_eq!(got[20], None, "a repeated key is removed once");
+        }
+        assert_eq!(
+            shard_states(&batched),
+            shard_states(&single),
+            "after remove batch of {len}"
+        );
+    }
+    assert_eq!(batched.len(), single.len());
+    batched.check_invariants().unwrap();
 }
 
 #[test]

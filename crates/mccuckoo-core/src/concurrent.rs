@@ -54,6 +54,14 @@
 //! "Concurrency"). Batched entry points take the lock once per batch;
 //! write parallelism comes from sharding ([`crate::ShardedMcCuckoo`]).
 //!
+//! Batched writes run the same stage 1 as batched reads
+//! (`write_pipeline`): foresighted insertion places a key from its
+//! candidates' counters and slots alone, so every line a fresh insert
+//! touches is known from the key's hash before the lock is taken. Stage
+//! 1 hints a window of keys' lines; stage 2 is the engine's upsert or
+//! removal on the candidates stage 1 hashed
+//! (`Engine::insert_staged`, `Engine::remove_staged`).
+//!
 //! Keys and values must be `Copy` (pointer-sized payloads — use
 //! [`crate::MultisetIndex`]-style indirection for fat values). The
 //! engine's `Cell`-based meter is not `Sync`, so the table keeps
@@ -76,16 +84,15 @@ use crate::pad::CachePadded;
 use crate::single::SingleLayout;
 use crate::store::{SeqCells, SeqStore, SlotStore};
 
-/// Keys per window of the batched pipeline ([`read_pipeline`], and the
-/// write hints of [`crate::ShardedMcCuckoo::insert_batch`]): a 32-key
-/// serving request is staged whole, so all of its DRAM misses overlap,
-/// while a longer batch is windowed so its hints are still cached when
-/// stage 2 reaches them (32 keys × 3 candidates is 96 lines, far inside
-/// L1d).
+/// Keys per window of the batched pipelines ([`read_pipeline`] and
+/// [`write_pipeline`]): a 32-key serving request is staged whole, so all
+/// of its DRAM misses overlap, while a longer batch (a 4096-item bulk
+/// load) is windowed so its hints are still cached when stage 2 reaches
+/// them (32 keys × 3 candidates is 96 slot lines, far inside L1d).
 pub(crate) const PIPELINE_WINDOW: usize = 32;
 
 /// The writer: a single-slot engine over the seqlocked store.
-type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
+pub(crate) type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
 
 /// Thread-safe memory-access tallies (the concurrent analogue of
 /// `mem_model::MemMeter`, whose `Cell` counters are not `Sync`). Readers
@@ -385,20 +392,24 @@ where
     /// is left exactly as if their individual inserts had been rejected),
     /// so one overflow does not poison the rest of the batch. Readers
     /// remain lock-free throughout — they observe the batch item by item.
+    /// The one-table case of `write_pipeline`.
     pub fn insert_batch(&self, items: &[(K, V)]) -> Vec<Result<bool, (K, V)>> {
         self.obs.record_batch(items.len());
         // Per-item observability is tallied locally and flushed once —
         // the batched path pays one pass of atomic traffic per batch,
         // not ~5 RMWs per item.
         let mut tally = InsertTally::default();
-        let out = self
-            .insert_batch_unrecorded(items)
-            .into_iter()
-            .map(|r| {
+        let mut out = Vec::with_capacity(items.len());
+        write_pipeline(
+            items.len(),
+            |i| (self, &items[i].0),
+            |w, i, cands| {
+                let (k, v) = items[i];
+                let r = w.insert_staged(k, v, cands).map_err(|full| full.evicted);
                 tally.record(r.as_ref().unwrap_or(&InsertReport::failed()));
-                r.map(|rep| matches!(rep.outcome, InsertOutcome::Updated))
-            })
-            .collect();
+                out.push(r.map(|rep| matches!(rep.outcome, InsertOutcome::Updated)));
+            },
+        );
         self.obs.absorb_inserts(&tally);
         out
     }
@@ -428,7 +439,12 @@ where
     /// the batch see the earlier removal — only the first wins).
     pub fn remove_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
-        let out = self.remove_batch_unrecorded(keys);
+        let mut out = Vec::with_capacity(keys.len());
+        write_pipeline(
+            keys.len(),
+            |i| (self, &keys[i]),
+            |w, i, cands| out.push(w.remove_staged(&keys[i], cands)),
+        );
         for r in &out {
             self.obs.record_remove(r.is_some());
         }
@@ -473,11 +489,11 @@ where
         self.get_with_cands(key, &candidate_buckets(&self.family, self.d, self.n, key))
     }
 
-    /// Stage 1 of the batched pipeline: `key`'s candidate buckets, with
+    /// Stage 1 of the batched pipelines: `key`'s candidate buckets, with
     /// a prefetch hint for each one's slot record and counter word. It
-    /// reads nothing and decides nothing: stage 2
-    /// ([`Self::get_with_cands`], or a writer) probes every candidate
-    /// as if no hint had been issued.
+    /// reads only immutable geometry and decides nothing: stage 2
+    /// ([`Self::get_with_cands`], or the writer's staged op) probes
+    /// every candidate as if no hint had been issued.
     pub(crate) fn stage(&self, key: &K) -> [usize; MAX_D] {
         let cands = candidate_buckets(&self.family, self.d, self.n, key);
         for &c in &cands[..self.d] {
@@ -501,39 +517,15 @@ where
     /// relocation-budget overflow with nothing mutated.
     pub(crate) fn insert_if_absent_unrecorded(&self, key: K, value: V) -> Result<bool, (K, V)> {
         self.write(|w| {
-            if w.raw_find(&key).is_some() {
-                return Ok(false);
-            }
-            w.insert_new_unrecorded(key, value)
-                .map(|_| true)
+            let cands = w.candidate_buckets(&key);
+            w.insert_absent_staged(key, value, &cands)
                 .map_err(|full| full.evicted)
-        })
-    }
-
-    /// [`Self::insert_batch`] body with the full per-item
-    /// [`InsertReport`]s — the sharded layer revalidates routing after
-    /// the batch and records each item against whichever table finally
-    /// served it.
-    pub(crate) fn insert_batch_unrecorded(
-        &self,
-        items: &[(K, V)],
-    ) -> Vec<Result<InsertReport, (K, V)>> {
-        self.write(|w| {
-            items
-                .iter()
-                .map(|&(k, v)| w.insert_unrecorded(k, v).map_err(|full| full.evicted))
-                .collect()
         })
     }
 
     /// [`Self::remove`] body.
     pub(crate) fn remove_unrecorded(&self, key: &K) -> Option<V> {
         self.write(|w| w.remove_unrecorded(key))
-    }
-
-    /// [`Self::remove_batch`] body.
-    pub(crate) fn remove_batch_unrecorded(&self, keys: &[K]) -> Vec<Option<V>> {
-        self.write(|w| keys.iter().map(|k| w.remove_unrecorded(k)).collect())
     }
 
     /// Rewrite every live copy of `key` if (and only if) it is already
@@ -626,6 +618,13 @@ where
         self.obs
             .record_insert(out.as_ref().unwrap_or(&InsertReport::failed()));
     }
+
+    /// Table-owned memory in bytes: the slot records (version and cell)
+    /// and the counter words. Engine scratch and the table's own fixed
+    /// fields are not counted.
+    pub fn mem_bytes(&self) -> usize {
+        self.cells.mem_bytes()
+    }
 }
 
 /// The batched read pipeline, over `jobs` lookups that may each name a
@@ -655,6 +654,57 @@ pub(crate) fn read_pipeline<'a, K, V>(
             let (found, probes) = table.get_with_cands(key, c);
             emit(j, found, probes);
         }
+    }
+}
+
+/// The batched write pipeline, over `jobs` writes that may each name a
+/// different table (`job(j)` is write `j`'s table and key). Jobs on one
+/// table must be consecutive: each run of them takes that table's
+/// writer lock once. Per window of [`PIPELINE_WINDOW`] jobs, stage 1
+/// ([`ConcurrentMcCuckoo::stage`]) hashes every job's key and hints its
+/// lines, then stage 2, `op(writer, j, cands)`, writes each job in order
+/// on the candidates stage 1 hashed. The first window is staged before
+/// any lock; a later one is staged inside the lock of the run that
+/// reaches it, which is safe because stage 1 reads only immutable
+/// geometry. So a request-sized batch is wholly in flight before its
+/// first lock, and each job is hashed once whichever table it writes.
+pub(crate) fn write_pipeline<'a, K, V>(
+    jobs: usize,
+    job: impl Fn(usize) -> (&'a ConcurrentMcCuckoo<K, V>, &'a K),
+    mut op: impl FnMut(&mut Writer<K, V>, usize, &[usize; MAX_D]),
+) where
+    K: KeyHash + Eq + Copy + 'a,
+    V: Copy + 'a,
+{
+    let mut cands = [[usize::MAX; MAX_D]; PIPELINE_WINDOW];
+    let stage = |lo: usize, cands: &mut [[usize; MAX_D]; PIPELINE_WINDOW]| {
+        for (j, c) in (lo..jobs.min(lo + PIPELINE_WINDOW)).zip(cands.iter_mut()) {
+            let (table, key) = job(j);
+            *c = table.stage(key);
+        }
+    };
+    // Jobs `..staged` have been staged; windows start at its multiples.
+    let mut staged = 0;
+    let mut lo = 0;
+    while lo < jobs {
+        let table = job(lo).0;
+        let hi = (lo + 1..jobs)
+            .find(|&j| !std::ptr::eq(job(j).0, table))
+            .unwrap_or(jobs);
+        if lo == staged {
+            stage(lo, &mut cands);
+            staged += PIPELINE_WINDOW;
+        }
+        table.write(|w| {
+            for j in lo..hi {
+                if j == staged {
+                    stage(j, &mut cands);
+                    staged += PIPELINE_WINDOW;
+                }
+                op(w, j, &cands[j % PIPELINE_WINDOW]);
+            }
+        });
+        lo = hi;
     }
 }
 
@@ -964,6 +1014,19 @@ mod tests {
             }
             t.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn mem_bytes_counts_slot_records_and_counter_words() {
+        // One shard of the 16-shard DRAM benchmark table: 3 × 680,000
+        // buckets, each a 32 B slot record, plus 2-bit counters packed
+        // 32 to a 64-bit word. Writes allocate nothing the count covers.
+        let t = table(680_000, 1);
+        let want = 2_040_000 * 32 + 2_040_000 / 32 * 8;
+        assert_eq!(t.mem_bytes(), want);
+        assert_eq!(want, 65_790_000);
+        t.insert(1, 1).unwrap();
+        assert_eq!(t.mem_bytes(), want);
     }
 
     #[test]

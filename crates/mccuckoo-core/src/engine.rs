@@ -477,18 +477,30 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// layers that can rescue a full-table failure (e.g.
     /// [`crate::McMap`]'s growth path) go through this and record the
     /// *final* outcome once via [`Engine::obs`], so a rescued insert is
-    /// never counted as the `Failed` the inner table saw. The key is
-    /// hashed once, for both the update probe and the placement.
+    /// never counted as the `Failed` the inner table saw.
     pub(crate) fn insert_unrecorded(
         &mut self,
         key: K,
         value: V,
     ) -> Result<InsertReport, McFull<K, V>> {
         let cands = self.candidate_buckets(&key);
-        if let Some(report) = self.try_update(&key, &value, &cands) {
+        self.insert_staged(key, value, &cands)
+    }
+
+    /// Stage 2 of a pipelined upsert: [`Engine::insert_unrecorded`] on
+    /// `key`'s candidate buckets `cands`, hashed once for both the
+    /// update probe and the placement (by stage 1, on the batched write
+    /// path).
+    pub(crate) fn insert_staged(
+        &mut self,
+        key: K,
+        value: V,
+        cands: &[usize; MAX_D],
+    ) -> Result<InsertReport, McFull<K, V>> {
+        if let Some(report) = self.try_update(&key, &value, cands) {
             return Ok(report);
         }
-        self.place_new(key, value, &cands)
+        self.place_new(key, value, cands)
     }
 
     /// [`Engine::insert_new`] without observability recording. Internal
@@ -505,6 +517,21 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         );
         let cands = self.candidate_buckets(&key);
         self.place_new(key, value, &cands)
+    }
+
+    /// Stage 2 of an insert-if-absent: place `key` on its candidates
+    /// `cands` unless a copy is already stored (`Ok(false)`, the stored
+    /// value untouched). Returns `Ok(true)` when the key was placed.
+    pub(crate) fn insert_absent_staged(
+        &mut self,
+        key: K,
+        value: V,
+        cands: &[usize; MAX_D],
+    ) -> Result<bool, McFull<K, V>> {
+        if self.raw_find(&key).is_some() || self.raw_in_stash(&key) {
+            return Ok(false);
+        }
+        self.place_new(key, value, cands).map(|_| true)
     }
 
     /// Place an absent key: the insertion principles, then collision
@@ -1163,12 +1190,17 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
 
     /// [`Engine::remove`] without observability recording.
     pub(crate) fn remove_unrecorded(&mut self, key: &K) -> Option<V> {
+        self.remove_staged(key, &self.candidate_buckets(key))
+    }
+
+    /// Stage 2 of a pipelined removal: [`Engine::remove_unrecorded`] on
+    /// `key`'s candidate buckets `cands`.
+    pub(crate) fn remove_staged(&mut self, key: &K, cands: &[usize; MAX_D]) -> Option<V> {
         assert!(
             self.deletion != DeletionMode::Disabled,
             "this table was configured with DeletionMode::Disabled"
         );
-        let cands = self.candidate_buckets(key);
-        let out = match L::probe_copies(self, key, &cands) {
+        let out = match L::probe_copies(self, key, cands) {
             CopyProbe::Found { locations, primary } => {
                 self.meter.onchip_write(locations.len() as u64);
                 #[cfg(feature = "testhooks")]

@@ -81,8 +81,11 @@ use jsonlite::{FromJson, Json, JsonError, ToJson};
 use mem_model::{InsertOutcome, InsertReport};
 use parking_lot::Mutex;
 
-use crate::concurrent::{read_pipeline, ConcurrentMcCuckoo, MigrateOutcome, PIPELINE_WINDOW};
+use crate::concurrent::{
+    read_pipeline, write_pipeline, ConcurrentMcCuckoo, MigrateOutcome, Writer,
+};
 use crate::config::McConfig;
+use crate::engine::MAX_D;
 use crate::obs::{InsertTally, LookupTally, MaintObs, MigrationObs, Obs, ShardStats, TableStats};
 use crate::pad::CachePadded;
 use crate::persist::SnapshotOverflow;
@@ -456,6 +459,16 @@ where
             });
         }
         agg
+    }
+
+    /// Table-owned memory in bytes: every live table's
+    /// [`ConcurrentMcCuckoo::mem_bytes`] (slot records and counter
+    /// words) plus the route directory.
+    pub fn mem_bytes(&self) -> usize {
+        let tables: usize = (0..self.shard_count())
+            .map(|t| self.table(t).mem_bytes())
+            .sum();
+        tables + std::mem::size_of_val(&*self.dir)
     }
 
     /// Aggregate memory-access tallies: the sum of every shard's
@@ -1034,17 +1047,20 @@ where
     /// group ids: serving-table id, or `ntables` (the trailing "slow"
     /// group) for keys behind a forwarding entry or a table newer than
     /// `ntables`.
-    fn plan_batch<T>(
+    fn plan_batch<'k>(
         &self,
-        items: &[T],
-        key_of: impl Fn(&T) -> K,
+        n: usize,
+        key: impl Fn(usize) -> &'k K,
         ntables: usize,
-    ) -> (Vec<u32>, [u64; DIR_SIZE], Vec<u32>) {
+    ) -> (Vec<u32>, [u64; DIR_SIZE], Vec<u32>)
+    where
+        K: 'k,
+    {
         let mut entry_snap = [u64::MAX; DIR_SIZE];
-        let mut routes = Vec::with_capacity(items.len());
-        let mut gids = Vec::with_capacity(items.len());
-        for item in items {
-            let r = self.route_of(&key_of(item));
+        let mut routes = Vec::with_capacity(n);
+        let mut gids = Vec::with_capacity(n);
+        for i in 0..n {
+            let r = self.route_of(key(i));
             if entry_snap[r] == u64::MAX {
                 entry_snap[r] = self.dir[r].load(Ordering::Acquire);
             }
@@ -1059,83 +1075,118 @@ where
         (routes, entry_snap, gids)
     }
 
+    /// The batched-write loop behind [`Self::insert_batch`] and
+    /// [`Self::remove_batch`]. Routes and groups the `n` items by serving
+    /// table (`key(i)` is item `i`'s key), records each shard's batch,
+    /// and runs the write pipeline (`write_pipeline`) over the grouped
+    /// items in shard order: each shard's writer lock is taken once, and
+    /// `op(writer, i, cands)` writes item `i` on the candidates stage 1
+    /// hashed. Returns each item's settle step, in shard order, for the
+    /// caller to take with no lock held: `(i, route, Some((g, res,
+    /// moved)))` carries table `g`'s result and whether the item's
+    /// directory entry moved since the batch routed it (a racing split:
+    /// the caller redoes the op through the routed path unless its
+    /// result is final anyway); `(i, route, None)` marks an item behind
+    /// a forwarding entry, for the routed path's two-sided placement.
+    fn write_batch<'a, 'k, R: 'a>(
+        &'a self,
+        n: usize,
+        key: impl Fn(usize) -> &'k K,
+        mut op: impl FnMut(&mut Writer<K, V>, usize, &[usize; MAX_D]) -> R,
+    ) -> impl Iterator<Item = (usize, usize, Option<(usize, R, bool)>)> + 'a
+    where
+        K: 'k,
+    {
+        self.obs.record_batch(n);
+        let ntables = self.shard_count();
+        let (routes, entry_snap, gids) = self.plan_batch(n, &key, ntables);
+        let (order, offsets) = Self::group_positions(&gids, ntables + 1);
+        for g in 0..ntables {
+            let items_in = offsets[g + 1] - offsets[g];
+            if items_in > 0 {
+                self.table(g).obs().record_batch(items_in as usize);
+            }
+        }
+        let fast = offsets[ntables] as usize;
+        let mut results = Vec::with_capacity(fast);
+        write_pipeline(
+            fast,
+            |j| {
+                let i = order[j] as usize;
+                (&**self.table(gids[i] as usize), key(i))
+            },
+            |w, j, cands| results.push(op(w, order[j] as usize, cands)),
+        );
+        // The slow group follows the fast one in `order` and has no
+        // staged result.
+        let mut results = results.into_iter();
+        order.into_iter().map(move |i| {
+            let i = i as usize;
+            let r = routes[i] as usize;
+            let staged = results.next().map(|res| {
+                let moved = self.dir[r].load(Ordering::Acquire) != entry_snap[r];
+                (gids[i] as usize, res, moved)
+            });
+            (i, r, staged)
+        })
+    }
+
     /// Upsert a batch, taking each involved shard's writer lock **once**.
     ///
     /// Results are positional: `out[i]` corresponds to `items[i]`
     /// regardless of how the batch was regrouped internally. Failed items
     /// leave their shard untouched, exactly like single-op inserts. Keys
     /// caught by a racing shard split are transparently redone on their
-    /// new serving table.
+    /// new serving table. The write pipeline hints every item's lines a
+    /// window ahead of its placement (see `write_batch`).
     pub fn insert_batch(&self, items: &[(K, V)]) -> Vec<Result<bool, (K, V)>> {
-        self.obs.record_batch(items.len());
-        let ntables = self.shard_count();
-        let (routes, entry_snap, gids) = self.plan_batch(items, |&(k, _)| k, ntables);
-        let (order, offsets) = Self::group_positions(&gids, ntables + 1);
-        // Stage-1 hints for the first window of items, in write order,
-        // before any writer lock: a request-sized batch is wholly in
-        // flight by the time its shards write it. One window only — a
-        // long batch's later hints would be evicted before their turn.
-        for &i in order[..offsets[ntables] as usize]
-            .iter()
-            .take(PIPELINE_WINDOW)
-        {
-            let i = i as usize;
-            self.table(gids[i] as usize).stage(&items[i].0);
-        }
-        // Every slot is overwritten: `order` is a permutation.
+        // Every slot is overwritten: each item settles once.
         let mut out: Vec<Result<bool, (K, V)>> = vec![Ok(false); items.len()];
-        for g in 0..ntables {
-            let (lo, hi) = (offsets[g] as usize, offsets[g + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            let table = self.table(g);
-            let sub: Vec<(K, V)> = order[lo..hi].iter().map(|&i| items[i as usize]).collect();
-            table.obs().record_batch(sub.len());
-            let mut tally = InsertTally::default();
-            for (&i, res) in order[lo..hi]
-                .iter()
-                .zip(table.insert_batch_unrecorded(&sub))
-            {
-                let idx = i as usize;
-                let r = routes[idx] as usize;
-                match res {
-                    Ok(rep) => {
-                        if self.dir[r].load(Ordering::Acquire) == entry_snap[r] {
-                            tally.record(&rep);
-                            out[idx] = Ok(matches!(rep.outcome, InsertOutcome::Updated));
-                        } else {
-                            // A split flipped this route mid-batch: redo
-                            // from the batched attempt's state and record
-                            // the op on its final serving table.
-                            let (k, v) = items[idx];
-                            let redo = self.upsert_routed(r, k, v, Some(rep), Some(g));
-                            self.record_routed_upsert(r, &redo);
-                            out[idx] =
-                                redo.map(|rep| matches!(rep.outcome, InsertOutcome::Updated));
-                        }
+        let settles = self.write_batch(
+            items.len(),
+            |i| &items[i].0,
+            |w, i, cands| {
+                let (k, v) = items[i];
+                w.insert_staged(k, v, cands).map_err(|full| full.evicted)
+            },
+        );
+        // Settles run shard by shard, so each shard's tally is flushed
+        // once, when the settles leave its group.
+        let mut tally = InsertTally::default();
+        let mut tally_group = 0;
+        for (i, r, staged) in settles {
+            let (k, v) = items[i];
+            let res = match staged {
+                // A reject mutated nothing: final regardless of route
+                // motion (same contract as a single-op reject).
+                Some((g, res, moved)) if res.is_err() || !moved => {
+                    if g != tally_group {
+                        self.table(tally_group).obs().absorb_inserts(&tally);
+                        tally = InsertTally::default();
+                        tally_group = g;
                     }
-                    Err(pair) => {
-                        // Nothing was mutated; final regardless of route
-                        // motion (same contract as a single-op reject).
-                        tally.record(&InsertReport::failed());
-                        out[idx] = Err(pair);
-                    }
+                    tally.record(res.as_ref().unwrap_or(&InsertReport::failed()));
+                    res
                 }
-            }
-            table.obs().absorb_inserts(&tally);
+                // A split flipped this route mid-batch: redo from the
+                // batched attempt's state and record the op on its final
+                // serving table.
+                Some((g, res, _)) => {
+                    let redo = self.upsert_routed(r, k, v, res.ok(), Some(g));
+                    self.record_routed_upsert(r, &redo);
+                    redo
+                }
+                // Behind an active forwarding entry: the per-key routed
+                // path's two-sided placement.
+                None => {
+                    let res = self.upsert_routed(r, k, v, None, None);
+                    self.record_routed_upsert(r, &res);
+                    res
+                }
+            };
+            out[i] = res.map(|rep| matches!(rep.outcome, InsertOutcome::Updated));
         }
-        // Keys behind active forwarding entries take the per-key routed
-        // path (they need two-sided placement, not a table batch).
-        let (lo, hi) = (offsets[ntables] as usize, offsets[ntables + 1] as usize);
-        for &i in &order[lo..hi] {
-            let idx = i as usize;
-            let (k, v) = items[idx];
-            let r = routes[idx] as usize;
-            let res = self.upsert_routed(r, k, v, None, None);
-            self.record_routed_upsert(r, &res);
-            out[idx] = res.map(|rep| matches!(rep.outcome, InsertOutcome::Updated));
-        }
+        self.table(tally_group).obs().absorb_inserts(&tally);
         out
     }
 
@@ -1149,7 +1200,7 @@ where
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
         let ntables = self.shard_count();
-        let (routes, entry_snap, gids) = self.plan_batch(keys, |&k| k, ntables);
+        let (routes, entry_snap, gids) = self.plan_batch(keys.len(), |i| &keys[i], ntables);
         let (order, offsets) = Self::group_positions(&gids, ntables + 1);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
         for g in 0..ntables {
@@ -1205,41 +1256,24 @@ where
     /// removed by its first occurrence only. Misses raced by a shard
     /// split are transparently redone through the forwarding map.
     pub fn remove_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        self.obs.record_batch(keys.len());
-        let ntables = self.shard_count();
-        let (routes, entry_snap, gids) = self.plan_batch(keys, |&k| k, ntables);
-        let (order, offsets) = Self::group_positions(&gids, ntables + 1);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        for g in 0..ntables {
-            let (lo, hi) = (offsets[g] as usize, offsets[g + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            let table = self.table(g);
-            let sub: Vec<K> = order[lo..hi].iter().map(|&i| keys[i as usize]).collect();
-            table.obs().record_batch(sub.len());
-            for (&i, removed) in order[lo..hi]
-                .iter()
-                .zip(table.remove_batch_unrecorded(&sub))
-            {
-                let idx = i as usize;
-                let r = routes[idx] as usize;
-                if removed.is_some() || self.dir[r].load(Ordering::Acquire) == entry_snap[r] {
-                    table.obs().record_remove(removed.is_some());
-                    out[idx] = removed;
-                } else {
-                    let (v, tid) = self.remove_routed(r, &keys[idx]);
-                    self.table(tid).obs().record_remove(v.is_some());
-                    out[idx] = v;
+        let settles = self.write_batch(
+            keys.len(),
+            |i| &keys[i],
+            |w, i, cands| w.remove_staged(&keys[i], cands),
+        );
+        for (i, r, staged) in settles {
+            out[i] = match staged {
+                Some((g, removed, moved)) if removed.is_some() || !moved => {
+                    self.table(g).obs().record_remove(removed.is_some());
+                    removed
                 }
-            }
-        }
-        let (lo, hi) = (offsets[ntables] as usize, offsets[ntables + 1] as usize);
-        for &i in &order[lo..hi] {
-            let idx = i as usize;
-            let (v, tid) = self.remove_routed(routes[idx] as usize, &keys[idx]);
-            self.table(tid).obs().record_remove(v.is_some());
-            out[idx] = v;
+                _ => {
+                    let (v, tid) = self.remove_routed(r, &keys[i]);
+                    self.table(tid).obs().record_remove(v.is_some());
+                    v
+                }
+            };
         }
         out
     }
@@ -1350,16 +1384,32 @@ where
                 break;
             }
         }
-        let mut leftover = Vec::new();
-        for (k, v) in snapshot.items {
-            // Unrecorded (restores must not count as user inserts) and
-            // insert-if-absent (live snapshots may carry a mid-move pair
-            // twice; the first copy wins).
-            let shard = t.table(t.shard_of(&k));
-            if let Err(pair) = shard.insert_if_absent_unrecorded(k, v) {
-                leftover.push(pair);
-            }
-        }
+        // Place every item in its serving table through the write
+        // pipeline, unrecorded (restores must not count as user inserts)
+        // and insert-if-absent (live snapshots may carry a mid-move pair
+        // twice; the first copy wins). Grouping by table keeps each
+        // table's insertion order, so the restored tables are the ones a
+        // per-item restore builds; leftovers keep snapshot order.
+        let items = snapshot.items;
+        let tids: Vec<u32> = items.iter().map(|(k, _)| t.shard_of(k) as u32).collect();
+        let (order, _) = Self::group_positions(&tids, t.shard_count());
+        let mut rejected: Vec<Option<(K, V)>> = vec![None; items.len()];
+        write_pipeline(
+            items.len(),
+            |j| {
+                let i = order[j] as usize;
+                (&**t.table(tids[i] as usize), &items[i].0)
+            },
+            |w, j, cands| {
+                let i = order[j] as usize;
+                let (k, v) = items[i];
+                rejected[i] = w
+                    .insert_absent_staged(k, v, cands)
+                    .err()
+                    .map(|full| full.evicted);
+            },
+        );
+        let leftover: Vec<(K, V)> = rejected.into_iter().flatten().collect();
         if leftover.is_empty() {
             Ok(t)
         } else {
@@ -1495,6 +1545,7 @@ impl<K: FromJson, V: FromJson> FromJson for ShardedSnapshot<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::PIPELINE_WINDOW;
     use std::collections::HashMap;
     use workloads::UniqueKeys;
 
@@ -1582,6 +1633,23 @@ mod tests {
         }
         assert!(sum.verify_reads > 0, "churn made no verification reads");
         assert_eq!(t.mem_stats(), sum);
+    }
+
+    #[test]
+    fn mem_bytes_sums_every_table_and_the_directory() {
+        // 16 shards of 3 × 1,000 buckets: 32 B slot records and 2-bit
+        // counters per table, plus the 256-entry directory. A split adds
+        // its child's arrays.
+        let t = table(16, 1_000, 5);
+        let per_table = 3_000 * 32 + 3_000usize.div_ceil(32) * 8;
+        assert_eq!(t.shard(0).mem_bytes(), per_table);
+        assert_eq!(t.mem_bytes(), 16 * per_table + DIR_SIZE * 8);
+        t.begin_split(3).unwrap();
+        assert_eq!(t.mem_bytes(), 17 * per_table + DIR_SIZE * 8);
+        // The 16 × 3 × 680,000-bucket DRAM benchmark table, whose one
+        // shard `concurrent::tests` pins at 65,790,000 B: 40.31 B per
+        // key at its 26,112,000-key preload.
+        assert_eq!(16 * 65_790_000 + DIR_SIZE * 8, 1_052_642_048);
     }
 
     #[test]
@@ -2059,6 +2127,73 @@ mod tests {
         });
         assert_eq!(missed, None, "a stable key was missed");
         assert!(t.stats().kick_hist.sum > 0, "the writer never kicked");
+    }
+
+    #[test]
+    fn lookup_batch_never_misses_stable_keys_under_batched_kicking_inserts() {
+        // The write-side twin of the test above: the writer pushes fresh
+        // keys in 4096-item `insert_batch` calls, so its kicks run inside
+        // staged windows, between one window's stage 1 and the next.
+        // Stable keys fill 4 shards to 0.80; each batch takes the table
+        // to about 0.93, and a `remove_batch` takes it back. Readers must
+        // never miss a stable key. Under `paranoid` every write validates
+        // its whole shard, so table and batch shrink by 4 (1024-item
+        // batches still span several windows per shard).
+        const SCALE: usize = if cfg!(feature = "paranoid") { 4 } else { 1 };
+        const ROUNDS: usize = 6;
+        let t = std::sync::Arc::new(table(4, 2_688 / SCALE, 0xBA7C));
+        let cap = t.capacity();
+        let mut keys = UniqueKeys::new(0xBA7D);
+        let stable: Vec<(u64, u64)> = keys
+            .take_vec(cap * 80 / 100)
+            .into_iter()
+            .map(|k| (k, k ^ 0x5EED))
+            .collect();
+        assert!(t.insert_batch(&stable).iter().all(|r| r.is_ok()));
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let rounds = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        let missed = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut fresh = UniqueKeys::new(0xBA7E);
+                start.wait();
+                while !stop.load(Ordering::Acquire) {
+                    let batch: Vec<(u64, u64)> = fresh
+                        .take_vec(4_096 / SCALE)
+                        .into_iter()
+                        .map(|k| (k, k))
+                        .collect();
+                    let placed: Vec<u64> = batch
+                        .iter()
+                        .zip(t.insert_batch(&batch))
+                        .filter(|(_, r)| r.is_ok())
+                        .map(|(&(k, _), _)| k)
+                        .collect();
+                    t.remove_batch(&placed);
+                    rounds.fetch_add(1, Ordering::Release);
+                }
+            });
+            start.wait();
+            // Read until the writer has run its rounds; stop it before
+            // reporting, so a miss fails the test instead of hanging it.
+            let mut missed = None;
+            'passes: while rounds.load(Ordering::Acquire) < ROUNDS {
+                for batch in stable.chunks(3 * PIPELINE_WINDOW) {
+                    let ks: Vec<u64> = batch.iter().map(|&(k, _)| k).collect();
+                    for (&(k, v), got) in batch.iter().zip(t.lookup_batch(&ks)) {
+                        if got != Some(v) {
+                            missed = Some(k);
+                            break 'passes;
+                        }
+                    }
+                }
+            }
+            stop.store(true, Ordering::Release);
+            missed
+        });
+        assert_eq!(missed, None, "a stable key was missed");
+        assert!(t.stats().kick_hist.sum > 0, "the writer never kicked");
+        t.check_invariants().unwrap();
     }
 
     #[test]

@@ -260,6 +260,11 @@ impl<K: Copy, V: Copy> SeqCells<K, V> {
         crate::prefetch::prefetch_index(&self.slots, i);
     }
 
+    /// Bytes of the slot records plus the counter words.
+    pub(crate) fn mem_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.slots) + self.counters.onchip_bytes()
+    }
+
     /// Whether every version is even (no write in flight).
     pub(crate) fn quiescent(&self) -> Result<(), String> {
         match self
