@@ -4,15 +4,15 @@
 //! batched read path is *semantically invisible*: same results in
 //! order, same hit/miss tallies, same probe histogram and the same
 //! metered access counts as issuing the keys one at a time. The batch
-//! machinery (probe plans, software prefetch, batch-local tallying) may
+//! machinery (the stage-1 window, software prefetch, batch-local tallying) may
 //! only change *when* work happens, never *what* is counted.
 //!
 //! Covered implementors — all eight tables that implement [`McTable`]:
 //!
 //! | table                | batch path                                   |
 //! |----------------------|----------------------------------------------|
-//! | `McCuckoo`           | engine override (plan, prefetch, same probe) |
-//! | `BlockedMcCuckoo`    | engine override (plan, prefetch, same probe) |
+//! | `McCuckoo`           | engine read pipeline (hint, same `get`)      |
+//! | `BlockedMcCuckoo`    | engine read pipeline (hint, same `get`)      |
 //! | `ConcurrentMcCuckoo` | one-table read pipeline (`get_batch`)        |
 //! | `ShardedMcCuckoo`    | cross-shard read pipeline                    |
 //! | `McMap`              | default per-key method                       |
@@ -20,10 +20,10 @@
 //! | `Bcht`               | default per-key method                       |
 //! | `BloomGuidedCuckoo`  | default per-key method                       |
 //!
-//! The two engine tables run one `Engine::probe` on both paths (a
-//! single-key `get` plans and probes at once, a batch plans a chunk
-//! first), so for them this suite pins the batch bookkeeping — chunking,
-//! prefetch, batch-local tallies — rather than two copies of the probe.
+//! The two engine tables run `get`'s own plan and probe on both paths
+//! (a batch only hashes and hints a window of keys first), so for them
+//! this suite pins the batch bookkeeping — the window, prefetch,
+//! batch-local tallies — rather than two copies of the probe.
 //!
 //! Each case runs the same query set twice against one table — once
 //! through the per-key loop, once batched — and diffs the observable

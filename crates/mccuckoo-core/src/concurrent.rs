@@ -81,15 +81,9 @@ use crate::config::{DeletionMode, McConfig, StashPolicy};
 use crate::engine::{candidate_buckets, Engine, MAX_D};
 use crate::obs::{InsertTally, LookupTally, Obs, TableStats};
 use crate::pad::CachePadded;
+use crate::prefetch::Window;
 use crate::single::SingleLayout;
 use crate::store::{SeqCells, SeqStore, SlotStore};
-
-/// Keys per window of the batched pipelines ([`read_pipeline`] and
-/// [`write_pipeline`]): a 32-key serving request is staged whole, so all
-/// of its DRAM misses overlap, while a longer batch (a 4096-item bulk
-/// load) is windowed so its hints are still cached when stage 2 reaches
-/// them (32 keys × 3 candidates is 96 slot lines, far inside L1d).
-pub(crate) const PIPELINE_WINDOW: usize = 32;
 
 /// The writer: a single-slot engine over the seqlocked store.
 pub(crate) type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
@@ -344,13 +338,10 @@ where
     }
 
     /// Look up a batch of keys: the one-table case of the batched read
-    /// pipeline (`read_pipeline`). Per window of keys, stage 1 hashes
-    /// each key and hints its candidates' slot records and counter words
-    /// toward the cache; stage 2 then runs the unchanged lock-free probe
-    /// of [`Self::get`] on lines already in flight — the software
-    /// analogue of the paper's FPGA pipeline. Results are positional and
-    /// identical to a loop over [`Self::get`], including the modelled
-    /// access counts: stage 1 reads nothing.
+    /// pipeline (`read_pipeline`), whose stage 2 is the lock-free probe
+    /// of [`Self::get`]. Results are positional and identical to a loop
+    /// over [`Self::get`], including the modelled access counts: stage 1
+    /// reads nothing.
     pub fn get_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
         let mut tally = LookupTally::default();
@@ -628,12 +619,10 @@ where
 }
 
 /// The batched read pipeline, over `jobs` lookups that may each name a
-/// different table (`job(j)` is lookup `j`'s table and key). Per window
-/// of [`PIPELINE_WINDOW`] jobs, stage 1 ([`ConcurrentMcCuckoo::stage`])
-/// hints every job's lines toward the cache, then stage 2 probes each
-/// job in order ([`ConcurrentMcCuckoo::get_with_cands`]) and hands
-/// `emit(j, found, probes)` its answer, unrecorded. So one request keeps
-/// a window's worth of keys in flight whichever shards they route to.
+/// different table (`job(j)` is lookup `j`'s table and key). Stage 1,
+/// [`ConcurrentMcCuckoo::stage`], runs a window ahead (`Window`); stage
+/// 2 probes each job in order ([`ConcurrentMcCuckoo::get_with_cands`])
+/// and hands `emit(j, found, probes)` its answer, unrecorded.
 pub(crate) fn read_pipeline<'a, K, V>(
     jobs: usize,
     job: impl Fn(usize) -> (&'a ConcurrentMcCuckoo<K, V>, &'a K),
@@ -642,32 +631,27 @@ pub(crate) fn read_pipeline<'a, K, V>(
     K: KeyHash + Eq + Copy + 'a,
     V: Copy + 'a,
 {
-    let mut cands = [[usize::MAX; MAX_D]; PIPELINE_WINDOW];
-    for lo in (0..jobs).step_by(PIPELINE_WINDOW) {
-        let window = lo..jobs.min(lo + PIPELINE_WINDOW);
-        for (j, c) in window.clone().zip(cands.iter_mut()) {
-            let (table, key) = job(j);
-            *c = table.stage(key);
-        }
-        for (j, c) in window.zip(cands.iter()) {
-            let (table, key) = job(j);
-            let (found, probes) = table.get_with_cands(key, c);
-            emit(j, found, probes);
-        }
+    let mut window = Window::new(jobs, |j| {
+        let (table, key) = job(j);
+        table.stage(key)
+    });
+    for j in 0..jobs {
+        let (table, key) = job(j);
+        let (found, probes) = table.get_with_cands(key, window.cands(j));
+        emit(j, found, probes);
     }
 }
 
 /// The batched write pipeline, over `jobs` writes that may each name a
 /// different table (`job(j)` is write `j`'s table and key). Jobs on one
 /// table must be consecutive: each run of them takes that table's
-/// writer lock once. Per window of [`PIPELINE_WINDOW`] jobs, stage 1
-/// ([`ConcurrentMcCuckoo::stage`]) hashes every job's key and hints its
-/// lines, then stage 2, `op(writer, j, cands)`, writes each job in order
-/// on the candidates stage 1 hashed. The first window is staged before
-/// any lock; a later one is staged inside the lock of the run that
-/// reaches it, which is safe because stage 1 reads only immutable
-/// geometry. So a request-sized batch is wholly in flight before its
-/// first lock, and each job is hashed once whichever table it writes.
+/// writer lock once. Stage 1, [`ConcurrentMcCuckoo::stage`], runs a
+/// window ahead (`Window`); stage 2, `op(writer, j, cands)`, writes
+/// each job in order on the candidates stage 1 hashed. A window opening
+/// at a run's first job is staged before that run's lock, any other
+/// inside the lock of the run that reaches it (stage 1 reads only
+/// immutable geometry), so a request-sized batch is wholly in flight
+/// before its first lock.
 pub(crate) fn write_pipeline<'a, K, V>(
     jobs: usize,
     job: impl Fn(usize) -> (&'a ConcurrentMcCuckoo<K, V>, &'a K),
@@ -676,32 +660,20 @@ pub(crate) fn write_pipeline<'a, K, V>(
     K: KeyHash + Eq + Copy + 'a,
     V: Copy + 'a,
 {
-    let mut cands = [[usize::MAX; MAX_D]; PIPELINE_WINDOW];
-    let stage = |lo: usize, cands: &mut [[usize; MAX_D]; PIPELINE_WINDOW]| {
-        for (j, c) in (lo..jobs.min(lo + PIPELINE_WINDOW)).zip(cands.iter_mut()) {
-            let (table, key) = job(j);
-            *c = table.stage(key);
-        }
-    };
-    // Jobs `..staged` have been staged; windows start at its multiples.
-    let mut staged = 0;
+    let mut window = Window::new(jobs, |j| {
+        let (table, key) = job(j);
+        table.stage(key)
+    });
     let mut lo = 0;
     while lo < jobs {
         let table = job(lo).0;
         let hi = (lo + 1..jobs)
             .find(|&j| !std::ptr::eq(job(j).0, table))
             .unwrap_or(jobs);
-        if lo == staged {
-            stage(lo, &mut cands);
-            staged += PIPELINE_WINDOW;
-        }
+        window.cands(lo);
         table.write(|w| {
             for j in lo..hi {
-                if j == staged {
-                    stage(j, &mut cands);
-                    staged += PIPELINE_WINDOW;
-                }
-                op(w, j, &cands[j % PIPELINE_WINDOW]);
+                op(w, j, window.cands(j));
             }
         });
         lo = hi;

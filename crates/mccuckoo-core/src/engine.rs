@@ -57,17 +57,13 @@ use mem_model::{InsertOutcome, InsertReport, MemMeter};
 
 use crate::config::{DeletionMode, KickPolicyKind, McConfig};
 use crate::kick::{self, EvictionGraph};
-use crate::obs::{Obs, TableStats};
+use crate::obs::{LookupTally, Obs, TableStats};
+use crate::prefetch::Window;
 use crate::stash::Stash;
 use crate::store::{Entry, PlainStore, SlotHint, SlotStore};
 
 /// Maximum supported `d` (the paper argues d = 3 suffices in practice).
 pub const MAX_D: usize = 4;
-
-/// Keys in flight per pipeline round of [`Engine::lookup_batch`]: enough
-/// outstanding loads to cover DRAM latency, small enough to stay in the
-/// L1 TLB.
-pub(crate) const BATCH_CHUNK: usize = 16;
 
 /// Global bucket indices of `key`'s `d` candidates under `family` over
 /// `n` buckets per sub-table (entries past `d` are `usize::MAX`).
@@ -193,8 +189,7 @@ pub trait BucketLayout: std::fmt::Debug {
     /// The buckets a lookup of a key with candidates `cands` reads, in
     /// visit order, or the rule-1 verdict. Pure: it peeks at the
     /// counters directly (unmetered; `Engine::probe` meters them) and
-    /// issues no prefetch, so a plan costs nothing in the access model
-    /// and the batched path can compute it early.
+    /// issues no prefetch, so a plan costs nothing in the access model.
     fn plan_probe<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         t: &Engine<K, V, Self, S>,
         cands: &[usize; MAX_D],
@@ -528,7 +523,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         value: V,
         cands: &[usize; MAX_D],
     ) -> Result<bool, McFull<K, V>> {
-        if self.raw_find(&key).is_some() || self.raw_in_stash(&key) {
+        if self.raw_slots(&key, *cands).next().is_some() || self.raw_in_stash(&key) {
             return Ok(false);
         }
         self.place_new(key, value, cands).map(|_| true)
@@ -1112,36 +1107,36 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// metered access counts, same per-lookup observability records —
     /// plus one batch-size sample).
     ///
-    /// The throughput win comes from an interleaved two-stage state
-    /// machine over fixed-size chunks, the software analogue of the
-    /// paper's FPGA pipeline: stage 1 hashes every key of the chunk,
-    /// plans its probe from the on-chip counters and issues a software
-    /// prefetch for each planned bucket; stage 2 runs the same
-    /// `Engine::probe` as [`Engine::get`], by which time the lines are
-    /// in flight. Plans are unmetered and the prefetches are hints, so
-    /// the modelled access counts cannot change.
+    /// A two-stage pipeline (`crate::prefetch::Window`): stage 1,
+    /// `Engine::stage`, runs a window of keys ahead of stage 2,
+    /// [`Engine::get`]'s own plan and probe on the staged candidates.
+    /// Stage 1 reads nothing, so the access counts cannot change.
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
-        let mut cands_buf = [[usize::MAX; MAX_D]; BATCH_CHUNK];
-        let mut plan_buf = [ProbePlan::default(); BATCH_CHUNK];
-        let mut tally = crate::obs::LookupTally::default();
-        for chunk in keys.chunks(BATCH_CHUNK) {
-            for (i, key) in chunk.iter().enumerate() {
-                cands_buf[i] = self.candidate_buckets(key);
-                plan_buf[i] = L::plan_probe(self, &cands_buf[i]);
-                for &b in plan_buf[i].buckets.as_slice() {
-                    self.store.prefetch(self.slot_idx(b, 0));
-                }
-            }
-            for (i, key) in chunk.iter().enumerate() {
-                let (found, probes) = self.get_planned(key, &cands_buf[i], &plan_buf[i]);
-                tally.record(found.is_some(), probes);
-                out.push(found.cloned());
-            }
+        let mut tally = LookupTally::default();
+        let mut window = Window::new(keys.len(), |j| self.stage(&keys[j]));
+        for (j, key) in keys.iter().enumerate() {
+            let cands = window.cands(j);
+            let (found, probes) = self.get_planned(key, cands, &L::plan_probe(self, cands));
+            tally.record(found.is_some(), probes);
+            out.push(found.cloned());
         }
         self.obs.absorb_lookups(&tally);
         out
+    }
+
+    /// Stage 1 of the batched lookup: `key`'s candidate buckets, with a
+    /// prefetch hint for each one's first slot line and counter word. It
+    /// reads nothing and decides nothing.
+    pub(crate) fn stage(&self, key: &K) -> [usize; MAX_D] {
+        let cands = self.candidate_buckets(key);
+        for &c in &cands[..self.d] {
+            let first = self.slot_idx(c, 0);
+            self.store.prefetch(first);
+            self.store.counters().prefetch(first);
+        }
+        cands
     }
 
     /// Number of live copies of `key` in the main table (0 if absent or
@@ -1281,9 +1276,13 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             .chain(self.stash.iter())
     }
 
-    /// Unmetered: every slot holding `key`, in candidate order.
-    fn raw_slots<'a>(&'a self, key: &'a K) -> impl Iterator<Item = usize> + 'a {
-        let cands = self.candidate_buckets(key);
+    /// Unmetered: every slot of the candidate buckets `cands` holding
+    /// `key`, in candidate order.
+    fn raw_slots<'a>(
+        &'a self,
+        key: &'a K,
+        cands: [usize; MAX_D],
+    ) -> impl Iterator<Item = usize> + 'a {
         let l = self.layout.slots();
         (0..self.d)
             .flat_map(move |t| (0..l).map(move |s| cands[t] * l + s))
@@ -1292,7 +1291,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
 
     /// Unmetered: the first candidate slot holding `key`, if any.
     pub(crate) fn raw_find(&self, key: &K) -> Option<usize> {
-        self.raw_slots(key).next()
+        self.raw_slots(key, self.candidate_buckets(key)).next()
     }
 
     pub(crate) fn raw_in_stash(&self, key: &K) -> bool {
@@ -1301,7 +1300,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
 
     /// Unmetered: every slot holding `key`.
     pub(crate) fn raw_copy_locations(&self, key: &K) -> Vec<usize> {
-        self.raw_slots(key).collect()
+        self.raw_slots(key, self.candidate_buckets(key)).collect()
     }
 
     /// Exhaustive structural validation; returns the first violation as a

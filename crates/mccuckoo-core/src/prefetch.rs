@@ -1,18 +1,59 @@
-//! Best-effort software prefetch shim for the batched read paths.
-//!
-//! The batched lookup state machine
-//! ([`McTable::lookup_batch`](crate::McTable::lookup_batch)) hashes a
-//! whole batch of keys, picks
-//! each key's target buckets from the on-chip counters, and issues a
-//! prefetch for every bucket it is about to probe before touching any of
-//! them — the software analogue of the paper's FPGA pipeline keeping
-//! many keys in flight to hide memory latency.
+//! Software prefetch, and the window every batched pipeline runs on:
+//! the software analogue of the paper's FPGA pipeline keeping many keys
+//! in flight. Stage 1 hashes a key and hints its candidates' lines,
+//! deciding nothing; stage 2 is the single-key op on those candidates.
 //!
 //! Prefetching is purely a *hint*: it never faults, never changes
 //! results, and never changes the modelled access counts. On x86_64 it
 //! lowers to `_mm_prefetch(T0)`, on aarch64 to `prfm pldl1keep`; on
 //! every other target — and under the `no_prefetch` feature, which CI
 //! uses to keep the portable fallback green — it compiles to nothing.
+
+use crate::engine::MAX_D;
+
+/// Jobs per window of the batched pipelines: a 32-key request is staged
+/// whole, so all its DRAM misses overlap, while a longer batch (a bulk
+/// load) is windowed so its hints are still cached when stage 2 reaches
+/// them (32 keys × 3 candidates is 96 slot lines, far inside L1d).
+pub(crate) const PIPELINE_WINDOW: usize = 32;
+
+/// Stage 1 of a pipeline over jobs `0..jobs` (`stage(j)` stages job
+/// `j` and returns its candidates), run a window ahead of stage 2: each
+/// job is staged once, before its stage 2, and at most one window ahead.
+pub(crate) struct Window<F> {
+    jobs: usize,
+    /// Jobs `..staged` have been staged.
+    staged: usize,
+    stage: F,
+    cands: [[usize; MAX_D]; PIPELINE_WINDOW],
+}
+
+impl<F: FnMut(usize) -> [usize; MAX_D]> Window<F> {
+    pub(crate) fn new(jobs: usize, stage: F) -> Self {
+        Window {
+            jobs,
+            staged: 0,
+            stage,
+            cands: [[usize::MAX; MAX_D]; PIPELINE_WINDOW],
+        }
+    }
+
+    /// Job `j`'s candidates, staging `j`'s whole window first if `j`
+    /// opens it. Asking again stages nothing; asking out of order panics,
+    /// as it would hand a writer another job's candidates.
+    #[inline]
+    pub(crate) fn cands(&mut self, j: usize) -> &[usize; MAX_D] {
+        if j == self.staged {
+            let hi = self.jobs.min(j + PIPELINE_WINDOW);
+            for (i, c) in (j..hi).zip(self.cands.iter_mut()) {
+                *c = (self.stage)(i);
+            }
+            self.staged = hi;
+        }
+        assert!(j < self.staged && self.staged - j <= PIPELINE_WINDOW);
+        &self.cands[j % PIPELINE_WINDOW]
+    }
+}
 
 /// Hint the CPU to pull the cache line containing `p` toward L1.
 ///
@@ -52,6 +93,63 @@ pub fn prefetch_index<T>(slice: &[T], index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Stage1(usize),
+        Stage2(usize),
+    }
+
+    /// Drive a window over `jobs` jobs the way the pipelines do (stage 2
+    /// of every job in order), logging every call of both stages.
+    fn drive(jobs: usize) -> Vec<Call> {
+        let log = std::cell::RefCell::new(Vec::new());
+        let mut window = Window::new(jobs, |i| {
+            log.borrow_mut().push(Call::Stage1(i));
+            [i; MAX_D]
+        });
+        for j in 0..jobs {
+            let cands = *window.cands(j);
+            assert_eq!(cands, [j; MAX_D], "job {j} got another job's candidates");
+            log.borrow_mut().push(Call::Stage2(j));
+        }
+        log.into_inner()
+    }
+
+    #[test]
+    fn window_stages_each_job_once_and_at_most_one_window_ahead() {
+        for jobs in [0, 1, 31, 32, 33, 97] {
+            let log = drive(jobs);
+            let mut staged = vec![0usize; jobs];
+            let mut next_stage2 = 0;
+            for call in &log {
+                match *call {
+                    Call::Stage1(i) => {
+                        staged[i] += 1;
+                        assert!(
+                            i < next_stage2 + PIPELINE_WINDOW,
+                            "{jobs} jobs: job {i} staged while job {next_stage2} awaits stage 2"
+                        );
+                    }
+                    Call::Stage2(j) => {
+                        assert_eq!(j, next_stage2, "{jobs} jobs: stage 2 out of order");
+                        assert_eq!(staged[j], 1, "{jobs} jobs: job {j} not staged once");
+                        // Stage 2 waits for its whole window: the pipeline
+                        // keeps a window of keys in flight.
+                        let window_end = jobs.min((j / PIPELINE_WINDOW + 1) * PIPELINE_WINDOW);
+                        let in_flight = staged.iter().filter(|&&n| n > 0).count();
+                        assert_eq!(in_flight, window_end, "{jobs} jobs: at job {j}");
+                        next_stage2 += 1;
+                    }
+                }
+            }
+            assert_eq!(next_stage2, jobs);
+            assert!(
+                staged.iter().all(|&n| n == 1),
+                "{jobs} jobs: stage counts {staged:?}"
+            );
+        }
+    }
 
     #[test]
     fn prefetch_tolerates_any_pointer() {

@@ -686,10 +686,7 @@ where
     /// what makes racing redos safe), so a key that does exist is
     /// updated rather than corrupting the copy bookkeeping.
     pub fn insert_new(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let route = self.route_of(&key);
-        let out = self.upsert_routed(route, key, value, None, None);
-        self.record_routed_upsert(route, &out);
-        out.map(|_| ())
+        self.insert(key, value).map(|_| ())
     }
 
     /// Remove `key` from its shard, returning its value.
@@ -863,12 +860,7 @@ where
         let (moved, skipped, failed) = self.drain(shard, child);
         let forwarding_cleared = failed == 0;
         if forwarding_cleared {
-            for e in self.dir.iter() {
-                let (tid, fwd) = decode_entry(e.load(Ordering::Acquire));
-                if tid == child && fwd == Some(shard) {
-                    e.store(encode_entry(child, None), Ordering::Release);
-                }
-            }
+            self.clear_forwarding(child, shard);
         }
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.migration.record_split_finished(forwarding_cleared, us);
@@ -939,6 +931,17 @@ where
         (moved, skipped, failed)
     }
 
+    /// End a split whose drain emptied: the directory entries serving
+    /// from `child` stop forwarding to `parent`.
+    fn clear_forwarding(&self, child: usize, parent: usize) {
+        for e in self.dir.iter() {
+            let (tid, fwd) = decode_entry(e.load(Ordering::Acquire));
+            if tid == child && fwd == Some(parent) {
+                e.store(encode_entry(child, None), Ordering::Release);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Maintenance hooks (driven by `crate::maint`)
     // ------------------------------------------------------------------
@@ -987,12 +990,7 @@ where
             report.skipped += skipped;
             report.failed += failed;
             if failed == 0 {
-                for e in self.dir.iter() {
-                    let (tid, fwd) = decode_entry(e.load(Ordering::Acquire));
-                    if tid == child && fwd == Some(parent) {
-                        e.store(encode_entry(child, None), Ordering::Release);
-                    }
-                }
+                self.clear_forwarding(child, parent);
                 report.retired += 1;
                 self.maint.record_retirement_success();
             }
@@ -1041,21 +1039,24 @@ where
         (order, offsets)
     }
 
-    /// Route every key once and snapshot each touched directory entry
-    /// once per batch (equal keys therefore always share a group, even
-    /// mid-flip). Returns per-item routes, the entry snapshots, and the
-    /// group ids: serving-table id, or `ntables` (the trailing "slow"
-    /// group) for keys behind a forwarding entry or a table newer than
-    /// `ntables`.
-    fn plan_batch<'k>(
+    /// Every batched op's prologue: record the batch, route each of its
+    /// `n` items once (`key(i)` is item `i`'s key) on one snapshot per
+    /// touched directory entry (so equal keys share a group even
+    /// mid-flip), group them and record each shard's share. Returns the
+    /// per-item routes, the snapshots, the per-item groups (serving
+    /// table, or the trailing slow group for keys behind a forwarding
+    /// entry or a table newer than the batch), and the positions by
+    /// group with the fast groups, in shard order, in `order[..fast]`.
+    fn route_batch<'k>(
         &self,
         n: usize,
         key: impl Fn(usize) -> &'k K,
-        ntables: usize,
-    ) -> (Vec<u32>, [u64; DIR_SIZE], Vec<u32>)
+    ) -> (Vec<u32>, [u64; DIR_SIZE], Vec<u32>, Vec<u32>, usize)
     where
         K: 'k,
     {
+        self.obs.record_batch(n);
+        let ntables = self.shard_count();
         let mut entry_snap = [u64::MAX; DIR_SIZE];
         let mut routes = Vec::with_capacity(n);
         let mut gids = Vec::with_capacity(n);
@@ -1072,22 +1073,28 @@ where
                 tid as u32
             });
         }
-        (routes, entry_snap, gids)
+        let (order, offsets) = Self::group_positions(&gids, ntables + 1);
+        for g in 0..ntables {
+            let items_in = offsets[g + 1] - offsets[g];
+            if items_in > 0 {
+                self.table(g).obs().record_batch(items_in as usize);
+            }
+        }
+        (routes, entry_snap, gids, order, offsets[ntables] as usize)
     }
 
     /// The batched-write loop behind [`Self::insert_batch`] and
-    /// [`Self::remove_batch`]. Routes and groups the `n` items by serving
-    /// table (`key(i)` is item `i`'s key), records each shard's batch,
-    /// and runs the write pipeline (`write_pipeline`) over the grouped
-    /// items in shard order: each shard's writer lock is taken once, and
-    /// `op(writer, i, cands)` writes item `i` on the candidates stage 1
-    /// hashed. Returns each item's settle step, in shard order, for the
-    /// caller to take with no lock held: `(i, route, Some((g, res,
-    /// moved)))` carries table `g`'s result and whether the item's
-    /// directory entry moved since the batch routed it (a racing split:
-    /// the caller redoes the op through the routed path unless its
-    /// result is final anyway); `(i, route, None)` marks an item behind
-    /// a forwarding entry, for the routed path's two-sided placement.
+    /// [`Self::remove_batch`]: [`Self::route_batch`], then the write
+    /// pipeline (`write_pipeline`) over the grouped items in shard order:
+    /// each shard's writer lock is taken once, and `op(writer, i, cands)`
+    /// writes item `i` on the candidates stage 1 hashed. Returns each
+    /// item's settle step, in shard order, for the caller to take with no
+    /// lock held: `(i, route, Some((g, res, moved)))` carries table `g`'s
+    /// result and whether the item's directory entry moved since the
+    /// batch routed it (a racing split: the caller redoes the op through
+    /// the routed path unless its result is final anyway); `(i, route,
+    /// None)` marks an item behind a forwarding entry, for the routed
+    /// path's two-sided placement.
     fn write_batch<'a, 'k, R: 'a>(
         &'a self,
         n: usize,
@@ -1097,17 +1104,7 @@ where
     where
         K: 'k,
     {
-        self.obs.record_batch(n);
-        let ntables = self.shard_count();
-        let (routes, entry_snap, gids) = self.plan_batch(n, &key, ntables);
-        let (order, offsets) = Self::group_positions(&gids, ntables + 1);
-        for g in 0..ntables {
-            let items_in = offsets[g + 1] - offsets[g];
-            if items_in > 0 {
-                self.table(g).obs().record_batch(items_in as usize);
-            }
-        }
-        let fast = offsets[ntables] as usize;
+        let (routes, entry_snap, gids, order, fast) = self.route_batch(n, &key);
         let mut results = Vec::with_capacity(fast);
         write_pipeline(
             fast,
@@ -1198,20 +1195,10 @@ where
     /// Misses raced by a shard split are transparently re-probed through
     /// the forwarding map.
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        self.obs.record_batch(keys.len());
-        let ntables = self.shard_count();
-        let (routes, entry_snap, gids) = self.plan_batch(keys.len(), |i| &keys[i], ntables);
-        let (order, offsets) = Self::group_positions(&gids, ntables + 1);
+        let (routes, entry_snap, gids, order, fast) = self.route_batch(keys.len(), |i| &keys[i]);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        for g in 0..ntables {
-            let keys_in = offsets[g + 1] - offsets[g];
-            if keys_in > 0 {
-                self.table(g).obs().record_batch(keys_in as usize);
-            }
-        }
         // `order[..fast]` runs group by group, so each shard's tally is
         // flushed once, when the pipeline leaves its group.
-        let fast = offsets[ntables] as usize;
         let mut tally = LookupTally::default();
         let mut tally_group = 0;
         read_pipeline(
@@ -1545,7 +1532,7 @@ impl<K: FromJson, V: FromJson> FromJson for ShardedSnapshot<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concurrent::PIPELINE_WINDOW;
+    use crate::prefetch::PIPELINE_WINDOW;
     use std::collections::HashMap;
     use workloads::UniqueKeys;
 

@@ -44,10 +44,10 @@ pub trait McTable<K, V> {
     /// Look up a whole batch of keys, returning one result per key in
     /// order. Semantically exactly `keys.iter().map(|k| lookup(k))` —
     /// same hits, same misses, same metered access counts — but
-    /// implementors override it with an interleaved multi-key probe
-    /// state machine (hash every key, pick target buckets from the
-    /// on-chip counters, issue all software prefetches, then probe) that
-    /// hides memory latency the way the paper's FPGA pipeline does.
+    /// implementors override it with a two-stage pipeline (stage 1
+    /// hashes a window of keys and prefetches their candidates' lines,
+    /// stage 2 runs the single-key lookup on each) that hides memory
+    /// latency the way the paper's FPGA pipeline does.
     fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         keys.iter().map(|k| self.lookup(k)).collect()
     }
