@@ -64,11 +64,14 @@
 //!
 //! Keys and values must be `Copy` (pointer-sized payloads — use
 //! [`crate::MultisetIndex`]-style indirection for fat values). The
-//! engine's `Cell`-based meter is not `Sync`, so the table keeps
-//! relaxed-atomic access tallies: readers count into them directly and
-//! the writer publishes the engine's meter to them before unlocking, so
-//! [`ConcurrentMcCuckoo::mem_stats`] never locks. Maintenance (`clear`,
-//! `items`, the validators) is unmetered.
+//! engine's `Cell`-based meter is not `Sync`, so the writer publishes it
+//! to relaxed atomics before unlocking. Readers meter nothing: a lookup's
+//! reads are what the table records for it (`d` counter reads and its
+//! probe count), so [`ConcurrentMcCuckoo::mem_stats`] derives them from
+//! the table's own [`Obs`] and never locks. Probes that record nothing
+//! are unmetered: maintenance (`clear`, `items`, the validators, the
+//! sharded snapshot's dedup probe) and a probe whose answer the sharded
+//! layer discards to redo the lookup.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -79,7 +82,7 @@ use parking_lot::Mutex;
 
 use crate::config::{DeletionMode, McConfig, StashPolicy};
 use crate::engine::{candidate_buckets, Engine, MAX_D};
-use crate::obs::{InsertTally, LookupTally, Obs, TableStats};
+use crate::obs::{LookupTally, Obs, TableStats, WriteTally};
 use crate::pad::CachePadded;
 use crate::prefetch::Window;
 use crate::single::SingleLayout;
@@ -88,27 +91,15 @@ use crate::store::{SeqCells, SeqStore, SlotStore};
 /// The writer: a single-slot engine over the seqlocked store.
 pub(crate) type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
 
-/// Thread-safe memory-access tallies (the concurrent analogue of
-/// `mem_model::MemMeter`, whose `Cell` counters are not `Sync`). Readers
-/// add their probes with `Relaxed` increments (statistics, not
-/// synchronisation); the writer republishes its engine's cumulative
-/// meter with plain stores under the writer lock.
+/// The writer engine's `Cell`-based (not `Sync`) meter, republished with
+/// plain stores under the writer lock: off-chip reads, off-chip writes,
+/// verification reads, on-chip reads, on-chip writes.
 #[derive(Default)]
 struct AccessMeter {
-    onchip_reads: AtomicU64,
-    offchip_reads: AtomicU64,
-    /// The writer engine's meter: off-chip reads, off-chip writes,
-    /// verification reads, on-chip reads, on-chip writes.
     writer: [AtomicU64; 5],
 }
 
 impl AccessMeter {
-    /// A reader's probe: `d` counter reads and `probes` bucket reads.
-    fn read(&self, d: usize, probes: u64) {
-        self.onchip_reads.fetch_add(d as u64, Ordering::Relaxed);
-        self.offchip_reads.fetch_add(probes, Ordering::Relaxed);
-    }
-
     /// Republish the writer engine's cumulative meter.
     fn publish(&self, s: &MemStats) {
         let fields = [
@@ -126,10 +117,10 @@ impl AccessMeter {
     fn snapshot(&self) -> MemStats {
         let w = |i: usize| self.writer[i].load(Ordering::Relaxed);
         MemStats {
-            offchip_reads: w(0) + self.offchip_reads.load(Ordering::Relaxed),
+            offchip_reads: w(0),
             offchip_writes: w(1),
             verify_reads: w(2),
-            onchip_reads: w(3) + self.onchip_reads.load(Ordering::Relaxed),
+            onchip_reads: w(3),
             onchip_writes: w(4),
             ..MemStats::default()
         }
@@ -166,7 +157,7 @@ pub struct ConcurrentMcCuckoo<K, V> {
     config: McConfig,
     /// Lock-free observability counters (monotonic; survive `clear`).
     obs: Obs,
-    /// Relaxed-atomic memory-access tallies (monotonic; survive `clear`).
+    /// The writer's published meter (monotonic; survives `clear`).
     access: CachePadded<AccessMeter>,
 }
 
@@ -226,11 +217,17 @@ where
 
     /// Snapshot of the modelled memory-access tallies: off-chip bucket
     /// reads/writes (verification reads included) and on-chip counter
-    /// reads/writes, accumulated by the lookup and write paths (relaxed
-    /// atomics — safe to call while readers and writers run). Stash
+    /// reads/writes. Writes are the writer engine's meter as last
+    /// published; reads are derived from the recorded lookups (the probe
+    /// histogram's sum off-chip, `d` counter reads per lookup on-chip).
+    /// Relaxed atomics: safe to call while readers and writers run. Stash
     /// fields are always zero: the concurrent table has no stash.
     pub fn mem_stats(&self) -> MemStats {
-        self.access.snapshot()
+        let (lookups, probes) = self.obs.lookup_reads();
+        let mut m = self.access.snapshot();
+        m.offchip_reads += probes;
+        m.onchip_reads += self.d as u64 * lookups;
+        m
     }
 
     /// Distinct keys currently stored.
@@ -255,9 +252,8 @@ where
     }
 
     /// Run `op` on the writer's engine under the writer lock; before
-    /// unlocking, publish the engine's meter to the atomic tallies and
-    /// mirror its length.
-    fn write<R>(&self, op: impl FnOnce(&mut Writer<K, V>) -> R) -> R {
+    /// unlocking, publish the engine's meter and mirror its length.
+    pub(crate) fn write<R>(&self, op: impl FnOnce(&mut Writer<K, V>) -> R) -> R {
         let mut engine = self.writer.lock();
         let out = op(&mut engine);
         self.access.publish(&engine.meter.snapshot());
@@ -283,8 +279,9 @@ where
     /// of the batched pipeline, whose stage 1 hashed the key up front.
     /// Returns the probe count instead of recording it — the batched
     /// path tallies a whole batch locally and flushes the observability
-    /// atomics once ([`Obs::absorb_lookups`]); access-model metering
-    /// stays per-key in here.
+    /// atomics once ([`Obs::absorb`]). Meters nothing: the reads are
+    /// counted where the caller records the lookup (see
+    /// [`Self::mem_stats`]).
     fn get_with_cands(&self, key: &K, cands: &[usize; MAX_D]) -> (Option<V>, u64) {
         let cells = &*self.cells;
         loop {
@@ -313,10 +310,7 @@ where
                         torn = true;
                         break;
                     }
-                    Some(Some(e)) if e.key == *key => {
-                        self.access.read(self.d, probes);
-                        return (Some(e.value), probes);
-                    }
+                    Some(Some(e)) if e.key == *key => return (Some(e.value), probes),
                     Some(_) => {}
                 }
             }
@@ -324,7 +318,6 @@ where
                 // Validate the miss: no bucket changed underneath the pass.
                 let unchanged = (0..self.d).all(|i| cells.version(cands[i]) == pre[i]);
                 if unchanged {
-                    self.access.read(self.d, probes);
                     return (None, probes);
                 }
             }
@@ -354,7 +347,7 @@ where
                 out.push(found);
             },
         );
-        self.obs.absorb_lookups(&tally);
+        self.obs.absorb(&tally);
         out
     }
 
@@ -371,9 +364,16 @@ where
     /// Safe to call from many threads at once: writers serialize on the
     /// table's writer lock while readers stay lock-free.
     pub fn insert(&self, key: K, value: V) -> Result<bool, (K, V)> {
-        let out = self.upsert_unrecorded(key, value);
-        self.record_upsert(&out);
-        out.map(|rep| matches!(rep.outcome, InsertOutcome::Updated))
+        self.insert_report(key, value)
+            .map(|rep| matches!(rep.outcome, InsertOutcome::Updated))
+    }
+
+    /// [`Self::insert`] returning the engine's full report.
+    pub(crate) fn insert_report(&self, key: K, value: V) -> Result<InsertReport, (K, V)> {
+        self.recorded(
+            self.write(|w| w.insert_unrecorded(key, value))
+                .map_err(|full| full.evicted),
+        )
     }
 
     /// Upsert a whole batch under **one** acquisition of the writer lock.
@@ -386,10 +386,7 @@ where
     /// The one-table case of `write_pipeline`.
     pub fn insert_batch(&self, items: &[(K, V)]) -> Vec<Result<bool, (K, V)>> {
         self.obs.record_batch(items.len());
-        // Per-item observability is tallied locally and flushed once —
-        // the batched path pays one pass of atomic traffic per batch,
-        // not ~5 RMWs per item.
-        let mut tally = InsertTally::default();
+        let mut tally = WriteTally::default();
         let mut out = Vec::with_capacity(items.len());
         write_pipeline(
             items.len(),
@@ -397,11 +394,11 @@ where
             |w, i, cands| {
                 let (k, v) = items[i];
                 let r = w.insert_staged(k, v, cands).map_err(|full| full.evicted);
-                tally.record(r.as_ref().unwrap_or(&InsertReport::failed()));
+                tally.record_insert(r.as_ref().unwrap_or(&InsertReport::failed()));
                 out.push(r.map(|rep| matches!(rep.outcome, InsertOutcome::Updated)));
             },
         );
-        self.obs.absorb_inserts(&tally);
+        self.obs.absorb(&tally);
         out
     }
 
@@ -410,11 +407,15 @@ where
     /// was mutated. Inserting a key that is already present corrupts the
     /// copy bookkeeping (`debug_assert`ed).
     pub fn insert_new(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let out = self
-            .write(|w| w.insert_new_unrecorded(key, value))
-            .map_err(|full| full.evicted);
-        self.record_upsert(&out);
-        out.map(|_| ())
+        self.insert_new_report(key, value).map(|_| ())
+    }
+
+    /// [`Self::insert_new`] returning the engine's full report.
+    pub(crate) fn insert_new_report(&self, key: K, value: V) -> Result<InsertReport, (K, V)> {
+        self.recorded(
+            self.write(|w| w.insert_new_unrecorded(key, value))
+                .map_err(|full| full.evicted),
+        )
     }
 
     /// Remove `key` (counter-reset deletion). Returns its value.
@@ -430,15 +431,18 @@ where
     /// the batch see the earlier removal — only the first wins).
     pub fn remove_batch(&self, keys: &[K]) -> Vec<Option<V>> {
         self.obs.record_batch(keys.len());
+        let mut tally = WriteTally::default();
         let mut out = Vec::with_capacity(keys.len());
         write_pipeline(
             keys.len(),
             |i| (self, &keys[i]),
-            |w, i, cands| out.push(w.remove_staged(&keys[i], cands)),
+            |w, i, cands| {
+                let r = w.remove_staged(&keys[i], cands);
+                tally.record_remove(r.is_some());
+                out.push(r);
+            },
         );
-        for r in &out {
-            self.obs.record_remove(r.is_some());
-        }
+        self.obs.absorb(&tally);
         out
     }
 
@@ -494,12 +498,18 @@ where
         cands
     }
 
-    /// Unrecorded upsert returning the full [`InsertReport`] — the
-    /// sharded layer records exactly one op per *public* call, even
-    /// when forwarding retries the op on a sibling table.
-    pub(crate) fn upsert_unrecorded(&self, key: K, value: V) -> Result<InsertReport, (K, V)> {
-        self.write(|w| w.insert_unrecorded(key, value))
-            .map_err(|full| full.evicted)
+    /// Unrecorded upsert, if `current()` (the sharded layer's directory
+    /// re-check) still holds under the writer lock; `None`, with nothing
+    /// written, if it does not.
+    pub(crate) fn upsert_while(
+        &self,
+        key: K,
+        value: V,
+        current: impl FnOnce() -> bool,
+    ) -> Option<Result<InsertReport, (K, V)>> {
+        self.write(|w| {
+            current().then(|| w.insert_unrecorded(key, value).map_err(|full| full.evicted))
+        })
     }
 
     /// Atomic insert-if-absent (unrecorded). `Ok(true)` means the key
@@ -517,16 +527,6 @@ where
     /// [`Self::remove`] body.
     pub(crate) fn remove_unrecorded(&self, key: &K) -> Option<V> {
         self.write(|w| w.remove_unrecorded(key))
-    }
-
-    /// Rewrite every live copy of `key` if (and only if) it is already
-    /// present; never places a fresh entry. Returns whether an update
-    /// happened. Unrecorded.
-    pub(crate) fn update_existing_unrecorded(&self, key: &K, value: &V) -> bool {
-        self.write(|w| {
-            let cands = w.candidate_buckets(key);
-            w.try_update(key, value, &cands).is_some()
-        })
     }
 
     /// The key stored in `bucket`, read lock-free through the seqlock
@@ -604,10 +604,11 @@ where
         &self.obs
     }
 
-    /// Record the outcome of one public upsert attempt.
-    fn record_upsert(&self, out: &Result<InsertReport, (K, V)>) {
+    /// Record one public upsert attempt's outcome and hand it back.
+    fn recorded(&self, out: Result<InsertReport, (K, V)>) -> Result<InsertReport, (K, V)> {
         self.obs
             .record_insert(out.as_ref().unwrap_or(&InsertReport::failed()));
+        out
     }
 
     /// Table-owned memory in bytes: the slot records (version and cell)
@@ -780,7 +781,7 @@ mod tests {
                     live[rng.next_below(live.len() as u64) as usize]
                 };
                 let want = plain.insert(k, step).map_err(|full| full.evicted);
-                let got = conc.upsert_unrecorded(k, step);
+                let got = conc.insert_report(k, step);
                 assert_eq!(got, want, "{kind:?}: step {step}");
                 if op == 1 && got.is_ok() {
                     live.push_back(k);

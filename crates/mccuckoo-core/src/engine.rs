@@ -1069,7 +1069,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// `Engine::probe` plus the stash on a screened miss. Returns the
     /// probe count (bucket and stash reads) instead of recording it: the
     /// batched path tallies per-key outcomes locally and flushes the
-    /// whole batch's observability in one [`Obs::absorb_lookups`] pass.
+    /// whole batch's observability in one [`Obs::absorb`] pass.
     pub(crate) fn get_planned(
         &self,
         key: &K,
@@ -1122,7 +1122,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             tally.record(found.is_some(), probes);
             out.push(found.cloned());
         }
-        self.obs.absorb_lookups(&tally);
+        self.obs.absorb(&tally);
         out
     }
 

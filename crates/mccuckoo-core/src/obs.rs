@@ -57,24 +57,33 @@ pub struct AtomicHistogram {
     sum: AtomicU64,
 }
 
-/// Batch-local, non-atomic insert bookkeeping, flushed in one pass by
-/// [`Obs::absorb_inserts`]. Keeps the batched write paths free of
-/// per-item atomic traffic.
+/// A batch-local tally: plain counters a batched path fills per item and
+/// [`Obs::absorb`]s once, so it pays its atomic RMWs once per batch, not
+/// a few per item (a large share of an op that hits cache).
+pub(crate) trait Tally: Default {
+    /// Add the tally's non-zero cells to `obs`.
+    fn absorb_into(&self, obs: &Obs);
+}
+
+/// Batch-local write bookkeeping: the mirror of [`Obs::record_insert`]
+/// and [`Obs::record_remove`].
 #[derive(Debug, Default)]
-pub(crate) struct InsertTally {
+pub(crate) struct WriteTally {
     inserts: u64,
     updates: u64,
     failed_inserts: u64,
     stash_spills: u64,
+    removes: u64,
+    remove_misses: u64,
     kicks: u64,
     kick_buckets: [u64; HIST_BUCKETS],
     kick_count: u64,
     kick_sum: u64,
 }
 
-impl InsertTally {
+impl WriteTally {
     /// Mirror of [`Obs::record_insert`] against the local tally.
-    pub(crate) fn record(&mut self, report: &InsertReport) {
+    pub(crate) fn record_insert(&mut self, report: &InsertReport) {
         match report.outcome {
             InsertOutcome::Placed => self.inserts += 1,
             InsertOutcome::Updated => {
@@ -92,13 +101,33 @@ impl InsertTally {
         self.kick_count += 1;
         self.kick_sum += report.kickouts as u64;
     }
+
+    /// Mirror of [`Obs::record_remove`] against the local tally.
+    pub(crate) fn record_remove(&mut self, hit: bool) {
+        if hit {
+            self.removes += 1;
+        } else {
+            self.remove_misses += 1;
+        }
+    }
 }
 
-/// Batch-local, non-atomic lookup bookkeeping, flushed in one pass by
-/// [`Obs::absorb_lookups`]. The batched read paths tally per-key
-/// outcomes here and pay the atomic traffic once per batch instead of
-/// ~4 RMWs per key — on a table whose probes mostly hit cache, those
-/// RMWs are a large share of the whole lookup.
+impl Tally for WriteTally {
+    fn absorb_into(&self, obs: &Obs) {
+        let w = &obs.write;
+        add(&w.inserts, self.inserts);
+        add(&w.updates, self.updates);
+        add(&w.failed_inserts, self.failed_inserts);
+        add(&w.stash_spills, self.stash_spills);
+        add(&w.removes, self.removes);
+        add(&w.remove_misses, self.remove_misses);
+        add(&w.kicks, self.kicks);
+        w.kick_hist
+            .absorb(&self.kick_buckets, self.kick_count, self.kick_sum);
+    }
+}
+
+/// Batch-local lookup bookkeeping: the mirror of [`Obs::record_lookup`].
 #[derive(Debug, Default)]
 pub(crate) struct LookupTally {
     hits: u64,
@@ -122,12 +151,38 @@ impl LookupTally {
     }
 }
 
+impl Tally for LookupTally {
+    fn absorb_into(&self, obs: &Obs) {
+        let r = &obs.read;
+        add(&r.lookup_hits, self.hits);
+        add(&r.lookup_misses, self.misses);
+        r.probe_hist
+            .absorb(&self.probe_buckets, self.probe_count, self.probe_sum);
+    }
+}
+
+/// Add `n` to `cell`, skipping the RMW when there is nothing to add.
+fn add(cell: &AtomicU64, n: u64) {
+    if n > 0 {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 impl AtomicHistogram {
     /// Record one sample.
     pub fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Add a batch-local histogram's buckets, sample count and sum.
+    fn absorb(&self, buckets: &[u64; HIST_BUCKETS], count: u64, sum: u64) {
+        for (cell, &n) in self.buckets.iter().zip(buckets) {
+            add(cell, n);
+        }
+        add(&self.count, count);
+        add(&self.sum, sum);
     }
 
     /// Plain-data snapshot of the current cell values.
@@ -673,63 +728,21 @@ impl Obs {
         self.write.batch_hist.record(len as u64);
     }
 
-    /// Flush a batch-local insert tally in one pass — the batched write
-    /// paths accumulate into a plain [`InsertTally`] per batch instead
-    /// of paying ~5 atomic RMWs per item, and the identities observed by
-    /// [`Self::snapshot`] come out exactly as if each report had been
-    /// recorded individually.
-    pub(crate) fn absorb_inserts(&self, t: &InsertTally) {
-        let w = &self.write;
-        if t.inserts > 0 {
-            w.inserts.fetch_add(t.inserts, Ordering::Relaxed);
-        }
-        if t.updates > 0 {
-            w.updates.fetch_add(t.updates, Ordering::Relaxed);
-        }
-        if t.failed_inserts > 0 {
-            w.failed_inserts
-                .fetch_add(t.failed_inserts, Ordering::Relaxed);
-        }
-        if t.stash_spills > 0 {
-            w.stash_spills.fetch_add(t.stash_spills, Ordering::Relaxed);
-        }
-        if t.kicks > 0 {
-            w.kicks.fetch_add(t.kicks, Ordering::Relaxed);
-        }
-        for (i, &n) in t.kick_buckets.iter().enumerate() {
-            if n > 0 {
-                w.kick_hist.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if t.kick_count > 0 {
-            w.kick_hist.count.fetch_add(t.kick_count, Ordering::Relaxed);
-            w.kick_hist.sum.fetch_add(t.kick_sum, Ordering::Relaxed);
-        }
+    /// Flush a batch-local tally in one pass: every counter and
+    /// histogram cell lands exactly as if each item had been recorded
+    /// individually.
+    pub(crate) fn absorb(&self, t: &impl Tally) {
+        t.absorb_into(self);
     }
 
-    /// Flush a batch-local lookup tally in one pass — the read-side twin
-    /// of [`Self::absorb_inserts`]. Every counter and histogram cell
-    /// lands exactly as if each lookup had called
-    /// [`Self::record_lookup`] individually.
-    pub(crate) fn absorb_lookups(&self, t: &LookupTally) {
-        let r = &self.read;
-        if t.hits > 0 {
-            r.lookup_hits.fetch_add(t.hits, Ordering::Relaxed);
-        }
-        if t.misses > 0 {
-            r.lookup_misses.fetch_add(t.misses, Ordering::Relaxed);
-        }
-        for (i, &n) in t.probe_buckets.iter().enumerate() {
-            if n > 0 {
-                r.probe_hist.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if t.probe_count > 0 {
-            r.probe_hist
-                .count
-                .fetch_add(t.probe_count, Ordering::Relaxed);
-            r.probe_hist.sum.fetch_add(t.probe_sum, Ordering::Relaxed);
-        }
+    /// Lookups recorded and the buckets they probed (the probe
+    /// histogram's count and sum), for the concurrent table's meter.
+    pub(crate) fn lookup_reads(&self) -> (u64, u64) {
+        let h = &self.read.probe_hist;
+        (
+            h.count.load(Ordering::Relaxed),
+            h.sum.load(Ordering::Relaxed),
+        )
     }
 
     /// Plain-data snapshot of every counter and histogram.

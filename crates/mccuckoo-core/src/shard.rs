@@ -45,8 +45,10 @@
 //!    two-sided lookups for that slice) and a later `begin_split` of the
 //!    same shard *resumes* the drain.
 //!
-//! Writers that race a route flip re-validate the directory entry after
-//! every successful placement and redo the op on the new serving table
+//! Writers that race a route flip re-validate the directory entry under
+//! the serving table's writer lock before each write (so a write lands
+//! only where the key is served, and its verdict stands) and again after
+//! every successful placement, redoing the op on the new serving table
 //! (removing the stale copy), so the linearizable contract of the
 //! single-table API survives migration.
 //!
@@ -64,12 +66,12 @@
 //! one in-flight key).
 //!
 //! **Batching.** The batched entry points group a caller's operations by
-//! serving table and dispatch one per-shard batch each, so a shard's
-//! writer lock is taken **once per batch** instead of once per op. Keys
-//! routed through an active forwarding entry take the per-key path, and
-//! every batched result is re-validated against the directory afterwards
-//! (a racing route flip redoes just the affected keys). Results are
-//! returned in the caller's original order.
+//! serving table and run one pipeline in shard order, taking a shard's
+//! writer lock **once per batch**. Each item finishes in stage 2, right
+//! after its probe or write: it re-validates its directory entry and is
+//! tallied for its shard, or joins a redo list when a racing route flip
+//! makes its result unsafe. Only the redos and the keys behind an active
+//! forwarding entry take the per-key routed path, with no lock held.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -81,12 +83,11 @@ use jsonlite::{FromJson, Json, JsonError, ToJson};
 use mem_model::{InsertOutcome, InsertReport};
 use parking_lot::Mutex;
 
-use crate::concurrent::{
-    read_pipeline, write_pipeline, ConcurrentMcCuckoo, MigrateOutcome, Writer,
-};
+use crate::concurrent::{read_pipeline, write_pipeline, ConcurrentMcCuckoo, MigrateOutcome};
 use crate::config::McConfig;
-use crate::engine::MAX_D;
-use crate::obs::{InsertTally, LookupTally, MaintObs, MigrationObs, Obs, ShardStats, TableStats};
+use crate::obs::{
+    LookupTally, MaintObs, MigrationObs, Obs, ShardStats, TableStats, Tally, WriteTally,
+};
 use crate::pad::CachePadded;
 use crate::persist::SnapshotOverflow;
 
@@ -472,9 +473,13 @@ where
     }
 
     /// Aggregate memory-access tallies: the sum of every shard's
-    /// [`ConcurrentMcCuckoo::mem_stats`] snapshot. Safe under concurrent
-    /// readers and writers (each shard's counters are relaxed atomics);
-    /// the sum is as linearizable as any live multi-writer statistic.
+    /// [`ConcurrentMcCuckoo::mem_stats`] snapshot, so reads are derived
+    /// from the lookups each shard recorded. A forwarded lookup counts
+    /// its probes on both sides, and `d` counter reads, once, at the
+    /// shard that records it; a probe discarded for a redo is not
+    /// counted. Safe under concurrent readers and writers (each shard's
+    /// counters are relaxed atomics); the sum is as linearizable as any
+    /// live multi-writer statistic.
     pub fn mem_stats(&self) -> mem_model::MemStats {
         let mut agg = mem_model::MemStats::default();
         for t in 0..self.shard_count() {
@@ -485,42 +490,8 @@ where
 
     // ------------------------------------------------------------------
     // Routed op engines (shared by the single-op, batched, and recovery
-    // paths; all unrecorded — the public wrappers record exactly once)
+    // paths; unrecorded unless named so — each public op records once)
     // ------------------------------------------------------------------
-
-    /// Lock-free routed lookup. Returns the value, the probe count, and
-    /// the serving table at the linearization point (for recording).
-    ///
-    /// Finality: a **hit** is final (the value was live at some instant
-    /// inside the call). A **miss** is final only if the directory entry
-    /// did not change underneath the probe — otherwise the key may have
-    /// been mid-migration and the probe retries on the new entry.
-    fn get_routed(&self, route: usize, key: &K) -> (Option<V>, u64, usize) {
-        loop {
-            let snap = self.dir[route].load(Ordering::Acquire);
-            let (tid, fwd) = decode_entry(snap);
-            let (found, probes) = match fwd {
-                None => self.table(tid).get_unrecorded(key),
-                Some(parent) => {
-                    self.migration.record_forwarding_hit();
-                    // Parent first: the drain inserts into the child
-                    // *before* removing from the parent, so a key absent
-                    // from the parent is either in the child or nowhere.
-                    let (pv, pp) = self.table(parent).get_unrecorded(key);
-                    match pv {
-                        Some(v) => (Some(v), pp),
-                        None => {
-                            let (cv, cp) = self.table(tid).get_unrecorded(key);
-                            (cv, pp + cp)
-                        }
-                    }
-                }
-            };
-            if found.is_some() || self.dir[route].load(Ordering::Acquire) == snap {
-                return (found, probes, tid);
-            }
-        }
-    }
 
     /// Routed removal. Returns the removed value and the serving table
     /// at the linearization point.
@@ -580,39 +551,22 @@ where
                     placed_in = None;
                 }
             }
-            let attempt: Result<(InsertReport, usize), (K, V)> = match fwd {
+            // Every write re-checks the entry under the serving table's
+            // writer lock, so it lands only where the key is served at
+            // that instant: a drain cannot have moved the key away first,
+            // and the write's verdict (placed or updated) stands.
+            let current = || self.dir[route].load(Ordering::Acquire) == snap;
+            let attempt = match fwd {
                 None => self
                     .table(tid)
-                    .upsert_unrecorded(key, value)
-                    .map(|rep| (rep, tid)),
-                Some(parent) => {
-                    self.migration.record_forwarding_hit();
-                    match self.table(tid).upsert_unrecorded(key, value) {
-                        Ok(mut rep) => {
-                            // Birth in the child, then evict the stale
-                            // parent copy. If one existed, the key was
-                            // logically present: the op is an update.
-                            let stale = self.table(parent).remove_unrecorded(&key);
-                            if stale.is_some() {
-                                rep.outcome = InsertOutcome::Updated;
-                            }
-                            Ok((rep, tid))
-                        }
-                        Err(pair) => {
-                            // Child full. Fall back to rewriting an
-                            // existing copy in place — parent first, then
-                            // the child once more (the drain may have
-                            // moved the key between the two probes).
-                            if self.table(parent).update_existing_unrecorded(&key, &value) {
-                                Ok((InsertReport::updated(0), parent))
-                            } else if self.table(tid).update_existing_unrecorded(&key, &value) {
-                                Ok((InsertReport::updated(0), tid))
-                            } else {
-                                Err(pair)
-                            }
-                        }
-                    }
-                }
+                    .upsert_while(key, value, current)
+                    .map(|r| r.map(|rep| (rep, tid))),
+                Some(parent) => self.upsert_forwarded(parent, tid, key, value, current),
+            };
+            // The route moved before anything was written: retry on the
+            // new entry.
+            let Some(attempt) = attempt else {
+                continue;
             };
             match attempt {
                 Ok((rep, home)) => {
@@ -644,25 +598,99 @@ where
         }
     }
 
-    /// Record one public upsert's outcome against `route`'s serving
-    /// table (used by paths that only kept the coarse result).
-    fn record_routed_upsert(&self, route: usize, out: &Result<InsertReport, (K, V)>) {
+    /// One forwarded upsert attempt of [`Self::upsert_routed`]: `None`
+    /// if the route moved first. Under the parent's writer lock the drain
+    /// cannot move the key, so parent and child together hold it at most
+    /// once, and the op is an update iff either does.
+    #[cold]
+    fn upsert_forwarded(
+        &self,
+        parent: usize,
+        tid: usize,
+        key: K,
+        value: V,
+        current: impl FnOnce() -> bool,
+    ) -> Option<Result<(InsertReport, usize), (K, V)>> {
+        self.migration.record_forwarding_hit();
+        self.table(parent).write(|pw| {
+            Some(match self.table(tid).upsert_while(key, value, current)? {
+                // Birth in the child, then evict the stale parent copy.
+                Ok(mut rep) => {
+                    if pw.remove_unrecorded(&key).is_some() {
+                        rep.outcome = InsertOutcome::Updated;
+                    }
+                    Ok((rep, tid))
+                }
+                // Child full (so it has no copy): rewrite the parent's
+                // copy in place, if there is one.
+                Err(pair) => {
+                    let cands = pw.candidate_buckets(&key);
+                    match pw.try_update(&key, &value, &cands) {
+                        Some(_) => Ok((InsertReport::updated(0), parent)),
+                        None => Err(pair),
+                    }
+                }
+            })
+        })
+    }
+
+    /// [`Self::upsert_routed`], recorded once against `route`'s serving
+    /// table when it returns.
+    fn upsert_recorded(
+        &self,
+        route: usize,
+        key: K,
+        value: V,
+        first: Option<InsertReport>,
+        placed_in: Option<usize>,
+    ) -> Result<InsertReport, (K, V)> {
+        let out = self.upsert_routed(route, key, value, first, placed_in);
         let (tid, _) = self.entry(route);
-        match out {
-            Ok(rep) => self.table(tid).obs().record_insert(rep),
-            Err(_) => self.table(tid).obs().record_insert(&InsertReport::failed()),
-        }
+        self.table(tid)
+            .obs()
+            .record_insert(out.as_ref().unwrap_or(&InsertReport::failed()));
+        out
     }
 
     // ------------------------------------------------------------------
     // Single-op API (mirrors `ConcurrentMcCuckoo`)
     // ------------------------------------------------------------------
 
-    /// Lock-free lookup in the key's shard (both sides mid-split).
+    /// Lock-free lookup in the key's shard (both sides mid-split),
+    /// recorded once, with the probes of its final pass, against the
+    /// serving table at the linearization point.
+    ///
+    /// Finality: a **hit** is final (the value was live at some instant
+    /// inside the call). A **miss** is final only if the directory entry
+    /// did not change underneath the probe — otherwise the key may have
+    /// been mid-migration and the probe retries on the new entry.
     pub fn get(&self, key: &K) -> Option<V> {
-        let (found, probes, tid) = self.get_routed(self.route_of(key), key);
-        self.table(tid).obs().record_lookup(found.is_some(), probes);
-        found
+        let route = self.route_of(key);
+        loop {
+            let snap = self.dir[route].load(Ordering::Acquire);
+            let (tid, fwd) = decode_entry(snap);
+            let (found, probes) = match fwd {
+                None => self.table(tid).get_unrecorded(key),
+                Some(parent) => {
+                    self.migration.record_forwarding_hit();
+                    // Parent first: the drain inserts into the child
+                    // *before* removing from the parent, so a key absent
+                    // from the parent is either in the child or nowhere.
+                    let (pv, pp) = self.table(parent).get_unrecorded(key);
+                    match pv {
+                        Some(v) => (Some(v), pp),
+                        None => {
+                            let (cv, cp) = self.table(tid).get_unrecorded(key);
+                            (cv, pp + cp)
+                        }
+                    }
+                }
+            };
+            if found.is_some() || self.dir[route].load(Ordering::Acquire) == snap {
+                self.table(tid).obs().record_lookup(found.is_some(), probes);
+                return found;
+            }
+        }
     }
 
     /// Whether `key` is stored.
@@ -675,10 +703,13 @@ where
     /// `Ok(false)` = freshly placed, `Err` = rejected with nothing
     /// mutated.
     pub fn insert(&self, key: K, value: V) -> Result<bool, (K, V)> {
-        let route = self.route_of(&key);
-        let out = self.upsert_routed(route, key, value, None, None);
-        self.record_routed_upsert(route, &out);
-        out.map(|rep| matches!(rep.outcome, InsertOutcome::Updated))
+        self.insert_report(key, value).map(updated)
+    }
+
+    /// [`Self::insert`] returning the engine's full report (the first
+    /// successful attempt's, under a racing split).
+    pub(crate) fn insert_report(&self, key: K, value: V) -> Result<InsertReport, (K, V)> {
+        self.upsert_recorded(self.route_of(&key), key, value, None, None)
     }
 
     /// Insert a key expected to be absent. Same placement engine as
@@ -1042,30 +1073,22 @@ where
     /// Every batched op's prologue: record the batch, route each of its
     /// `n` items once (`key(i)` is item `i`'s key) on one snapshot per
     /// touched directory entry (so equal keys share a group even
-    /// mid-flip), group them and record each shard's share. Returns the
-    /// per-item routes, the snapshots, the per-item groups (serving
-    /// table, or the trailing slow group for keys behind a forwarding
-    /// entry or a table newer than the batch), and the positions by
-    /// group with the fast groups, in shard order, in `order[..fast]`.
-    fn route_batch<'k>(
-        &self,
-        n: usize,
-        key: impl Fn(usize) -> &'k K,
-    ) -> (Vec<u32>, [u64; DIR_SIZE], Vec<u32>, Vec<u32>, usize)
+    /// mid-flip), group them and record each shard's share.
+    fn route_batch<'k>(&self, n: usize, key: impl Fn(usize) -> &'k K) -> Routed
     where
         K: 'k,
     {
         self.obs.record_batch(n);
         let ntables = self.shard_count();
-        let mut entry_snap = [u64::MAX; DIR_SIZE];
+        let mut snap = [u64::MAX; DIR_SIZE];
         let mut routes = Vec::with_capacity(n);
         let mut gids = Vec::with_capacity(n);
         for i in 0..n {
             let r = self.route_of(key(i));
-            if entry_snap[r] == u64::MAX {
-                entry_snap[r] = self.dir[r].load(Ordering::Acquire);
+            if snap[r] == u64::MAX {
+                snap[r] = self.dir[r].load(Ordering::Acquire);
             }
-            let (tid, fwd) = decode_entry(entry_snap[r]);
+            let (tid, fwd) = decode_entry(snap[r]);
             routes.push(r as u32);
             gids.push(if fwd.is_some() || tid >= ntables {
                 ntables as u32
@@ -1080,52 +1103,34 @@ where
                 self.table(g).obs().record_batch(items_in as usize);
             }
         }
-        (routes, entry_snap, gids, order, offsets[ntables] as usize)
+        Routed {
+            routes,
+            snap,
+            gids,
+            order,
+            fast: offsets[ntables] as usize,
+        }
     }
 
-    /// The batched-write loop behind [`Self::insert_batch`] and
-    /// [`Self::remove_batch`]: [`Self::route_batch`], then the write
-    /// pipeline (`write_pipeline`) over the grouped items in shard order:
-    /// each shard's writer lock is taken once, and `op(writer, i, cands)`
-    /// writes item `i` on the candidates stage 1 hashed. Returns each
-    /// item's settle step, in shard order, for the caller to take with no
-    /// lock held: `(i, route, Some((g, res, moved)))` carries table `g`'s
-    /// result and whether the item's directory entry moved since the
-    /// batch routed it (a racing split: the caller redoes the op through
-    /// the routed path unless its result is final anyway); `(i, route,
-    /// None)` marks an item behind a forwarding entry, for the routed
-    /// path's two-sided placement.
-    fn write_batch<'a, 'k, R: 'a>(
-        &'a self,
-        n: usize,
-        key: impl Fn(usize) -> &'k K,
-        mut op: impl FnMut(&mut Writer<K, V>, usize, &[usize; MAX_D]) -> R,
-    ) -> impl Iterator<Item = (usize, usize, Option<(usize, R, bool)>)> + 'a
-    where
-        K: 'k,
-    {
-        let (routes, entry_snap, gids, order, fast) = self.route_batch(n, &key);
-        let mut results = Vec::with_capacity(fast);
-        write_pipeline(
-            fast,
-            |j| {
-                let i = order[j] as usize;
-                (&**self.table(gids[i] as usize), key(i))
-            },
-            |w, j, cands| results.push(op(w, order[j] as usize, cands)),
-        );
-        // The slow group follows the fast one in `order` and has no
-        // staged result.
-        let mut results = results.into_iter();
-        order.into_iter().map(move |i| {
-            let i = i as usize;
-            let r = routes[i] as usize;
-            let staged = results.next().map(|res| {
-                let moved = self.dir[r].load(Ordering::Acquire) != entry_snap[r];
-                (gids[i] as usize, res, moved)
-            });
-            (i, r, staged)
-        })
+    /// The batched ops' one flush-on-group-change step: stage 2 finishes
+    /// the fast items group by group, so `tally` (group `tally.0`'s) is
+    /// absorbed into its shard once, when the batch leaves the group.
+    fn tally_at<'t, T: Tally>(&self, tally: &'t mut (usize, T), g: u32) -> &'t mut T {
+        if tally.0 != g as usize {
+            self.table(tally.0)
+                .obs()
+                .absorb(&std::mem::take(&mut tally.1));
+            tally.0 = g as usize;
+        }
+        &mut tally.1
+    }
+
+    /// Stage 2's finish check for batch item `i`: whether its directory
+    /// entry still reads as the batch routed it. Otherwise a split raced
+    /// the item, and it is redone through the routed path.
+    fn settled(&self, b: &Routed, i: usize) -> bool {
+        let r = b.routes[i] as usize;
+        self.dir[r].load(Ordering::Acquire) == b.snap[r]
     }
 
     /// Upsert a batch, taking each involved shard's writer lock **once**.
@@ -1134,56 +1139,52 @@ where
     /// regardless of how the batch was regrouped internally. Failed items
     /// leave their shard untouched, exactly like single-op inserts. Keys
     /// caught by a racing shard split are transparently redone on their
-    /// new serving table. The write pipeline hints every item's lines a
-    /// window ahead of its placement (see `write_batch`).
+    /// new serving table. One write pipeline (`write_pipeline`) runs over
+    /// every routed item; stage 2 writes each item and finishes it.
     pub fn insert_batch(&self, items: &[(K, V)]) -> Vec<Result<bool, (K, V)>> {
-        // Every slot is overwritten: each item settles once.
+        let b = self.route_batch(items.len(), |i| &items[i].0);
+        // Every slot is overwritten: each item finishes once.
         let mut out: Vec<Result<bool, (K, V)>> = vec![Ok(false); items.len()];
-        let settles = self.write_batch(
-            items.len(),
-            |i| &items[i].0,
-            |w, i, cands| {
+        let mut tally = (0, WriteTally::default());
+        let mut redo = Vec::new();
+        write_pipeline(
+            b.fast,
+            |j| {
+                let i = b.order[j] as usize;
+                (&**self.table(b.gids[i] as usize), &items[i].0)
+            },
+            |w, j, cands| {
+                let i = b.order[j] as usize;
+                // A split flipped the route before the write: leave the
+                // item to the routed path (see `upsert_routed`).
+                if !self.settled(&b, i) {
+                    return redo.push((i, None));
+                }
                 let (k, v) = items[i];
-                w.insert_staged(k, v, cands).map_err(|full| full.evicted)
+                match w.insert_staged(k, v, cands).map_err(|full| full.evicted) {
+                    // The route flipped under a success: redo from this
+                    // attempt's state once the pipeline is done.
+                    Ok(rep) if !self.settled(&b, i) => redo.push((i, Some(rep))),
+                    // A reject mutated nothing: final regardless of route
+                    // motion (same contract as a single-op reject).
+                    res => {
+                        self.tally_at(&mut tally, b.gids[i])
+                            .record_insert(res.as_ref().unwrap_or(&InsertReport::failed()));
+                        out[i] = res.map(updated);
+                    }
+                }
             },
         );
-        // Settles run shard by shard, so each shard's tally is flushed
-        // once, when the settles leave its group.
-        let mut tally = InsertTally::default();
-        let mut tally_group = 0;
-        for (i, r, staged) in settles {
+        self.table(tally.0).obs().absorb(&tally.1);
+        // The redos, and the keys behind a forwarding entry (the routed
+        // path's two-sided placement), with no lock held.
+        for (i, first) in redo.into_iter().chain(b.slow().map(|i| (i, None))) {
             let (k, v) = items[i];
-            let res = match staged {
-                // A reject mutated nothing: final regardless of route
-                // motion (same contract as a single-op reject).
-                Some((g, res, moved)) if res.is_err() || !moved => {
-                    if g != tally_group {
-                        self.table(tally_group).obs().absorb_inserts(&tally);
-                        tally = InsertTally::default();
-                        tally_group = g;
-                    }
-                    tally.record(res.as_ref().unwrap_or(&InsertReport::failed()));
-                    res
-                }
-                // A split flipped this route mid-batch: redo from the
-                // batched attempt's state and record the op on its final
-                // serving table.
-                Some((g, res, _)) => {
-                    let redo = self.upsert_routed(r, k, v, res.ok(), Some(g));
-                    self.record_routed_upsert(r, &redo);
-                    redo
-                }
-                // Behind an active forwarding entry: the per-key routed
-                // path's two-sided placement.
-                None => {
-                    let res = self.upsert_routed(r, k, v, None, None);
-                    self.record_routed_upsert(r, &res);
-                    res
-                }
-            };
-            out[i] = res.map(|rep| matches!(rep.outcome, InsertOutcome::Updated));
+            let placed_in = first.map(|_| b.gids[i] as usize);
+            out[i] = self
+                .upsert_recorded(b.routes[i] as usize, k, v, first, placed_in)
+                .map(updated);
         }
-        self.table(tally_group).obs().absorb_inserts(&tally);
         out
     }
 
@@ -1195,45 +1196,31 @@ where
     /// Misses raced by a shard split are transparently re-probed through
     /// the forwarding map.
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        let (routes, entry_snap, gids, order, fast) = self.route_batch(keys.len(), |i| &keys[i]);
+        let b = self.route_batch(keys.len(), |i| &keys[i]);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        // `order[..fast]` runs group by group, so each shard's tally is
-        // flushed once, when the pipeline leaves its group.
-        let mut tally = LookupTally::default();
-        let mut tally_group = 0;
+        let mut tally = (0, LookupTally::default());
+        let mut redo = Vec::new();
         read_pipeline(
-            fast,
+            b.fast,
             |j| {
-                let idx = order[j] as usize;
-                (&**self.table(gids[idx] as usize), &keys[idx])
+                let i = b.order[j] as usize;
+                (&**self.table(b.gids[i] as usize), &keys[i])
             },
             |j, found, probes| {
-                let idx = order[j] as usize;
-                let g = gids[idx] as usize;
-                if g != tally_group {
-                    self.table(tally_group).obs().absorb_lookups(&tally);
-                    tally = LookupTally::default();
-                    tally_group = g;
-                }
-                let r = routes[idx] as usize;
-                if found.is_some() || self.dir[r].load(Ordering::Acquire) == entry_snap[r] {
-                    tally.record(found.is_some(), probes);
-                    out[idx] = found;
+                let i = b.order[j] as usize;
+                // A miss under a racing flip may be a key mid-move.
+                if found.is_some() || self.settled(&b, i) {
+                    self.tally_at(&mut tally, b.gids[i])
+                        .record(found.is_some(), probes);
+                    out[i] = found;
                 } else {
-                    // Miss under a racing flip: the key may be mid-move —
-                    // re-probe through the forwarding map.
-                    let (v, probes2, tid) = self.get_routed(r, &keys[idx]);
-                    self.table(tid).obs().record_lookup(v.is_some(), probes2);
-                    out[idx] = v;
+                    redo.push(i);
                 }
             },
         );
-        self.table(tally_group).obs().absorb_lookups(&tally);
-        for &i in &order[fast..] {
-            let idx = i as usize;
-            let (v, probes, tid) = self.get_routed(routes[idx] as usize, &keys[idx]);
-            self.table(tid).obs().record_lookup(v.is_some(), probes);
-            out[idx] = v;
+        self.table(tally.0).obs().absorb(&tally.1);
+        for i in redo.into_iter().chain(b.slow()) {
+            out[i] = self.get(&keys[i]);
         }
         out
     }
@@ -1243,24 +1230,33 @@ where
     /// removed by its first occurrence only. Misses raced by a shard
     /// split are transparently redone through the forwarding map.
     pub fn remove_batch(&self, keys: &[K]) -> Vec<Option<V>> {
+        let b = self.route_batch(keys.len(), |i| &keys[i]);
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        let settles = self.write_batch(
-            keys.len(),
-            |i| &keys[i],
-            |w, i, cands| w.remove_staged(&keys[i], cands),
+        let mut tally = (0, WriteTally::default());
+        let mut redo = Vec::new();
+        write_pipeline(
+            b.fast,
+            |j| {
+                let i = b.order[j] as usize;
+                (&**self.table(b.gids[i] as usize), &keys[i])
+            },
+            |w, j, cands| {
+                let i = b.order[j] as usize;
+                let removed = w.remove_staged(&keys[i], cands);
+                // A removed value is final even when the entry moved (see
+                // `remove_routed`); a miss under a racing flip is redone.
+                if removed.is_some() || self.settled(&b, i) {
+                    self.tally_at(&mut tally, b.gids[i])
+                        .record_remove(removed.is_some());
+                    out[i] = removed;
+                } else {
+                    redo.push(i);
+                }
+            },
         );
-        for (i, r, staged) in settles {
-            out[i] = match staged {
-                Some((g, removed, moved)) if removed.is_some() || !moved => {
-                    self.table(g).obs().record_remove(removed.is_some());
-                    removed
-                }
-                _ => {
-                    let (v, tid) = self.remove_routed(r, &keys[i]);
-                    self.table(tid).obs().record_remove(v.is_some());
-                    v
-                }
-            };
+        self.table(tally.0).obs().absorb(&tally.1);
+        for i in redo.into_iter().chain(b.slow()) {
+            out[i] = self.remove(&keys[i]);
         }
         out
     }
@@ -1447,6 +1443,32 @@ where
             }
         }
         Ok(t)
+    }
+}
+
+/// Whether an upsert report is an in-place update (the public `Ok(true)`).
+fn updated(rep: InsertReport) -> bool {
+    matches!(rep.outcome, InsertOutcome::Updated)
+}
+
+/// One batch's routing, from [`ShardedMcCuckoo::route_batch`].
+struct Routed {
+    /// Each item's directory index.
+    routes: Vec<u32>,
+    /// The directory entries the batch routed on.
+    snap: [u64; DIR_SIZE],
+    /// Each item's group: its serving table, or the trailing slow group
+    /// (behind a forwarding entry, or a table newer than the batch).
+    gids: Vec<u32>,
+    /// Item positions by group; the fast groups fill `order[..fast]`.
+    order: Vec<u32>,
+    fast: usize,
+}
+
+impl Routed {
+    /// The slow group's item positions, left to the routed path.
+    fn slow(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order[self.fast..].iter().map(|&i| i as usize)
     }
 }
 
@@ -2053,6 +2075,75 @@ mod tests {
                 stop.store(true, Ordering::Release);
             });
             assert_eq!(t.shard_count(), 2);
+        }
+    }
+
+    #[test]
+    fn write_batches_keep_every_key_through_the_first_split() {
+        // A batch routed on the one-table directory may reach the
+        // parent's writer lock only after the first split flipped its
+        // keys' routes and the drain moved some of them. Each item must
+        // then notice the move and redo through the forwarding map:
+        // otherwise an upsert of a moved key places a second copy in the
+        // parent, and a remove misses it. The writer checks every result
+        // against its own model of the table; afterwards the table holds
+        // exactly that model, with no stranded copy. Only the batch in
+        // flight at the flip can race it, so this takes many small splits
+        // at randomised moments.
+        const SPLITS: u64 = 300;
+        for seed in 0..SPLITS {
+            let t = table(1, 64, 0x5B17 + seed);
+            let keys = UniqueKeys::new(seed).take_vec(96);
+            let preload: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+            assert!(t.insert_batch(&preload).iter().all(|r| *r == Ok(false)));
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            let start = std::sync::Barrier::new(2);
+            let model = std::thread::scope(|scope| {
+                let writer = scope.spawn(|| {
+                    let mut model: Vec<Option<u64>> = keys.iter().map(|&k| Some(k)).collect();
+                    let mut rng = SplitMix64::new(seed);
+                    start.wait();
+                    for round in 1u64.. {
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let lo = rng.next_below(keys.len() as u64) as usize;
+                        let hi = lo + 1 + rng.next_below((keys.len() - lo) as u64) as usize;
+                        if round % 2 == 1 {
+                            let items: Vec<(u64, u64)> =
+                                keys[lo..hi].iter().map(|&k| (k, k ^ round)).collect();
+                            for (i, got) in (lo..hi).zip(t.insert_batch(&items)) {
+                                if got != Ok(model[i].is_some()) {
+                                    return Err(format!("round {round}: upsert {i} gave {got:?}"));
+                                }
+                                model[i] = Some(keys[i] ^ round);
+                            }
+                        } else {
+                            for (i, got) in (lo..hi).zip(t.remove_batch(&keys[lo..hi])) {
+                                if got != model[i] {
+                                    return Err(format!("round {round}: remove {i} gave {got:?}"));
+                                }
+                                model[i] = None;
+                            }
+                        }
+                    }
+                    Ok(model)
+                });
+                start.wait();
+                for _ in 0..SplitMix64::new(!seed).next_below(20_000) {
+                    std::hint::spin_loop();
+                }
+                t.begin_split(0).unwrap();
+                stop.store(true, Ordering::Release);
+                writer.join().unwrap()
+            });
+            let model = model.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            t.check_invariants()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            for (k, want) in keys.iter().zip(&model) {
+                assert_eq!(t.get(k), *want, "seed {seed}: key {k}");
+            }
+            assert_eq!(t.len(), model.iter().flatten().count(), "seed {seed}");
         }
     }
 

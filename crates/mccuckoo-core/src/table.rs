@@ -11,7 +11,7 @@
 //! Design notes:
 //!
 //! * `insert`/`insert_new` return a plain [`InsertReport`]: a rejected
-//!   insertion surfaces as [`InsertOutcome::Failed`] in the report rather
+//!   insertion surfaces as [`InsertOutcome::Failed`](mem_model::InsertOutcome::Failed) in the report rather
 //!   than an `Err` carrying the evicted pair — callers that need the
 //!   evicted item back use the inherent per-table APIs.
 //! * `lookup` returns an owned `Option<V>` so that lock-free tables
@@ -22,7 +22,7 @@
 //! * The trait is object-safe: `Box<dyn McTable<u64, u64>>` is the shape
 //!   the benchmark harness stores.
 
-use mem_model::{InsertOutcome, InsertReport, MemStats};
+use mem_model::{InsertReport, MemStats};
 
 use crate::engine::{BucketLayout, Engine};
 use crate::obs::TableStats;
@@ -31,7 +31,7 @@ use crate::obs::TableStats;
 /// and the single-copy baselines.
 pub trait McTable<K, V> {
     /// Insert or update (upsert). A rejected insertion reports
-    /// [`InsertOutcome::Failed`]; the item is then not stored.
+    /// [`InsertOutcome::Failed`](mem_model::InsertOutcome::Failed); the item is then not stored.
     fn insert(&mut self, key: K, value: V) -> InsertReport;
 
     /// Insert a key the caller guarantees is absent (skips the update
@@ -168,33 +168,13 @@ impl<K: hash_kit::KeyHash + Eq + Clone, V: Clone, L: BucketLayout> McTable<K, V>
 
 impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::ConcurrentMcCuckoo<K, V> {
     fn insert(&mut self, key: K, value: V) -> InsertReport {
-        match crate::ConcurrentMcCuckoo::insert(self, key, value) {
-            Ok(true) => InsertReport {
-                outcome: InsertOutcome::Updated,
-                kickouts: 0,
-                collision: false,
-                copies_written: 1,
-            },
-            Ok(false) => InsertReport::clean(1),
-            Err(_) => InsertReport {
-                outcome: InsertOutcome::Failed,
-                kickouts: 0,
-                collision: true,
-                copies_written: 0,
-            },
-        }
+        self.insert_report(key, value)
+            .unwrap_or_else(|_| InsertReport::failed())
     }
 
     fn insert_new(&mut self, key: K, value: V) -> InsertReport {
-        match crate::ConcurrentMcCuckoo::insert_new(self, key, value) {
-            Ok(()) => InsertReport::clean(1),
-            Err(_) => InsertReport {
-                outcome: InsertOutcome::Failed,
-                kickouts: 0,
-                collision: true,
-                copies_written: 0,
-            },
-        }
+        self.insert_new_report(key, value)
+            .unwrap_or_else(|_| InsertReport::failed())
     }
 
     fn lookup(&self, key: &K) -> Option<V> {
@@ -236,33 +216,13 @@ impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::Concurr
 
 impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::ShardedMcCuckoo<K, V> {
     fn insert(&mut self, key: K, value: V) -> InsertReport {
-        match crate::ShardedMcCuckoo::insert(self, key, value) {
-            Ok(true) => InsertReport {
-                outcome: InsertOutcome::Updated,
-                kickouts: 0,
-                collision: false,
-                copies_written: 1,
-            },
-            Ok(false) => InsertReport::clean(1),
-            Err(_) => InsertReport {
-                outcome: InsertOutcome::Failed,
-                kickouts: 0,
-                collision: true,
-                copies_written: 0,
-            },
-        }
+        self.insert_report(key, value)
+            .unwrap_or_else(|_| InsertReport::failed())
     }
 
     fn insert_new(&mut self, key: K, value: V) -> InsertReport {
-        match crate::ShardedMcCuckoo::insert_new(self, key, value) {
-            Ok(()) => InsertReport::clean(1),
-            Err(_) => InsertReport {
-                outcome: InsertOutcome::Failed,
-                kickouts: 0,
-                collision: true,
-                copies_written: 0,
-            },
-        }
+        self.insert_report(key, value)
+            .unwrap_or_else(|_| InsertReport::failed())
     }
 
     fn lookup(&self, key: &K) -> Option<V> {
@@ -307,6 +267,7 @@ mod tests {
     use super::*;
     use crate::blocked::BlockedConfig;
     use crate::{BlockedMcCuckoo, ConcurrentMcCuckoo, McConfig, McCuckoo, ShardedMcCuckoo};
+    use mem_model::InsertOutcome;
 
     /// The whole point of the trait: one generic driver for every table.
     fn exercise<T: McTable<u64, u64>>(t: &mut T) {
@@ -367,6 +328,24 @@ mod tests {
         }
     }
 
+    /// Fill `t` to 90 % of its slots through the trait, half by upsert
+    /// and half by fresh insert: the fill kicks, and the kick-outs its
+    /// reports carry sum to the kicks `stats()` recorded.
+    fn reports_carry_the_recorded_kicks<T: McTable<u64, u64>>(t: &mut T) {
+        let kicks0 = t.stats().ops.kicks;
+        let mut kicks = 0u64;
+        for k in 0..t.capacity() as u64 * 9 / 10 {
+            let rep = if k % 2 == 0 {
+                t.insert(k, k)
+            } else {
+                t.insert_new(k, k)
+            };
+            kicks += u64::from(rep.kickouts);
+        }
+        assert!(kicks > 0, "a 90 % fill must kick");
+        assert_eq!(kicks, t.stats().ops.kicks - kicks0);
+    }
+
     #[test]
     fn concurrent_table_conforms() {
         // The concurrent upsert distinguishes `Updated` from `Placed`
@@ -378,6 +357,7 @@ mod tests {
         assert!(m.offchip_reads > 0, "lookups must meter bucket reads");
         assert!(m.onchip_reads > 0, "lookups must meter counter consults");
         assert!(m.onchip_writes > 0, "placements must meter counter writes");
+        reports_carry_the_recorded_kicks(&mut t);
     }
 
     #[test]
@@ -387,5 +367,6 @@ mod tests {
         let m = McTable::mem_stats(&t);
         assert!(m.offchip_writes > 0, "inserts must meter bucket writes");
         assert!(m.offchip_reads > 0, "lookups must meter bucket reads");
+        reports_carry_the_recorded_kicks(&mut t);
     }
 }

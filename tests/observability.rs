@@ -117,38 +117,44 @@ fn counters_survive_clear() {
 }
 
 proptest! {
-    /// The probe histogram is not an estimate: on the metered engine
-    /// tables, its sample count equals the number of lookups issued and
-    /// its value sum equals the independent mem-model meter's read delta
-    /// (off-chip + stash) over the same window, for any fill and any
-    /// hit/miss mix.
+    /// The probe histogram is not an estimate: on the metered tables, its
+    /// sample count equals the number of lookups issued and its value sum
+    /// equals the mem-model meter's read delta (off-chip + stash) over the
+    /// same window, for any fill, any hit/miss mix, single-key or batched.
+    /// The engine tables meter their reads independently of the
+    /// histogram; the concurrent and sharded tables derive theirs from
+    /// it, so there the test pins that derivation, `d` counter reads per
+    /// lookup included.
     #[test]
     fn probe_histogram_reconciles_with_meter(
         seed in any::<u64>(),
         fill in 1u64..600,
         lookups in proptest::collection::vec(any::<u64>(), 1..200),
-        blocked in any::<bool>(),
+        kind in 0usize..4,
+        batched in any::<bool>(),
     ) {
-        let mut t: Box<dyn McTable<u64, u64>> = if blocked {
-            Box::new(BlockedMcCuckoo::new(BlockedConfig {
+        let mut t: Box<dyn McTable<u64, u64>> = match kind {
+            0 => Box::new(McCuckoo::new(McConfig::paper(512, seed))),
+            1 => Box::new(BlockedMcCuckoo::new(BlockedConfig {
                 base: McConfig::paper(512, seed),
                 slots: 2,
-            }))
-        } else {
-            Box::new(McCuckoo::new(McConfig::paper(512, seed)))
+            })),
+            2 => Box::new(ConcurrentMcCuckoo::new(McConfig::paper(512, seed))),
+            _ => Box::new(ShardedMcCuckoo::new(4, McConfig::paper(128, seed))),
         };
         for k in 0..fill {
             prop_assert!(t.insert_new(k, k).stored());
         }
         let stats0 = t.stats();
         let meter0 = t.mem_stats();
-        let mut hits = 0u64;
-        for &q in &lookups {
-            let q = q % (fill * 2); // ~half present, half absent
-            if t.lookup(&q).is_some() {
-                hits += 1;
-            }
-        }
+        // ~half present, half absent
+        let queries: Vec<u64> = lookups.iter().map(|&q| q % (fill * 2)).collect();
+        let found = if batched {
+            t.lookup_batch(&queries)
+        } else {
+            queries.iter().map(|q| t.lookup(q)).collect()
+        };
+        let hits = found.iter().filter(|v| v.is_some()).count() as u64;
         let ds = {
             let s = t.stats();
             (
@@ -160,6 +166,9 @@ proptest! {
         let dm = t.mem_stats() - meter0;
         prop_assert_eq!(ds.0, lookups.len() as u64, "one sample per lookup");
         prop_assert_eq!(ds.1, dm.offchip_reads + dm.stash_reads, "sum = metered reads");
+        // d·l counter reads per lookup: d = 3, l = 2 slots when blocked.
+        let counters = if kind == 1 { 6 } else { 3 };
+        prop_assert_eq!(dm.onchip_reads, counters * ds.0, "d·l counter reads per lookup");
         prop_assert_eq!(ds.2, hits);
     }
 }
