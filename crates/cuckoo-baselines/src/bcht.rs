@@ -11,6 +11,7 @@
 
 use hash_kit::{BucketFamily, FamilyKind, KeyHash, SplitMix64};
 use mccuckoo_core::obs::Obs;
+use mccuckoo_core::prefetch::huge_plane;
 use mccuckoo_core::{McTable, TableStats};
 use mem_model::{InsertOutcome, InsertReport, MemMeter};
 
@@ -95,8 +96,7 @@ impl<K: KeyHash + Eq, V> Bcht<K, V> {
             config.seed,
         );
         let total = config.d * config.buckets_per_table * config.slots;
-        let mut entries = Vec::with_capacity(total);
-        entries.resize_with(total, || None);
+        let entries = huge_plane(total, || None);
         Self {
             family,
             d: config.d,

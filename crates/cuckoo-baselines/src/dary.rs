@@ -11,6 +11,7 @@
 
 use hash_kit::{BucketFamily, FamilyKind, KeyHash, SplitMix64};
 use mccuckoo_core::obs::Obs;
+use mccuckoo_core::prefetch::huge_plane;
 use mccuckoo_core::{McTable, TableStats};
 use mem_model::{InsertOutcome, InsertReport, MemMeter};
 
@@ -151,8 +152,7 @@ impl<K: KeyHash + Eq + Clone, V> DaryCuckoo<K, V> {
             config.seed,
         );
         let total = config.d * config.buckets_per_table;
-        let mut buckets = Vec::with_capacity(total);
-        buckets.resize_with(total, || None);
+        let buckets = huge_plane(total, || None);
         Self {
             family,
             d: config.d,

@@ -166,15 +166,16 @@ pub fn measure_lookup_misses(table: &AnyTable, seed: u64, samples: usize) -> (f6
 /// batch's candidate lines fit in L1/L2 together.
 pub const LOOKUP_BATCH: usize = 256;
 
-/// Wall-clock lookup throughput over `samples` present keys, in Mops:
-/// `(single_key, batched)`. Both passes resolve the identical key
-/// vector — the single-key pass loops [`AnyTable::get`], the batched
-/// pass feeds [`LOOKUP_BATCH`]-sized chunks to [`AnyTable::get_batch`]
-/// (the prefetch-interleaved state machine on the multi-copy schemes).
-/// One untimed single-key pass over the keys runs first, so the first
-/// timed pass does not run colder than the batched one after it. Each
-/// pass is repeated `runs` times and the fastest run wins, so a stray
-/// scheduler hiccup does not masquerade as a throughput ratio.
+/// Wall-clock lookup throughput over present keys, in Mops:
+/// `(single_key, batched)`, each the fastest of `runs` timed passes. The
+/// single-key pass loops [`AnyTable::get`], the batched pass feeds
+/// [`LOOKUP_BATCH`]-sized chunks to [`AnyTable::get_batch`]; the two
+/// alternate, after one untimed pass of each. Every pass resolves its
+/// own `samples` keys (fewer when the table holds too few), disjoint
+/// from every other pass's and spread over the whole fill order, so no
+/// timed pass finds lines an earlier one pulled into the cache: on a
+/// table larger than the cache every probe misses to DRAM, as it would
+/// in service.
 pub fn measure_lookup_throughput(
     table: &AnyTable,
     seed: u64,
@@ -182,34 +183,44 @@ pub fn measure_lookup_throughput(
     samples: usize,
     runs: u64,
 ) -> (f64, f64) {
+    let passes = 2 * runs.max(1) as usize + 1;
+    let per_pass = samples.min(inserted as usize / passes).max(1);
+    let step = (inserted as usize / (per_pass * passes)).max(1);
+    // Stride sample `i` goes to pass `i % passes`.
+    let mut keys = vec![Vec::with_capacity(per_pass); passes];
     let mut gen = DocWordsLike::nytimes_like(seed);
-    let step = (inserted as usize / samples.max(1)).max(1);
-    let all: Vec<u64> = (0..inserted).map(|_| gen.next_key()).collect();
-    let keys: Vec<u64> = all.iter().step_by(step).copied().collect();
-    for k in &keys {
-        std::hint::black_box(table.get(k));
-    }
-    let mut single_best = f64::INFINITY;
-    let mut batch_best = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let t0 = std::time::Instant::now();
-        let mut hits = 0usize;
-        for k in &keys {
-            hits += usize::from(std::hint::black_box(table.get(k)).is_some());
+    for i in 0..inserted as usize {
+        let k = gen.next_key();
+        if i % step == 0 && i / step < per_pass * passes {
+            keys[i / step % passes].push(k);
         }
-        single_best = single_best.min(t0.elapsed().as_secs_f64());
-        assert_eq!(hits, keys.len(), "present keys must all hit");
-        let t0 = std::time::Instant::now();
-        let mut hits = 0usize;
-        for chunk in keys.chunks(LOOKUP_BATCH) {
-            let got = std::hint::black_box(table.get_batch(chunk));
-            hits += got.iter().filter(|g| g.is_some()).count();
-        }
-        batch_best = batch_best.min(t0.elapsed().as_secs_f64());
-        assert_eq!(hits, keys.len(), "batched pass must see the same hits");
     }
-    let n = keys.len() as f64;
-    (n / single_best / 1e6, n / batch_best / 1e6)
+    let time = |pass: &[u64], batched: bool| {
+        let t0 = std::time::Instant::now();
+        let hits = if batched {
+            pass.chunks(LOOKUP_BATCH)
+                .map(|chunk| {
+                    let got = std::hint::black_box(table.get_batch(chunk));
+                    got.iter().filter(|g| g.is_some()).count()
+                })
+                .sum()
+        } else {
+            pass.iter()
+                .filter(|k| std::hint::black_box(table.get(k)).is_some())
+                .count()
+        };
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(hits, pass.len(), "present keys must all hit");
+        pass.len() as f64 / secs.max(1e-9) / 1e6
+    };
+    time(&keys[0], false);
+    time(&keys[0], true);
+    let (mut single, mut batch) = (0f64, 0f64);
+    for pair in keys[1..].chunks(2) {
+        single = single.max(time(&pair[0], false));
+        batch = batch.max(time(&pair[1], true));
+    }
+    (single, batch)
 }
 
 /// Reads and writes per deletion over `samples` present keys (destructive

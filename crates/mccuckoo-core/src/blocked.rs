@@ -291,6 +291,18 @@ mod tests {
     }
 
     #[test]
+    fn mem_bytes_counts_slots_flags_and_counter_words() {
+        // 3 × 50,000 buckets of 3 slots: 24 B slots, one flag byte per
+        // bucket and one 2-bit counter per slot, 32 to a 64-bit word.
+        let mut t = paper_table(50_000, 1);
+        let want = 450_000 * 24 + 150_000 + 450_000usize.div_ceil(32) * 8;
+        assert_eq!(t.mem_bytes(), want);
+        assert_eq!(want, 11_062_504);
+        t.insert_new(1, 1).unwrap();
+        assert_eq!(t.mem_bytes(), want);
+    }
+
+    #[test]
     fn stash_and_screening_at_overload() {
         let n = 60;
         let mut t: BlockedMcCuckoo<u64, u64> = BlockedMcCuckoo::new(BlockedConfig {

@@ -1002,6 +1002,57 @@ mod tests {
         assert_eq!(t.mem_bytes(), want);
     }
 
+    /// The `VmFlags` of the mapping that holds `addr`, from this
+    /// process's `/proc/self/smaps`.
+    #[cfg(target_os = "linux")]
+    fn vm_flags(addr: usize) -> Option<String> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut inside = false;
+        for line in smaps.lines() {
+            // Mapping headers start `lo-hi perms …` in hex; field lines
+            // (`Size:`, `VmFlags:`, …) follow their mapping's header.
+            let range = line.split_whitespace().next()?;
+            if let Some((lo, hi)) = range.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    inside = (lo..hi).contains(&addr);
+                    continue;
+                }
+            }
+            if inside {
+                if let Some(flags) = line.strip_prefix("VmFlags:") {
+                    return Some(flags.trim().to_string());
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn slot_plane_asks_for_huge_pages() {
+        match std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled") {
+            Ok(mode) if !mode.contains("[never]") => {}
+            mode => {
+                println!("skipped: transparent huge pages are off ({mode:?})");
+                return;
+            }
+        }
+        // 3 × 50,000 buckets of 32 B slot records: a 4.8 MB plane holds
+        // at least one whole 2 MiB-aligned page. The advice marks the
+        // mapping `hg` (VM_HUGEPAGE) whatever pages the kernel grants.
+        let t = table(50_000, 1);
+        let plane = t.cells.slots.as_ptr() as usize;
+        assert!(std::mem::size_of_val(&*t.cells.slots) >= 4 << 20);
+        let page = plane.next_multiple_of(2 << 20);
+        let flags = vm_flags(page).expect("the slot plane is mapped");
+        assert!(
+            flags.split_whitespace().any(|f| f == "hg"),
+            "slot plane at {plane:#x} not advised for huge pages: VmFlags {flags}"
+        );
+    }
+
     #[test]
     fn one_bucket_per_table_roundtrip() {
         // Tiny tables degenerate to one bucket per sub-table and still work.

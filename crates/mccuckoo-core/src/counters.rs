@@ -21,6 +21,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::prefetch::huge_plane;
+
 /// Packed counter array with optional tombstone plane.
 #[derive(Debug)]
 pub struct CounterArray {
@@ -56,9 +58,7 @@ impl CounterArray {
                 .is_power_of_two()
                 .then(|| per_word.trailing_zeros()),
             len,
-            words: (0..len.div_ceil(per_word))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            words: huge_plane(len.div_ceil(per_word), || AtomicU64::new(0)).into_boxed_slice(),
             tombs: None,
             max_value,
         }

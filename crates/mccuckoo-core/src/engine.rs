@@ -1378,6 +1378,17 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
 /// rebuilds it from scratch (unmetered except through the callers that
 /// model it, see `rehash`).
 impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
+    /// Table-owned memory in bytes: the slot and stash-flag planes, the
+    /// on-chip planes ([`onchip_bytes`](Self::onchip_bytes)) and the
+    /// stash's allocated capacity. Engine scratch and the table's own
+    /// fixed fields are not counted.
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.store.slots)
+            + std::mem::size_of_val(&*self.store.flags)
+            + self.onchip_bytes()
+            + self.stash.mem_bytes()
+    }
+
     /// Remove and return every stored item (main table + stash),
     /// leaving the table empty.
     pub(crate) fn drain_items(&mut self) -> Vec<(K, V)> {

@@ -8,6 +8,13 @@
 //! lowers to `_mm_prefetch(T0)`, on aarch64 to `prfm pldl1keep`; on
 //! every other target — and under the `no_prefetch` feature, which CI
 //! uses to keep the portable fallback green — it compiles to nothing.
+//!
+//! The allocation hint beside them, [`huge_plane`], serves the same
+//! misses from the other side: a table plane built through it asks the
+//! kernel for transparent huge pages, so a probed line in a DRAM-sized
+//! plane no longer costs a TLB miss and a page walk of its own
+//! (*Cuckoo Hashing with Pages*, arXiv 1104.5111, counts pages, not
+//! buckets). It too is advisory only.
 
 use crate::engine::MAX_D;
 
@@ -90,6 +97,55 @@ pub fn prefetch_index<T>(slice: &[T], index: usize) {
     prefetch_read(slice.as_ptr().wrapping_add(index));
 }
 
+/// Bytes of one transparent huge page (x86_64 and 4 KiB-page aarch64).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// A table plane of `len` elements made by `fill`, whose memory asks
+/// for transparent huge pages before the fill first touches it: on
+/// Linux the 2 MiB-aligned interior of the fresh buffer is advised
+/// `MADV_HUGEPAGE`, and a kernel whose THP mode is `madvise` (or
+/// `always`) then backs it with huge pages. A plane with no whole
+/// aligned huge page inside it is advised nothing and pays no syscall;
+/// on other targets this is a plain fill.
+///
+/// Advisory only: the contents, the layout, every metered count and the
+/// resident size are a plain fill's, since only memory the fill writes
+/// anyway is advised, and a refused advice is ignored.
+pub fn huge_plane<T>(len: usize, fill: impl FnMut() -> T) -> Vec<T> {
+    let mut plane = Vec::with_capacity(len);
+    let bytes = len * std::mem::size_of::<T>();
+    if let Some((start, bytes)) = huge_interior(plane.as_ptr() as usize, bytes) {
+        advise_huge(start, bytes);
+    }
+    plane.resize_with(len, fill);
+    plane
+}
+
+/// The whole huge pages of the buffer `[addr, addr + bytes)`, as
+/// `(start, bytes)`, or `None` when it holds none.
+fn huge_interior(addr: usize, bytes: usize) -> Option<(usize, usize)> {
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(bytes)? / HUGE_PAGE * HUGE_PAGE;
+    (end > start).then(|| (start, end - start))
+}
+
+#[cfg(target_os = "linux")]
+fn advise_huge(start: usize, bytes: usize) {
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    /// The `<asm-generic/mman-common.h>` value (every Linux
+    /// architecture but parisc).
+    const MADV_HUGEPAGE: i32 = 14;
+    // SAFETY: `[start, start + bytes)` lies inside an allocation this
+    // caller owns and has not yet written; MADV_HUGEPAGE only marks the
+    // range eligible for huge pages and changes no byte of it.
+    let _ = unsafe { madvise(start as *mut std::ffi::c_void, bytes, MADV_HUGEPAGE) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge(_start: usize, _bytes: usize) {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +205,44 @@ mod tests {
                 "{jobs} jobs: stage counts {staged:?}"
             );
         }
+    }
+
+    #[test]
+    fn huge_interior_is_the_whole_aligned_pages_inside() {
+        const H: usize = HUGE_PAGE;
+        // Empty, sub-huge-page and unaligned buffers hold no whole page.
+        assert_eq!(huge_interior(0, 0), None);
+        assert_eq!(huge_interior(H, 0), None);
+        assert_eq!(huge_interior(H, H - 1), None);
+        assert_eq!(huge_interior(H + 64, H), None);
+        assert_eq!(huge_interior(H + 64, 2 * H - 65), None);
+        // Exactly one page, aligned or with ragged ends.
+        assert_eq!(huge_interior(H, H), Some((H, H)));
+        assert_eq!(huge_interior(H + 64, 2 * H - 64), Some((2 * H, H)));
+        assert_eq!(huge_interior(H - 1, 2 * H + 5), Some((H, 2 * H)));
+        // A buffer running off the address space advises nothing.
+        assert_eq!(huge_interior(usize::MAX - H, 2 * H), None);
+    }
+
+    #[test]
+    fn huge_plane_equals_a_plain_collect() {
+        // Empty, small, exact and ragged sizes around one and two huge
+        // pages of `u64`s, plus a zero-sized element type.
+        let words = HUGE_PAGE / 8;
+        for len in [0, 1, 1000, words - 1, words, words + 1, 2 * words + 3] {
+            let mut n = 0u64;
+            let plane = huge_plane(len, || {
+                n += 1;
+                n.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            });
+            let want: Vec<u64> = (1..=len as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            assert_eq!(plane, want, "len {len}");
+        }
+        assert_eq!(huge_plane(5, || ()), vec![(); 5]);
+        let opts: Vec<Option<(u64, u64)>> = huge_plane(3 * words, || None);
+        assert!(opts.len() == 3 * words && opts.iter().all(Option::is_none));
     }
 
     #[test]

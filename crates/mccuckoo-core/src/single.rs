@@ -434,6 +434,31 @@ mod tests {
     }
 
     #[test]
+    fn mem_bytes_counts_slots_flags_counter_words_and_stash() {
+        // 3 × 100,000 buckets: 24 B slots (a 7.2 MB plane, so the
+        // huge-page hint advises its interior), one flag byte per bucket
+        // and 2-bit counters packed 32 to a 64-bit word. The hint adds
+        // no counted byte, and placed writes allocate none.
+        let mut t = paper_table(100_000, 1);
+        let want = 300_000 * 24 + 300_000 + 300_000 / 32 * 8;
+        assert_eq!(t.mem_bytes(), want);
+        assert_eq!(want, 7_575_000);
+        t.insert_new(1, 1).unwrap();
+        assert_eq!(t.mem_bytes(), want);
+        // An overfull table adds its stash's capacity.
+        let n = 200;
+        let mut t: McCuckoo<u64, u64> = McCuckoo::new(McConfig::paper(n, 18).with_maxloop(50));
+        let empty = t.mem_bytes();
+        let mut keys = UniqueKeys::new(19);
+        for _ in 0..3 * n {
+            let k = keys.next_key();
+            t.insert_new(k, k).unwrap();
+        }
+        assert!(t.stash_len() > 0, "100% load must overflow");
+        assert!(t.mem_bytes() >= empty + t.stash_len() * 16);
+    }
+
+    #[test]
     fn stash_absorbs_overflow_and_screening_works() {
         // Small table driven past capacity: failures land in the stash
         // and remain findable; absent-key lookups rarely visit the stash.

@@ -105,6 +105,16 @@ impl<K: KeyHash + Eq, V> Stash<K, V> {
         }
     }
 
+    /// Bytes of the stash's allocated capacity (a linear stash's
+    /// vector, a hashed stash's open-addressing slots).
+    pub fn mem_bytes(&self) -> usize {
+        match self {
+            Stash::None => 0,
+            Stash::Linear(v) => v.capacity() * std::mem::size_of::<(K, V)>(),
+            Stash::Hashed(h) => h.slots.capacity() * std::mem::size_of::<Option<(K, V)>>(),
+        }
+    }
+
     /// Drain all items (used by `refresh_stash`, which re-inserts them).
     pub fn drain_all(&mut self) -> Vec<(K, V)> {
         match self {

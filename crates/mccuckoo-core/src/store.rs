@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use crate::counters::CounterArray;
 use crate::engine::MAX_D;
+use crate::prefetch::huge_plane;
 
 /// Slot `S0..=S7` of a copy within its bucket, or `None` when a
 /// candidate table holds no copy (the Fig. 5 slot hints; blocked buckets
@@ -131,8 +132,8 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
 
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self {
         Self {
-            slots: (0..slots).map(|_| None).collect(),
-            flags: vec![false; buckets],
+            slots: huge_plane(slots, || None),
+            flags: huge_plane(buckets, || false),
             counters: CounterArray::new(slots, max_count),
         }
     }
@@ -200,7 +201,7 @@ pub(crate) struct SeqSlot<K, V> {
 /// The seqlocked slot records and counters the concurrent table's
 /// writer and readers share (one slot per bucket).
 pub(crate) struct SeqCells<K, V> {
-    slots: Box<[SeqSlot<K, V>]>,
+    pub(crate) slots: Box<[SeqSlot<K, V>]>,
     pub(crate) counters: CounterArray,
 }
 
@@ -315,12 +316,11 @@ impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
         debug_assert_eq!(slots, buckets, "one slot per bucket");
         Self {
             shared: Arc::new(SeqCells {
-                slots: (0..slots)
-                    .map(|_| SeqSlot {
-                        version: AtomicU64::new(0),
-                        cell: UnsafeCell::new(None),
-                    })
-                    .collect(),
+                slots: huge_plane(slots, || SeqSlot {
+                    version: AtomicU64::new(0),
+                    cell: UnsafeCell::new(None),
+                })
+                .into_boxed_slice(),
                 counters: CounterArray::new(slots, max_count),
             }),
         }
