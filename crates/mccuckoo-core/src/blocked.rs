@@ -23,6 +23,9 @@ use crate::config::McConfig;
 use crate::engine::{BucketLayout, CopyProbe, Engine, Probe, ProbePlan, MAX_D};
 use crate::store::SlotStore;
 
+/// Slots per bucket a blocked table supports (a hint names one of 8).
+pub(crate) const SLOTS: std::ops::RangeInclusive<usize> = 1..=8;
+
 /// Configuration of a [`BlockedMcCuckoo`].
 #[derive(Debug, Clone)]
 pub struct BlockedConfig {
@@ -115,7 +118,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
     pub fn new(config: BlockedConfig) -> Self {
         config.base.validate();
         assert!(
-            (1..=8).contains(&config.slots),
+            SLOTS.contains(&config.slots),
             "slots per bucket must be 1..=8"
         );
         Engine::from_config(config.base, BlockedLayout { l: config.slots })

@@ -10,15 +10,14 @@
 //!
 //! # Readers
 //!
-//! Readers are genuinely lock-free. Each bucket is a plain cell guarded
-//! by a seqlock version counter, bumped to odd before and back to even
-//! after every content write; version and cell share one slot record
-//! (32 B for `u64` keys and values), so a probe touches one cache line.
-//! A probe reads the cell with a volatile load into uninitialised
-//! storage, and only interprets the bytes after re-reading the version
-//! and finding it unchanged and even — a torn
-//! read is discarded before it is ever typed, so readers never observe
-//! a half-written entry. A probe that *misses* must additionally prove
+//! Readers are genuinely lock-free. Each bucket is one 32 B slot record
+//! of four atomic words: a seqlock version, bumped to odd before and
+//! back to even after every content write, then the key, the value and
+//! the occupancy plus slot hints ([`Word`] encodes keys and values), so
+//! a probe touches one cache line. A probe loads the words and keeps
+//! them only if the version is unchanged and even around the loads, so
+//! a torn read is discarded and readers never observe a half-written
+//! entry. A probe that *misses* must additionally prove
 //! it did not race a relocation: an item moving from a not-yet-checked
 //! candidate into an already-checked one would otherwise be invisible to
 //! one unlucky pass (the classic cuckoo reader race, MemC3 §3.2), so a
@@ -62,16 +61,15 @@
 //! removal on the candidates stage 1 hashed
 //! (`Engine::insert_staged`, `Engine::remove_staged`).
 //!
-//! Keys and values must be `Copy` (pointer-sized payloads — use
-//! [`crate::MultisetIndex`]-style indirection for fat values). The
-//! engine's `Cell`-based meter is not `Sync`, so the writer publishes it
-//! to relaxed atomics before unlocking. Readers meter nothing: a lookup's
-//! reads are what the table records for it (`d` counter reads and its
-//! probe count), so [`ConcurrentMcCuckoo::mem_stats`] derives them from
-//! the table's own [`Obs`] and never locks. Probes that record nothing
-//! are unmetered: maintenance (`clear`, `items`, the validators, the
-//! sharded snapshot's dedup probe) and a probe whose answer the sharded
-//! layer discards to redo the lookup.
+//! The engine's `Cell`-based meter is not `Sync`, so the writer
+//! publishes it to relaxed atomics before unlocking. Readers meter
+//! nothing: a lookup's reads are what the table records for it (`d`
+//! counter reads and its probe count), so
+//! [`ConcurrentMcCuckoo::mem_stats`] derives them from the table's own
+//! [`Obs`] and never locks. Probes that record nothing are unmetered:
+//! maintenance (`clear`, `items`, the validators, the sharded
+//! snapshot's dedup probe) and a probe whose answer the sharded layer
+//! discards to redo the lookup.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -86,7 +84,7 @@ use crate::obs::{LookupTally, Obs, TableStats, WriteTally};
 use crate::pad::CachePadded;
 use crate::prefetch::Window;
 use crate::single::SingleLayout;
-use crate::store::{SeqCells, SeqStore, SlotStore};
+use crate::store::{SeqCells, SeqStore, SlotStore, Word};
 
 /// The writer: a single-slot engine over the seqlocked store.
 pub(crate) type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
@@ -174,8 +172,8 @@ pub(crate) enum MigrateOutcome {
 
 impl<K, V> ConcurrentMcCuckoo<K, V>
 where
-    K: KeyHash + Eq + Copy,
-    V: Copy,
+    K: KeyHash + Eq + Word,
+    V: Word,
 {
     /// Build from a [`McConfig`] (stash and deletion-mode fields are
     /// ignored: the concurrent table always deletes by counter reset and
@@ -629,8 +627,8 @@ pub(crate) fn read_pipeline<'a, K, V>(
     job: impl Fn(usize) -> (&'a ConcurrentMcCuckoo<K, V>, &'a K),
     mut emit: impl FnMut(usize, Option<V>, u64),
 ) where
-    K: KeyHash + Eq + Copy + 'a,
-    V: Copy + 'a,
+    K: KeyHash + Eq + Word + 'a,
+    V: Word + 'a,
 {
     let mut window = Window::new(jobs, |j| {
         let (table, key) = job(j);
@@ -658,8 +656,8 @@ pub(crate) fn write_pipeline<'a, K, V>(
     job: impl Fn(usize) -> (&'a ConcurrentMcCuckoo<K, V>, &'a K),
     mut op: impl FnMut(&mut Writer<K, V>, usize, &[usize; MAX_D]),
 ) where
-    K: KeyHash + Eq + Copy + 'a,
-    V: Copy + 'a,
+    K: KeyHash + Eq + Word + 'a,
+    V: Word + 'a,
 {
     let mut window = Window::new(jobs, |j| {
         let (table, key) = job(j);

@@ -152,6 +152,8 @@ impl ToJson for McConfig {
 /// `resolution` field. It only ever refined the random walk, so
 /// `"resolution":"MinCounter"` with `"kick":"RandomWalk"` reads as
 /// [`KickPolicyKind::MinCounter`]; any other `resolution` is ignored.
+/// A config outside the structural limits is an error, not a panic
+/// later at build time.
 impl FromJson for McConfig {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         fn field<T: FromJson>(j: &Json, name: &str) -> Result<T, JsonError> {
@@ -166,7 +168,7 @@ impl FromJson for McConfig {
         {
             kick = KickPolicyKind::MinCounter;
         }
-        Ok(Self {
+        let config = Self {
             d: field(j, "d")?,
             buckets_per_table: field(j, "buckets_per_table")?,
             maxloop: field(j, "maxloop")?,
@@ -175,7 +177,9 @@ impl FromJson for McConfig {
             stash: field(j, "stash")?,
             family: field(j, "family")?,
             seed: field(j, "seed")?,
-        })
+        };
+        config.check().map_err(JsonError)?;
+        Ok(config)
     }
 }
 
@@ -246,13 +250,24 @@ impl McConfig {
     /// # Panics
     /// Panics if `d` is outside `2..=4` or the table is empty.
     pub(crate) fn validate(&self) {
-        assert!(
-            (2..=4).contains(&self.d),
-            "McCuckoo supports 2..=4 hash functions (paper uses 3), got {}",
-            self.d
-        );
-        assert!(self.buckets_per_table > 0, "table must be non-empty");
-        assert!(self.maxloop > 0, "maxloop must be positive");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The structural limits: `d` in `2..=4`, a non-empty table, a
+    /// positive `maxloop`.
+    fn check(&self) -> Result<(), String> {
+        if !(2..=4).contains(&self.d) {
+            let d = self.d;
+            Err(format!(
+                "McCuckoo supports 2..=4 hash functions (paper uses 3), got {d}"
+            ))
+        } else if self.buckets_per_table == 0 {
+            Err("table must be non-empty".into())
+        } else if self.maxloop == 0 {
+            Err("maxloop must be positive".into())
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -332,6 +347,24 @@ mod tests {
         }
         let missing = jsonlite::to_string(&McConfig::paper(100, 1)).replacen("\"seed\":1", "", 1);
         assert!(jsonlite::from_str::<McConfig>(&missing).is_err());
+    }
+
+    #[test]
+    fn out_of_limit_json_configs_are_typed_errors() {
+        let json = jsonlite::to_string(&McConfig::paper(100, 1));
+        for (from, to) in [
+            ("\"d\":3", "\"d\":7"),
+            ("\"d\":3", "\"d\":1"),
+            ("\"buckets_per_table\":100", "\"buckets_per_table\":0"),
+            ("\"maxloop\":500", "\"maxloop\":0"),
+        ] {
+            let edited = json.replacen(from, to, 1);
+            assert_ne!(edited, json, "{from} not in the config");
+            assert!(
+                jsonlite::from_str::<McConfig>(&edited).is_err(),
+                "{to} parsed"
+            );
+        }
     }
 
     #[test]

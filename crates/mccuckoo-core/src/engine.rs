@@ -992,12 +992,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
                     self.store.put(l, entry);
                 }
                 self.check_paranoid();
-                Some(InsertReport {
-                    outcome: InsertOutcome::Updated,
-                    kickouts: 0,
-                    collision: false,
-                    copies_written: locations.len() as u8,
-                })
+                Some(InsertReport::updated(locations.len() as u8))
             }
             CopyProbe::Miss { check_stash } => {
                 if check_stash {
@@ -1017,26 +1012,12 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             .push(key.clone(), value.clone(), &self.meter)
             .ok()
             .expect("stash accepted this key before");
-        Some(InsertReport {
-            outcome: InsertOutcome::Updated,
-            kickouts: 0,
-            collision: false,
-            copies_written: 0,
-        })
+        Some(InsertReport::updated(0))
     }
 
     // ------------------------------------------------------------------
     // Lookup
     // ------------------------------------------------------------------
-
-    /// Look up `key` using the layout's probe order and the stash
-    /// screening rules (§III.E–F).
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let cands = self.candidate_buckets(key);
-        let (found, probes) = self.get_planned(key, &cands, &L::plan_probe(self, &cands));
-        self.obs.record_lookup(found.is_some(), probes);
-        found
-    }
 
     /// Read `key`'s planned buckets: meter the `d·l` counter reads the
     /// plan consulted, return rule 1's miss, then read each planned
@@ -1064,66 +1045,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             },
             plan.buckets.len() as u64,
         )
-    }
-
-    /// `Engine::probe` plus the stash on a screened miss. Returns the
-    /// probe count (bucket and stash reads) instead of recording it: the
-    /// batched path tallies per-key outcomes locally and flushes the
-    /// whole batch's observability in one [`Obs::absorb`] pass.
-    pub(crate) fn get_planned(
-        &self,
-        key: &K,
-        cands: &[usize; MAX_D],
-        plan: &ProbePlan,
-    ) -> (Option<&V>, u64) {
-        let (probe, mut probes) = self.probe(key, cands, plan);
-        let found = match probe {
-            Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
-            Probe::Miss { check_stash } => {
-                if check_stash {
-                    // Rare path: only a stash consultation needs the
-                    // full snapshot bracket (its reads are metered
-                    // inside the stash).
-                    let before = self.meter.snapshot();
-                    let v = self.stash.get(key, &self.meter);
-                    let delta = self.meter.snapshot() - before;
-                    probes += delta.offchip_reads + delta.stash_reads;
-                    v
-                } else {
-                    None
-                }
-            }
-        };
-        (found, probes)
-    }
-
-    /// Whether `key` is stored (main table or stash).
-    pub fn contains(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Batched lookup: one result per key, in order, exactly equivalent
-    /// to calling [`Engine::get`] per key (same hits, same misses, same
-    /// metered access counts, same per-lookup observability records —
-    /// plus one batch-size sample).
-    ///
-    /// A two-stage pipeline (`crate::prefetch::Window`): stage 1,
-    /// `Engine::stage`, runs a window of keys ahead of stage 2,
-    /// [`Engine::get`]'s own plan and probe on the staged candidates.
-    /// Stage 1 reads nothing, so the access counts cannot change.
-    pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        self.obs.record_batch(keys.len());
-        let mut out = Vec::with_capacity(keys.len());
-        let mut tally = LookupTally::default();
-        let mut window = Window::new(keys.len(), |j| self.stage(&keys[j]));
-        for (j, key) in keys.iter().enumerate() {
-            let cands = window.cands(j);
-            let (found, probes) = self.get_planned(key, cands, &L::plan_probe(self, cands));
-            tally.record(found.is_some(), probes);
-            out.push(found.cloned());
-        }
-        self.obs.absorb(&tally);
-        out
     }
 
     /// Stage 1 of the batched lookup: `key`'s candidate buckets, with a
@@ -1263,19 +1184,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     // Iteration & diagnostics (unmetered)
     // ------------------------------------------------------------------
 
-    /// Iterate distinct `(key, value)` pairs (main table, then stash).
-    /// Unmetered: iteration is a host-side maintenance operation.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        (0..self.store.len())
-            .filter_map(move |idx| {
-                let e = self.store.entry(idx)?;
-                // Emit an item only at its smallest copy location.
-                let locs = self.raw_copy_locations(&e.key);
-                (locs.iter().min() == Some(&idx)).then_some((&e.key, &e.value))
-            })
-            .chain(self.stash.iter())
-    }
-
     /// Unmetered: every slot of the candidate buckets `cands` holding
     /// `key`, in candidate order.
     fn raw_slots<'a>(
@@ -1374,10 +1282,94 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     }
 }
 
-/// Host-side maintenance of the plain store: the rehash/resize path
-/// rebuilds it from scratch (unmetered except through the callers that
-/// model it, see `rehash`).
+/// What only the plain store supports: reads that lend `&V` (the
+/// seqlocked store decodes copies, and the concurrent table reads
+/// through its own seqlock protocol), and host-side maintenance — the
+/// rehash/resize path rebuilds the store from scratch (unmetered except
+/// through the callers that model it, see `rehash`).
 impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
+    /// Look up `key` using the layout's probe order and the stash
+    /// screening rules (§III.E–F).
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let cands = self.candidate_buckets(key);
+        let (found, probes) = self.get_planned(key, &cands, &L::plan_probe(self, &cands));
+        self.obs.record_lookup(found.is_some(), probes);
+        found
+    }
+
+    /// `Engine::probe` plus the stash on a screened miss. Returns the
+    /// probe count (bucket and stash reads) instead of recording it: the
+    /// batched path tallies per-key outcomes locally and flushes the
+    /// whole batch's observability in one [`Obs::absorb`] pass.
+    pub(crate) fn get_planned(
+        &self,
+        key: &K,
+        cands: &[usize; MAX_D],
+        plan: &ProbePlan,
+    ) -> (Option<&V>, u64) {
+        let (probe, mut probes) = self.probe(key, cands, plan);
+        let found = match probe {
+            Probe::Found(idx) => self.store.entry(idx).map(|e| &e.value),
+            Probe::Miss { check_stash } => {
+                if check_stash {
+                    // Rare path: only a stash consultation needs the
+                    // full snapshot bracket (its reads are metered
+                    // inside the stash).
+                    let before = self.meter.snapshot();
+                    let v = self.stash.get(key, &self.meter);
+                    let delta = self.meter.snapshot() - before;
+                    probes += delta.offchip_reads + delta.stash_reads;
+                    v
+                } else {
+                    None
+                }
+            }
+        };
+        (found, probes)
+    }
+
+    /// Whether `key` is stored (main table or stash).
+    pub fn contains(&self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Batched lookup: one result per key, in order, exactly equivalent
+    /// to calling [`Engine::get`] per key (same hits, same misses, same
+    /// metered access counts, same per-lookup observability records —
+    /// plus one batch-size sample).
+    ///
+    /// A two-stage pipeline (`crate::prefetch::Window`): stage 1,
+    /// `Engine::stage`, runs a window of keys ahead of stage 2,
+    /// [`Engine::get`]'s own plan and probe on the staged candidates.
+    /// Stage 1 reads nothing, so the access counts cannot change.
+    pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
+        self.obs.record_batch(keys.len());
+        let mut out = Vec::with_capacity(keys.len());
+        let mut tally = LookupTally::default();
+        let mut window = Window::new(keys.len(), |j| self.stage(&keys[j]));
+        for (j, key) in keys.iter().enumerate() {
+            let cands = window.cands(j);
+            let (found, probes) = self.get_planned(key, cands, &L::plan_probe(self, cands));
+            tally.record(found.is_some(), probes);
+            out.push(found.cloned());
+        }
+        self.obs.absorb(&tally);
+        out
+    }
+
+    /// Iterate distinct `(key, value)` pairs (main table, then stash).
+    /// Unmetered: iteration is a host-side maintenance operation.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        (0..self.store.len())
+            .filter_map(move |idx| {
+                let e = self.store.entry(idx)?;
+                // Emit an item only at its smallest copy location.
+                let locs = self.raw_copy_locations(&e.key);
+                (locs.iter().min() == Some(&idx)).then_some((&e.key, &e.value))
+            })
+            .chain(self.stash.iter())
+    }
+
     /// Table-owned memory in bytes: the slot and stash-flag planes, the
     /// on-chip planes ([`onchip_bytes`](Self::onchip_bytes)) and the
     /// stash's allocated capacity. Engine scratch and the table's own
@@ -1387,6 +1379,19 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
             + std::mem::size_of_val(&*self.store.flags)
             + self.onchip_bytes()
             + self.stash.mem_bytes()
+    }
+
+    /// Place `items` as fresh keys, unrecorded (restores and rehashes
+    /// re-offer items the user already inserted once), returning the
+    /// ones that did not fit.
+    pub(crate) fn place_all(&mut self, items: Vec<(K, V)>) -> Vec<(K, V)> {
+        let mut leftover = Vec::new();
+        for (k, v) in items {
+            if let Err(full) = self.insert_new_unrecorded(k, v) {
+                leftover.push(full.evicted);
+            }
+        }
+        leftover
     }
 
     /// Remove and return every stored item (main table + stash),

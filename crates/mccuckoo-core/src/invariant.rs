@@ -13,6 +13,8 @@
 //! The test suites call the validator after mutation batches; the
 //! `paranoid` crate feature makes every mutating operation self-check.
 
+use crate::Word;
+
 /// Types that can exhaustively validate their internal invariants.
 pub trait Validate {
     /// Return the first violated invariant as a human-readable message.
@@ -27,13 +29,13 @@ impl<K: hash_kit::KeyHash + Eq + Clone, V: Clone, L: crate::engine::BucketLayout
     }
 }
 
-impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> Validate for crate::ConcurrentMcCuckoo<K, V> {
+impl<K: hash_kit::KeyHash + Eq + Word, V: Word> Validate for crate::ConcurrentMcCuckoo<K, V> {
     fn validate(&self) -> Result<(), String> {
         self.check_invariants()
     }
 }
 
-impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> Validate for crate::ShardedMcCuckoo<K, V> {
+impl<K: hash_kit::KeyHash + Eq + Word, V: Word> Validate for crate::ShardedMcCuckoo<K, V> {
     fn validate(&self) -> Result<(), String> {
         self.check_invariants()
     }

@@ -73,6 +73,8 @@
 //! assert_eq!(table.copy_count(&7), 3);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod blocked;
 pub mod concurrent;
 pub mod config;
@@ -87,6 +89,8 @@ pub mod obs;
 pub mod oplog;
 pub mod pad;
 pub mod persist;
+// The prefetch hints and the huge-page advice: the crate's only `unsafe`.
+#[allow(unsafe_code)]
 pub mod prefetch;
 pub mod rehash;
 pub mod shard;
@@ -115,4 +119,5 @@ pub use shard::{
     SHARDED_SNAPSHOT_FORMAT,
 };
 pub use single::McCuckoo;
+pub use store::Word;
 pub use table::McTable;

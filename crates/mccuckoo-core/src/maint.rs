@@ -80,6 +80,7 @@ use hash_kit::KeyHash;
 
 use crate::oplog::LogSink;
 use crate::shard::{RetireReport, ShardedMcCuckoo, ShardedSnapshot};
+use crate::store::Word;
 
 /// Policy for the maintenance loop. All units are **ticks** — the loop
 /// has no clock of its own; the host decides what a tick means by how
@@ -170,8 +171,8 @@ pub struct Compactor<K, V, S: LogSink> {
 
 impl<K, V, S> Compactor<K, V, S>
 where
-    K: KeyHash + Eq + Copy,
-    V: Copy,
+    K: KeyHash + Eq + Word,
+    V: Word,
     S: LogSink,
 {
     /// Wire a table to its log sink.
@@ -251,8 +252,8 @@ pub struct Maintainer<K, V, S: LogSink> {
 
 impl<K, V, S> Maintainer<K, V, S>
 where
-    K: KeyHash + Eq + Copy,
-    V: Copy,
+    K: KeyHash + Eq + Word,
+    V: Word,
     S: LogSink,
 {
     /// Wire a table, its log sink, and a policy into a driver.
@@ -378,8 +379,8 @@ impl<K, V, S: LogSink> MaintHandle<K, V, S> {
 
 impl<K, V, S> Maintainer<K, V, S>
 where
-    K: KeyHash + Eq + Copy + Send + 'static,
-    V: Copy + Send + 'static,
+    K: KeyHash + Eq + Word + Send + 'static,
+    V: Word + Send + 'static,
     S: LogSink + Send + 'static,
 {
     /// The optional managed thread: tick every `interval` until

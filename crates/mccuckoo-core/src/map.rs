@@ -22,6 +22,7 @@ use hash_kit::KeyHash;
 use mem_model::{InsertOutcome, InsertReport, MemStats};
 
 use crate::config::{DeletionMode, McConfig};
+use crate::engine::McFull;
 use crate::obs::TableStats;
 use crate::persist::TableSnapshot;
 use crate::single::McCuckoo;
@@ -183,19 +184,19 @@ impl<K: KeyHash + Eq + Clone, V: Clone> McMap<K, V> {
         // `stats()` like any other operation.
         if let Some(slot) = self.parked.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
-            let report = InsertReport {
-                outcome: InsertOutcome::Updated,
-                kickouts: 0,
-                collision: false,
-                copies_written: 0,
-            };
+            let report = InsertReport::updated(0);
             self.table.obs().record_insert(&report);
             return report;
         }
-        // Unrecorded: a full-table `Err` below is rescued by growth, so
-        // the outcome the inner table saw may not be the outcome the
-        // caller gets. Record the final report exactly once, here.
-        let report = match self.table.insert_unrecorded(key, value) {
+        let out = self.table.insert_unrecorded(key, value);
+        self.settle(out)
+    }
+
+    /// Finish an unrecorded insert: a full-table `Err` is rescued by
+    /// growth, so the outcome the inner table saw may not be the outcome
+    /// the caller gets; the final report is recorded exactly once, here.
+    fn settle(&mut self, out: Result<InsertReport, McFull<K, V>>) -> InsertReport {
+        let report = match out {
             Ok(r) => r,
             // Stash-less table full. The failed kick walk placed the
             // offered pair and handed back whatever fell off the end of
@@ -356,25 +357,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone> McTable<K, V> for McMap<K, V> {
     }
 
     fn insert_new(&mut self, key: K, value: V) -> InsertReport {
-        // Unrecorded for the same reason as the upsert path: the final
-        // outcome after a growth rescue is recorded here, exactly once.
-        let report = match self.table.insert_new_unrecorded(key, value) {
-            Ok(r) => r,
-            // Same recovery as the upsert path: the walk placed the
-            // offered pair; grow carrying the evictee.
-            Err(full) => {
-                let mut report = full.report;
-                report.outcome = InsertOutcome::Placed;
-                self.table.obs().record_insert(&report);
-                let _ = self.grow_carrying(vec![full.evicted]);
-                return report;
-            }
-        };
-        self.table.obs().record_insert(&report);
-        if report.outcome == InsertOutcome::Stashed || self.stash_pressure() {
-            let _ = self.grow_carrying(Vec::new());
-        }
-        report
+        let out = self.table.insert_new_unrecorded(key, value);
+        self.settle(out)
     }
 
     fn lookup(&self, key: &K) -> Option<V> {

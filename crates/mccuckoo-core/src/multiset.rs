@@ -189,8 +189,7 @@ impl<K: KeyHash + Eq + Clone, V> MultisetIndex<K, V> {
         self.index.check_invariants()?;
         let mut visited = vec![false; self.arena.len()];
         let mut walked = 0usize;
-        for (key, &head) in self.index.iter() {
-            let _ = key;
+        for (_, &head) in self.index.iter() {
             let mut cursor = head;
             let mut steps = 0usize;
             while cursor != NIL {
@@ -238,9 +237,6 @@ impl<K: KeyHash + Eq + Clone, V> MultisetIndex<K, V> {
                 self.free.len(),
                 self.arena.len() - live
             ));
-        }
-        if self.distinct_keys() != self.index.len() {
-            return Err("distinct_keys out of sync with index".into());
         }
         Ok(())
     }

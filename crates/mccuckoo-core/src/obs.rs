@@ -65,8 +65,8 @@ pub(crate) trait Tally: Default {
     fn absorb_into(&self, obs: &Obs);
 }
 
-/// Batch-local write bookkeeping: the mirror of [`Obs::record_insert`]
-/// and [`Obs::record_remove`].
+/// Write bookkeeping: a batch's tally, or one item's, which is how
+/// [`Obs::record_insert`] and [`Obs::record_remove`] record.
 #[derive(Debug, Default)]
 pub(crate) struct WriteTally {
     inserts: u64,
@@ -82,7 +82,8 @@ pub(crate) struct WriteTally {
 }
 
 impl WriteTally {
-    /// Mirror of [`Obs::record_insert`] against the local tally.
+    /// Count one insert/upsert outcome. An in-place update is not a
+    /// walk, so only fresh placement attempts reach the kick histogram.
     pub(crate) fn record_insert(&mut self, report: &InsertReport) {
         match report.outcome {
             InsertOutcome::Placed => self.inserts += 1,
@@ -102,7 +103,7 @@ impl WriteTally {
         self.kick_sum += report.kickouts as u64;
     }
 
-    /// Mirror of [`Obs::record_remove`] against the local tally.
+    /// Count one remove.
     pub(crate) fn record_remove(&mut self, hit: bool) {
         if hit {
             self.removes += 1;
@@ -113,6 +114,7 @@ impl WriteTally {
 }
 
 impl Tally for WriteTally {
+    #[inline]
     fn absorb_into(&self, obs: &Obs) {
         let w = &obs.write;
         add(&w.inserts, self.inserts);
@@ -678,30 +680,13 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Record the outcome of one public insert/upsert call.
+    /// Record the outcome of one public insert/upsert call: a one-item
+    /// `WriteTally`, which holds the one mapping from reports to
+    /// counters.
     pub fn record_insert(&self, report: &InsertReport) {
-        match report.outcome {
-            InsertOutcome::Placed => {
-                self.write.inserts.fetch_add(1, Ordering::Relaxed);
-            }
-            InsertOutcome::Updated => {
-                self.write.updates.fetch_add(1, Ordering::Relaxed);
-                // An in-place update is not a walk; keep kick_hist to
-                // fresh placement attempts only.
-                return;
-            }
-            InsertOutcome::Stashed => {
-                self.write.inserts.fetch_add(1, Ordering::Relaxed);
-                self.write.stash_spills.fetch_add(1, Ordering::Relaxed);
-            }
-            InsertOutcome::Failed => {
-                self.write.failed_inserts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.write
-            .kicks
-            .fetch_add(report.kickouts as u64, Ordering::Relaxed);
-        self.write.kick_hist.record(report.kickouts as u64);
+        let mut t = WriteTally::default();
+        t.record_insert(report);
+        self.absorb(&t);
     }
 
     /// Record one public lookup and how many buckets it probed.
@@ -714,13 +699,11 @@ impl Obs {
         self.read.probe_hist.record(probes);
     }
 
-    /// Record one public remove.
+    /// Record one public remove (a one-item `WriteTally`).
     pub fn record_remove(&self, hit: bool) {
-        if hit {
-            self.write.removes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.write.remove_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut t = WriteTally::default();
+        t.record_remove(hit);
+        self.absorb(&t);
     }
 
     /// Record the size of one batched call.

@@ -17,9 +17,9 @@
 use hash_kit::KeyHash;
 use jsonlite::{FromJson, Json, JsonError, ToJson};
 
-use crate::blocked::{BlockedConfig, BlockedLayout, BlockedMcCuckoo};
+use crate::blocked::{BlockedConfig, BlockedLayout, BlockedMcCuckoo, SLOTS};
 use crate::config::McConfig;
-use crate::engine::Engine;
+use crate::engine::{BucketLayout, Engine};
 use crate::single::{McCuckoo, SingleLayout};
 
 /// A serialisable snapshot of a single-slot table.
@@ -43,14 +43,8 @@ impl<K: ToJson, V: ToJson> ToJson for TableSnapshot<K, V> {
 impl<K: FromJson, V: FromJson> FromJson for TableSnapshot<K, V> {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         Ok(Self {
-            config: FromJson::from_json(
-                j.get("config")
-                    .ok_or_else(|| JsonError("missing field 'config'".into()))?,
-            )?,
-            items: FromJson::from_json(
-                j.get("items")
-                    .ok_or_else(|| JsonError("missing field 'items'".into()))?,
-            )?,
+            config: FromJson::from_json(field(j, "config")?)?,
+            items: FromJson::from_json(field(j, "items")?)?,
         })
     }
 }
@@ -78,16 +72,22 @@ impl<K: ToJson, V: ToJson> ToJson for BlockedSnapshot<K, V> {
     }
 }
 
+/// Field `name` of the snapshot object `j`.
+pub(crate) fn field<'j>(j: &'j Json, name: &str) -> Result<&'j Json, JsonError> {
+    j.get(name)
+        .ok_or_else(|| JsonError(format!("missing field '{name}'")))
+}
+
 impl<K: FromJson, V: FromJson> FromJson for BlockedSnapshot<K, V> {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            j.get(name)
-                .ok_or_else(|| JsonError(format!("missing field '{name}'")))
-        };
+        let slots = FromJson::from_json(field(j, "slots")?)?;
+        if !SLOTS.contains(&slots) {
+            return Err(JsonError(format!("{slots} slots per bucket, not 1..=8")));
+        }
         Ok(Self {
-            config: FromJson::from_json(field("config")?)?,
-            slots: FromJson::from_json(field("slots")?)?,
-            items: FromJson::from_json(field("items")?)?,
+            config: FromJson::from_json(field(j, "config")?)?,
+            slots,
+            items: FromJson::from_json(field(j, "items")?)?,
         })
     }
 }
@@ -135,22 +135,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
     pub fn try_from_snapshot(
         snapshot: TableSnapshot<K, V>,
     ) -> Result<Self, SnapshotOverflow<K, V>> {
-        let mut t = McCuckoo::new(snapshot.config);
-        let mut leftover = Vec::new();
-        for (k, v) in snapshot.items {
-            // Unrecorded: restoring is maintenance, not user inserts.
-            if let Err(full) = t.insert_new_unrecorded(k, v) {
-                leftover.push(full.evicted);
-            }
-        }
-        if leftover.is_empty() {
-            Ok(t)
-        } else {
-            Err(SnapshotOverflow {
-                placed: t.drain_items(),
-                leftover,
-            })
-        }
+        McCuckoo::new(snapshot.config).restore(snapshot.items)
     }
 }
 
@@ -170,21 +155,23 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, BlockedLayout> {
     pub fn try_from_snapshot(
         snapshot: BlockedSnapshot<K, V>,
     ) -> Result<Self, SnapshotOverflow<K, V>> {
-        let mut t = BlockedMcCuckoo::new(BlockedConfig {
+        BlockedMcCuckoo::new(BlockedConfig {
             base: snapshot.config,
             slots: snapshot.slots,
-        });
-        let mut leftover = Vec::new();
-        for (k, v) in snapshot.items {
-            if let Err(full) = t.insert_new_unrecorded(k, v) {
-                leftover.push(full.evicted);
-            }
-        }
+        })
+        .restore(snapshot.items)
+    }
+}
+
+impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
+    /// Place a snapshot's `items` into this fresh table.
+    fn restore(mut self, items: Vec<(K, V)>) -> Result<Self, SnapshotOverflow<K, V>> {
+        let leftover = self.place_all(items);
         if leftover.is_empty() {
-            Ok(t)
+            Ok(self)
         } else {
             Err(SnapshotOverflow {
-                placed: t.drain_items(),
+                placed: self.drain_items(),
                 leftover,
             })
         }
@@ -266,6 +253,13 @@ mod tests {
             assert_eq!(restored.get(&k), Some(&(k.wrapping_mul(3))));
         }
         restored.check_invariants().unwrap();
+        // A slot count no blocked table supports is a parse error, not a
+        // panic in `try_from_snapshot`.
+        for bad in ["\"slots\":0,", "\"slots\":9,"] {
+            let edited = json.replacen("\"slots\":3,", bad, 1);
+            let err = jsonlite::from_str::<BlockedSnapshot<u64, u64>>(&edited).unwrap_err();
+            assert!(err.0.contains("slots per bucket"), "{bad}: got {}", err.0);
+        }
     }
 
     /// The bug this module used to have: a stash-less overfull snapshot

@@ -55,14 +55,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone> Engine<K, V, SingleLayout> {
         let items = self.drain_items();
         let total = items.len();
         self.rebuild_storage(new_buckets_per_table, new_seed);
-        let mut leftover = Vec::new();
-        for (k, v) in items {
-            // Unrecorded: a rehash re-offers items the user already
-            // inserted once; the obs counters track user ops only.
-            if let Err(full) = self.insert_new_unrecorded(k, v) {
-                leftover.push(full.evicted);
-            }
-        }
+        let leftover = self.place_all(items);
         let report = RehashReport {
             reinserted: total - leftover.len() - self.stash_len(),
             stashed: self.stash_len(),

@@ -89,7 +89,8 @@ use crate::obs::{
     LookupTally, MaintObs, MigrationObs, Obs, ShardStats, TableStats, Tally, WriteTally,
 };
 use crate::pad::CachePadded;
-use crate::persist::SnapshotOverflow;
+use crate::persist::{field, SnapshotOverflow};
+use crate::store::Word;
 
 /// Decorrelates the shard selector from every table-level hash seed.
 const SELECTOR_SALT: u64 = 0x5AA2_D1CE_C7ED_BA5E;
@@ -314,8 +315,8 @@ pub struct ShardedMcCuckoo<K, V> {
 
 impl<K, V> ShardedMcCuckoo<K, V>
 where
-    K: KeyHash + Eq + Copy,
-    V: Copy,
+    K: KeyHash + Eq + Word,
+    V: Word,
 {
     /// Build `shards` independent [`ConcurrentMcCuckoo`] shards, each
     /// sized by `config` (total capacity is `shards × d ×
@@ -326,14 +327,7 @@ where
     /// Panics if `shards` is zero, not a power of two (the selector is a
     /// bit slice), or larger than the route directory (256 entries).
     pub fn new(shards: usize, config: McConfig) -> Self {
-        assert!(
-            shards > 0 && shards.is_power_of_two(),
-            "shard count must be a non-zero power of two, got {shards}"
-        );
-        assert!(
-            shards <= DIR_SIZE,
-            "shard count must be at most {DIR_SIZE}, got {shards}"
-        );
+        check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
         let base_bits = shards.trailing_zeros();
         let mut seeds = SplitMix64::new(config.seed ^ SHARD_SEED_SALT);
         let slots: Box<[ShardSlot<K, V>]> = (0..DIR_SIZE).map(|_| ShardSlot::empty()).collect();
@@ -448,10 +442,7 @@ where
         for t in 0..self.shard_count() {
             let table = self.table(t);
             let s = table.stats();
-            agg.ops.merge(&s.ops);
-            agg.probe_hist.merge(&s.probe_hist);
-            agg.kick_hist.merge(&s.kick_hist);
-            agg.batch_hist.merge(&s.batch_hist);
+            agg.merge(&s);
             agg.shards.push(ShardStats {
                 shard: t,
                 len: table.len(),
@@ -857,21 +848,14 @@ where
                 )
                 .next_u64();
                 let table = Box::new(CachePadded::new(ConcurrentMcCuckoo::new(cfg)));
-                self.slots[child]
-                    .prefix
-                    .store(child_prefix, Ordering::Relaxed);
-                self.slots[child]
-                    .depth
-                    .store(child_depth, Ordering::Relaxed);
-                self.slots[child].publish(table);
+                let (cslot, pslot) = (&self.slots[child], &self.slots[shard]);
+                cslot.prefix.store(child_prefix, Ordering::Relaxed);
+                cslot.depth.store(child_depth, Ordering::Relaxed);
+                cslot.publish(table);
                 self.ntables.store(ntables + 1, Ordering::Release);
                 // The parent keeps the 0-suffix half of its old prefix.
-                self.slots[shard]
-                    .prefix
-                    .store(prefix << 1, Ordering::Relaxed);
-                self.slots[shard]
-                    .depth
-                    .store(child_depth, Ordering::Relaxed);
+                pslot.prefix.store(prefix << 1, Ordering::Relaxed);
+                pslot.depth.store(child_depth, Ordering::Relaxed);
                 // Flip the child's directory slice: serve from the child,
                 // forward misses to the parent. From this store on, new
                 // writes for the slice land in the child.
@@ -1472,6 +1456,22 @@ impl Routed {
     }
 }
 
+/// The shard counts a table can be built with: a non-zero power of two
+/// (the selector is a bit slice) no larger than the route directory.
+fn check_shards(shards: usize) -> Result<(), String> {
+    if shards == 0 || !shards.is_power_of_two() {
+        Err(format!(
+            "shard count must be a non-zero power of two, got {shards}"
+        ))
+    } else if shards > DIR_SIZE {
+        Err(format!(
+            "shard count must be at most {DIR_SIZE}, got {shards}"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
 /// Current [`ShardedSnapshot`] serialisation format. Format 1 (implicit
 /// — snapshots without a `format` field) predates split-growth; format
 /// 2 adds the explicit version so future geometry changes can be
@@ -1519,10 +1519,6 @@ impl<K: ToJson, V: ToJson> ToJson for ShardedSnapshot<K, V> {
 
 impl<K: FromJson, V: FromJson> FromJson for ShardedSnapshot<K, V> {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            j.get(name)
-                .ok_or_else(|| JsonError(format!("missing field '{name}'")))
-        };
         // Format 1 snapshots predate the field; anything newer than this
         // build understands is rejected with a typed error rather than
         // silently mis-routing.
@@ -1536,17 +1532,19 @@ impl<K: FromJson, V: FromJson> FromJson for ShardedSnapshot<K, V> {
                  (this build reads 1..={SHARDED_SNAPSHOT_FORMAT})"
             )));
         }
+        let shards = FromJson::from_json(field(j, "shards")?)?;
+        check_shards(shards).map_err(JsonError)?;
         Ok(Self {
             format,
-            config: FromJson::from_json(field("config")?)?,
-            shards: FromJson::from_json(field("shards")?)?,
+            config: FromJson::from_json(field(j, "config")?)?,
+            shards,
             // Formats 1 and 2 predate the split history; their grown
             // layout (if any) comes from op-log `Split` replay.
             splits: match j.get("splits") {
                 None => Vec::new(),
                 Some(s) => FromJson::from_json(s)?,
             },
-            items: FromJson::from_json(field("items")?)?,
+            items: FromJson::from_json(field(j, "items")?)?,
         })
     }
 }
@@ -1848,6 +1846,28 @@ mod tests {
             <ShardedSnapshot<u64, u64> as FromJson>::from_json(&jsonlite::parse(&json).unwrap())
                 .unwrap_err();
         assert!(err.0.contains("format 99"), "got: {}", err.0);
+    }
+
+    /// A hand-edited snapshot that no table can be built from is a parse
+    /// error, not a panic in `try_from_snapshot` or `recover`.
+    #[test]
+    fn malformed_snapshot_geometry_is_a_typed_error() {
+        let t = table(2, 64, 23);
+        t.insert(1, 1).unwrap();
+        let json = jsonlite::to_string(&t.to_snapshot());
+        let edits = [
+            ("\"shards\":2", "\"shards\":3", "power of two"),
+            ("\"shards\":2", "\"shards\":0", "power of two"),
+            ("\"shards\":2", "\"shards\":512", "at most 256"),
+            ("\"d\":3", "\"d\":7", "2..=4 hash functions"),
+            ("\"maxloop\":500", "\"maxloop\":0", "maxloop"),
+        ];
+        for (from, to, why) in edits {
+            let edited = json.replacen(from, to, 1);
+            assert_ne!(edited, json, "{from} not in the snapshot");
+            let err = jsonlite::from_str::<ShardedSnapshot<u64, u64>>(&edited).unwrap_err();
+            assert!(err.0.contains(why), "{to}: got {}", err.0);
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl BucketLayout for SingleLayout {
                 }
                 t.meter.offchip_read(1);
                 visited_flags_ok &= t.store.flag(p);
-                if holds(t, p, key) {
+                if t.store.entry(p).is_some_and(|e| e.key == *key) {
                     found.push(p);
                 }
             }
@@ -171,16 +171,6 @@ fn partition<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         }
     }
     positions
-}
-
-/// Whether slot `p` holds `key` (the key compare on its entry).
-#[inline]
-fn holds<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
-    t: &Engine<K, V, SingleLayout, S>,
-    p: usize,
-    key: &K,
-) -> bool {
-    t.store.entry(p).is_some_and(|e| e.key == *key)
 }
 
 /// Lookup rule 1: a definitely-empty candidate proves absence.

@@ -179,29 +179,27 @@ impl<K: KeyHash + Eq, V> HashedStash<K, V> {
         }
     }
 
-    fn get(&self, key: &K, meter: &MemMeter) -> Option<&V> {
+    /// The slot holding `key`, probing from its home slot.
+    fn find(&self, key: &K, meter: &MemMeter) -> Option<usize> {
         let mut i = self.home(key);
         loop {
             meter.stash_read(1);
             match &self.slots[i] {
                 None => return None,
-                Some((k, v)) if k == key => return Some(v),
+                Some((k, _)) if k == key => return Some(i),
                 _ => i = (i + 1) & (self.slots.len() - 1),
             }
         }
     }
 
+    fn get(&self, key: &K, meter: &MemMeter) -> Option<&V> {
+        let i = self.find(key, meter)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
+    }
+
     fn remove(&mut self, key: &K, meter: &MemMeter) -> Option<V> {
         let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            meter.stash_read(1);
-            match &self.slots[i] {
-                None => return None,
-                Some((k, _)) if k == key => break,
-                _ => i = (i + 1) & mask,
-            }
-        }
+        let mut i = self.find(key, meter)?;
         let (_, value) = self.slots[i].take().unwrap();
         meter.stash_write(1);
         self.len -= 1;

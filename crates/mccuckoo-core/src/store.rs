@@ -3,15 +3,18 @@
 //! [`PlainStore`] holds the sequential tables' planes (slots, stash
 //! flags, [`CounterArray`]). [`SeqStore`] is the concurrent table's
 //! writer handle on [`SeqCells`] — one [`SeqSlot`] record per bucket,
-//! its seqlock version beside its cell so a probe costs one line, plus
-//! the counters, shared through an `Arc` with the lock-free readers;
-//! every content write is one version bracket. It is unique
-//! and writes through `&mut self`, so the writer borrows a cell only
-//! while no write is in flight. Neither store keeps a fingerprint tag:
-//! probes confirm a slot by the key in its entry.
+//! four atomic words (seqlock version, key, value, occupancy plus slot
+//! hints) so a probe costs one line, plus the counters, shared through
+//! an `Arc` with the lock-free readers; every content write is one
+//! version bracket. Keys and values live in those words through
+//! [`Word`], so no read is ever a data race: a torn read decodes
+//! garbage that the version check then discards. The plain store lends
+//! its entries; the seqlocked one hands out decoded copies. Neither
+//! store keeps a fingerprint tag: probes confirm a slot by the key in
+//! its entry.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,17 +41,44 @@ pub enum SlotHint {
 }
 
 impl SlotHint {
-    /// The hint naming `slot` (`slot < 8`).
+    /// The hint naming `slot` (`slot < 8`; larger values, as a torn read
+    /// may give, read as `None`). `static`: a literal is rebuilt per call.
     #[inline]
     pub(crate) fn at(slot: usize) -> Self {
         use SlotHint::*;
-        [S0, S1, S2, S3, S4, S5, S6, S7][slot]
+        static ALL: [SlotHint; 9] = [S0, S1, S2, S3, S4, S5, S6, S7, None];
+        ALL[slot.min(8)]
     }
 
     /// The slot this hint names, if any.
     #[inline]
     pub(crate) fn slot(self) -> Option<usize> {
         (self != SlotHint::None).then_some(self as usize)
+    }
+}
+
+/// A key or value the concurrent table stores as one atomic word, so a
+/// slot record is four `u64` words (version, key, value, occupancy plus
+/// hints) and the served tables hold pointer-sized `Copy` payloads only;
+/// index fat values through an arena, as [`crate::MultisetIndex`] does.
+/// `from_word` must accept any word: a reader racing a write may decode
+/// a torn one, which its version check then discards.
+pub trait Word: Copy {
+    /// This value as a word.
+    fn to_word(self) -> u64;
+    /// The value `to_word` gave `w` (any value for any other word).
+    fn from_word(w: u64) -> Self;
+}
+
+impl Word for u64 {
+    #[inline]
+    fn to_word(self) -> u64 {
+        self
+    }
+
+    #[inline]
+    fn from_word(w: u64) -> Self {
+        w
     }
 }
 
@@ -75,6 +105,12 @@ pub trait SlotStore<K, V> {
     /// carried item in no slot at all, which readers racing the writer
     /// would observe as a lost key (§III.H).
     const PLANS_FIRST: bool;
+    /// One slot's entry as [`SlotStore::entry`] hands it out: a borrow
+    /// where the store can lend one, a decoded copy where it cannot
+    /// (`Copy`, so holding one across a write leaves no destructor due).
+    type Read<'a>: Deref<Target = Entry<K, V>> + Copy
+    where
+        Self: 'a;
     /// Empty storage for `slots` slots in `buckets` buckets whose
     /// counters hold `0..=max_count`.
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self;
@@ -87,7 +123,7 @@ pub trait SlotStore<K, V> {
     /// Set counter `i` (clears a tombstone).
     fn set_counter(&mut self, i: usize, v: u8);
     /// The entry in slot `i`.
-    fn entry(&self, i: usize) -> Option<&Entry<K, V>>;
+    fn entry(&self, i: usize) -> Option<Self::Read<'_>>;
     /// Write `entry` into slot `i`.
     fn put(&mut self, i: usize, entry: Entry<K, V>);
     /// Clear slot `i`, returning its entry.
@@ -129,6 +165,10 @@ pub struct PlainStore<K, V> {
 
 impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
     const PLANS_FIRST: bool = false;
+    type Read<'a>
+        = &'a Entry<K, V>
+    where
+        Self: 'a;
 
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self {
         Self {
@@ -175,9 +215,7 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
     }
 
     fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.slots.iter_mut().for_each(|s| *s = None);
         self.flags.fill(false);
         self.counters.reset();
     }
@@ -187,59 +225,83 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
     }
 }
 
-/// One seqlocked slot: the bucket's version and its cell in one record,
-/// so a probe's version check and content read share a cache line.
-/// Aligned to 32 B: for `u64`/`u64` (8 B version + 24 B cell) two slots
-/// fill a 64 B line and none straddles two.
+/// One seqlocked slot: the bucket's version and its content in one
+/// record of four atomic words, so a probe's version check and content
+/// read share a cache line. Aligned to 32 B: two slots fill a 64 B line
+/// and none straddles two.
 #[repr(C, align(32))]
 pub(crate) struct SeqSlot<K, V> {
     /// Seqlock version: odd while a content write is in flight.
     version: AtomicU64,
-    cell: UnsafeCell<Option<Entry<K, V>>>,
+    key: AtomicU64,
+    value: AtomicU64,
+    /// Byte 0: 1 when the slot is occupied, 0 when empty; byte `1 + t`:
+    /// the hint for candidate table `t`.
+    meta: AtomicU64,
+    _payload: PhantomData<fn() -> (K, V)>,
+}
+
+impl<K, V> SeqSlot<K, V> {
+    fn empty() -> Self {
+        Self {
+            version: AtomicU64::new(0),
+            key: AtomicU64::new(0),
+            value: AtomicU64::new(0),
+            meta: AtomicU64::new(0),
+            _payload: PhantomData,
+        }
+    }
+}
+
+impl<K: Word, V: Word> SeqSlot<K, V> {
+    /// Relaxed load of the content words, decoded. Unvalidated: only a
+    /// version bracket makes the result an entry that was ever stored.
+    #[inline]
+    fn load(&self) -> Option<Entry<K, V>> {
+        let meta = self.meta.load(Ordering::Relaxed).to_le_bytes();
+        (meta[0] != 0).then(|| Entry {
+            key: K::from_word(self.key.load(Ordering::Relaxed)),
+            value: V::from_word(self.value.load(Ordering::Relaxed)),
+            hints: std::array::from_fn(|t| SlotHint::at(meta[t + 1].into())),
+        })
+    }
+
+    /// Relaxed stores of the content words (empty: the meta word alone).
+    #[inline]
+    fn store(&self, content: Option<Entry<K, V>>) {
+        let meta = content.map_or(0, |e| {
+            self.key.store(e.key.to_word(), Ordering::Relaxed);
+            self.value.store(e.value.to_word(), Ordering::Relaxed);
+            let [h0, h1, h2, h3] = e.hints.map(|h| h as u8);
+            u64::from_le_bytes([1, h0, h1, h2, h3, 0, 0, 0])
+        });
+        self.meta.store(meta, Ordering::Relaxed);
+    }
 }
 
 /// The seqlocked slot records and counters the concurrent table's
-/// writer and readers share (one slot per bucket).
+/// writer and readers share (one slot per bucket). Every field is
+/// atomic, so sharing it needs no argument.
 pub(crate) struct SeqCells<K, V> {
     pub(crate) slots: Box<[SeqSlot<K, V>]>,
     pub(crate) counters: CounterArray,
 }
 
-// SAFETY: the versions and counters are atomics. The cells (each
-// slot's `UnsafeCell`) are written only through the one `SeqStore` handle
-// (`&mut self`, held by the engine behind the concurrent table's writer
-// lock), each write bracketed by its version. Everyone else reads either
-// through `read_at`/`read_stable`, which type the bytes only after the
-// version proves they were not torn, or through the writer handle while
-// no write is in flight. Entries are `Copy` (the store is only built for
-// `K, V: Copy`), so no drop races exist.
-unsafe impl<K: Send, V: Send> Sync for SeqCells<K, V> {}
-
-impl<K: Copy, V: Copy> SeqCells<K, V> {
+impl<K: Word, V: Word> SeqCells<K, V> {
     /// Acquire-load of cell `i`'s version.
     pub(crate) fn version(&self, i: usize) -> u64 {
         self.slots[i].version.load(Ordering::Acquire)
     }
 
     /// Read cell `i`, which stood at the even `version` before the call:
-    /// `None` when a writer intervened (the bytes were torn and are
-    /// discarded untyped).
+    /// `None` when a writer intervened (the words were torn and their
+    /// decoding is discarded).
+    #[inline]
     pub(crate) fn read_at(&self, i: usize, version: u64) -> Option<Option<Entry<K, V>>> {
         let slot = &self.slots[i];
-        // SAFETY: the bytes land in `MaybeUninit`, so a torn read is
-        // never typed; they are interpreted only after the version check
-        // proves no writer intervened.
-        let raw = unsafe {
-            std::ptr::read_volatile(slot.cell.get().cast::<MaybeUninit<Option<Entry<K, V>>>>())
-        };
+        let content = slot.load();
         fence(Ordering::Acquire);
-        if slot.version.load(Ordering::Relaxed) != version {
-            return None;
-        }
-        // SAFETY: the version stood at the same even value before and
-        // after the copy, so no write overlapped it: the bytes are a
-        // complete `Option<Entry>`.
-        Some(unsafe { raw.assume_init() })
+        (slot.version.load(Ordering::Relaxed) == version).then_some(content)
     }
 
     /// Seqlock-validated read of cell `i`: spins until it observes a
@@ -256,7 +318,7 @@ impl<K: Copy, V: Copy> SeqCells<K, V> {
         }
     }
 
-    /// Prefetch slot `i`'s record (version and cell: one line).
+    /// Prefetch slot `i`'s record (version and content: one line).
     pub(crate) fn prefetch(&self, i: usize) {
         crate::prefetch::prefetch_index(&self.slots, i);
     }
@@ -285,7 +347,20 @@ pub(crate) struct SeqStore<K, V> {
     shared: Arc<SeqCells<K, V>>,
 }
 
-impl<K: Copy, V: Copy> SeqStore<K, V> {
+/// An entry the seqlocked store decoded from its words: the store's
+/// [`SlotStore::Read`], a copy rather than a borrow.
+#[derive(Clone, Copy)]
+pub(crate) struct Decoded<K, V>(Entry<K, V>);
+
+impl<K, V> Deref for Decoded<K, V> {
+    type Target = Entry<K, V>;
+
+    fn deref(&self) -> &Entry<K, V> {
+        &self.0
+    }
+}
+
+impl<K: Word, V: Word> SeqStore<K, V> {
     /// A read-only handle on the cells for the lock-free readers.
     pub(crate) fn share(&self) -> Arc<SeqCells<K, V>> {
         Arc::clone(&self.shared)
@@ -297,30 +372,28 @@ impl<K: Copy, V: Copy> SeqStore<K, V> {
         let slot = &self.shared.slots[i];
         // One writer (`&mut self`), so the version moves by plain
         // loads/stores; the release fence keeps the odd store ahead of
-        // the content bytes for any racing reader.
+        // the content words for any racing reader.
         let v = slot.version.load(Ordering::Relaxed);
         debug_assert_eq!(v % 2, 0, "bucket {i}: concurrent writers");
         slot.version.store(v + 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        // SAFETY: this handle is the only writer; racing readers validate
-        // against the odd version and discard whatever bytes they read.
-        unsafe { std::ptr::write_volatile(slot.cell.get(), content) };
+        slot.store(content);
         slot.version.store(v + 2, Ordering::Release);
     }
 }
 
-impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
+impl<K: Word, V: Word> SlotStore<K, V> for SeqStore<K, V> {
     const PLANS_FIRST: bool = true;
+    type Read<'a>
+        = Decoded<K, V>
+    where
+        Self: 'a;
 
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self {
         debug_assert_eq!(slots, buckets, "one slot per bucket");
         Self {
             shared: Arc::new(SeqCells {
-                slots: huge_plane(slots, || SeqSlot {
-                    version: AtomicU64::new(0),
-                    cell: UnsafeCell::new(None),
-                })
-                .into_boxed_slice(),
+                slots: huge_plane(slots, SeqSlot::empty).into_boxed_slice(),
                 counters: CounterArray::new(slots, max_count),
             }),
         }
@@ -334,10 +407,11 @@ impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
         self.shared.counters.store(i, v);
     }
 
-    fn entry(&self, i: usize) -> Option<&Entry<K, V>> {
-        // SAFETY: only this handle writes cells, through `&mut self`, so
-        // no write can happen while the returned borrow lives.
-        unsafe { (*self.shared.slots[i].cell.get()).as_ref() }
+    /// The writer's own read: no write is in flight while it holds
+    /// `&self`, so no version bracket is needed.
+    #[inline]
+    fn entry(&self, i: usize) -> Option<Decoded<K, V>> {
+        self.shared.slots[i].load().map(Decoded)
     }
 
     fn put(&mut self, i: usize, entry: Entry<K, V>) {
@@ -345,7 +419,7 @@ impl<K: Copy, V: Copy> SlotStore<K, V> for SeqStore<K, V> {
     }
 
     fn take(&mut self, i: usize) -> Option<Entry<K, V>> {
-        let old = self.entry(i).copied();
+        let old = self.shared.slots[i].load();
         self.publish(i, None);
         old
     }
@@ -390,5 +464,72 @@ mod tests {
             assert_eq!(addr % 32, 0, "slot at {addr:#x} is not 32-aligned");
             assert_eq!(std::ptr::addr_of!(slot.version) as usize, addr);
         }
+    }
+
+    /// The entry a torn-read writer publishes for `key`: its value and
+    /// every hint are functions of the key, so an entry stitched from
+    /// two writes is visibly inconsistent.
+    fn entry_for(key: u64) -> Entry<u64, u64> {
+        Entry {
+            key,
+            value: !key.rotate_left(17),
+            hints: std::array::from_fn(|t| SlotHint::at((key as usize + t) % 8)),
+        }
+    }
+
+    fn consistent(e: &Entry<u64, u64>) -> bool {
+        let want = entry_for(e.key);
+        e.value == want.value && e.hints == want.hints
+    }
+
+    /// One writer republishes one slot between entries that differ in
+    /// every word, and empties it now and then; readers racing it
+    /// through `read_stable` and `read_at` must only ever get whole
+    /// entries.
+    #[test]
+    fn seqlock_reads_never_see_a_torn_entry() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let mut store = <SeqStore<u64, u64> as SlotStore<u64, u64>>::new(2, 2, 3);
+        let cells = store.share();
+        let done = AtomicBool::new(false);
+        let seen = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut entries = 0u64;
+                        while !done.load(Ordering::Relaxed) {
+                            if let Some(e) = cells.read_stable(0) {
+                                assert!(consistent(&e), "read_stable tore: {e:?}");
+                                entries += 1;
+                            }
+                            let v = cells.version(0);
+                            if v % 2 == 0 {
+                                if let Some(Some(e)) = cells.read_at(0, v) {
+                                    assert!(consistent(&e), "read_at tore: {e:?}");
+                                    entries += 1;
+                                }
+                            }
+                        }
+                        entries
+                    })
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_millis(300);
+            let mut key = 0u64;
+            while Instant::now() < deadline {
+                for _ in 0..256 {
+                    key = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    if key % 16 == 0 {
+                        store.take(0);
+                    } else {
+                        store.put(0, entry_for(key));
+                    }
+                }
+            }
+            done.store(true, Ordering::Relaxed);
+            readers.into_iter().map(|r| r.join().unwrap()).sum::<u64>()
+        });
+        assert!(seen > 0, "the readers saw no entry");
     }
 }

@@ -26,6 +26,7 @@ use mem_model::{InsertReport, MemStats};
 
 use crate::engine::{BucketLayout, Engine};
 use crate::obs::TableStats;
+use crate::store::Word;
 
 /// Uniform mutable-table interface over the multi-copy cuckoo variants
 /// and the single-copy baselines.
@@ -145,10 +146,6 @@ impl<K: hash_kit::KeyHash + Eq + Clone, V: Clone, L: BucketLayout> McTable<K, V>
         Engine::contains(self, key)
     }
 
-    fn load(&self) -> f64 {
-        self.load_ratio()
-    }
-
     fn stash_len(&self) -> usize {
         Engine::stash_len(self)
     }
@@ -166,7 +163,7 @@ impl<K: hash_kit::KeyHash + Eq + Clone, V: Clone, L: BucketLayout> McTable<K, V>
     }
 }
 
-impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::ConcurrentMcCuckoo<K, V> {
+impl<K: hash_kit::KeyHash + Eq + Word, V: Word> McTable<K, V> for crate::ConcurrentMcCuckoo<K, V> {
     fn insert(&mut self, key: K, value: V) -> InsertReport {
         self.insert_report(key, value)
             .unwrap_or_else(|_| InsertReport::failed())
@@ -201,10 +198,6 @@ impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::Concurr
         crate::ConcurrentMcCuckoo::capacity(self)
     }
 
-    fn contains(&self, key: &K) -> bool {
-        crate::ConcurrentMcCuckoo::contains(self, key)
-    }
-
     fn mem_stats(&self) -> MemStats {
         crate::ConcurrentMcCuckoo::mem_stats(self)
     }
@@ -214,7 +207,7 @@ impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::Concurr
     }
 }
 
-impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::ShardedMcCuckoo<K, V> {
+impl<K: hash_kit::KeyHash + Eq + Word, V: Word> McTable<K, V> for crate::ShardedMcCuckoo<K, V> {
     fn insert(&mut self, key: K, value: V) -> InsertReport {
         self.insert_report(key, value)
             .unwrap_or_else(|_| InsertReport::failed())
@@ -247,10 +240,6 @@ impl<K: hash_kit::KeyHash + Eq + Copy, V: Copy> McTable<K, V> for crate::Sharded
 
     fn capacity(&self) -> usize {
         crate::ShardedMcCuckoo::capacity(self)
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        crate::ShardedMcCuckoo::contains(self, key)
     }
 
     fn mem_stats(&self) -> MemStats {

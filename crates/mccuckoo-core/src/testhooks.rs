@@ -10,6 +10,7 @@
 //! Hooks are thread-local so parallel tests cannot interfere.
 
 use std::cell::Cell;
+use std::thread::LocalKey;
 
 thread_local! {
     /// How many upcoming deletions should skip the counter reset of
@@ -99,35 +100,38 @@ pub fn disarm() {
     PANIC_IN_COMPACTION.with(|c| c.set(0));
 }
 
+/// One use of a per-use hook (skip, kick panic, child failure): `true`
+/// while armed; `u32::MAX` never runs out.
+fn take(hook: &'static LocalKey<Cell<u32>>) -> bool {
+    hook.with(|c| {
+        let n = c.get();
+        if n != 0 && n != u32::MAX {
+            c.set(n - 1);
+        }
+        n != 0
+    })
+}
+
+/// One visit of a countdown hook (migration, compaction): `true` on the
+/// visit that reaches zero.
+fn countdown(hook: &'static LocalKey<Cell<u32>>) -> bool {
+    hook.with(|c| {
+        let n = c.get();
+        c.set(n.saturating_sub(1));
+        n == 1
+    })
+}
+
 /// Consumed by the deletion path: returns `true` if this deletion should
 /// skip its first counter reset.
 pub(crate) fn take_skip_counter_reset() -> bool {
-    SKIP_COUNTER_RESETS.with(|c| {
-        let n = c.get();
-        if n == 0 {
-            return false;
-        }
-        if n != u32::MAX {
-            c.set(n - 1);
-        }
-        true
-    })
+    take(&SKIP_COUNTER_RESETS)
 }
 
 /// Consumed by the kick-walk paths (concurrent and sequential): panics
 /// mid-operation if the hook is armed (the injected writer death).
 pub(crate) fn fire_panic_in_kick() {
-    let armed = PANIC_IN_KICK.with(|c| {
-        let n = c.get();
-        if n == 0 {
-            return false;
-        }
-        if n != u32::MAX {
-            c.set(n - 1);
-        }
-        true
-    });
-    if armed {
+    if take(&PANIC_IN_KICK) {
         panic!("testhooks: injected panic mid-kick-walk");
     }
 }
@@ -135,31 +139,14 @@ pub(crate) fn fire_panic_in_kick() {
 /// Consumed by the split drain's child-placement closure: returns
 /// `true` if this placement should be reported as failed.
 pub(crate) fn take_fail_child_placement() -> bool {
-    FAIL_CHILD_PLACEMENT.with(|c| {
-        let n = c.get();
-        if n == 0 {
-            return false;
-        }
-        if n != u32::MAX {
-            c.set(n - 1);
-        }
-        true
-    })
+    take(&FAIL_CHILD_PLACEMENT)
 }
 
 /// Consumed by the compactor between snapshot capture and truncation:
 /// panics when the armed countdown reaches zero (the injected compactor
 /// death).
 pub(crate) fn fire_panic_in_compaction() {
-    let fire = PANIC_IN_COMPACTION.with(|c| {
-        let n = c.get();
-        if n == 0 {
-            return false;
-        }
-        c.set(n - 1);
-        n == 1
-    });
-    if fire {
+    if countdown(&PANIC_IN_COMPACTION) {
         panic!("testhooks: injected panic mid-compaction");
     }
 }
@@ -167,15 +154,7 @@ pub(crate) fn fire_panic_in_compaction() {
 /// Consumed once per key visit by the split drain: panics when the
 /// armed countdown reaches zero (the injected migrator death).
 pub(crate) fn fire_panic_in_migration() {
-    let fire = PANIC_IN_MIGRATION.with(|c| {
-        let n = c.get();
-        if n == 0 {
-            return false;
-        }
-        c.set(n - 1);
-        n == 1
-    });
-    if fire {
+    if countdown(&PANIC_IN_MIGRATION) {
         panic!("testhooks: injected panic mid-migration");
     }
 }
