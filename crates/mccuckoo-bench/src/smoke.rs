@@ -40,9 +40,10 @@ pub struct SchemeSmoke {
     pub lookup_hit_reads: f64,
     /// Off-chip reads per absent-key lookup.
     pub lookup_miss_reads: f64,
-    /// Million single-key present lookups per second. For the schemes
-    /// [`gate_lookup_batch`] gates, measured on a separate
-    /// DRAM-resident fill ([`dram_lookup_bytes`]).
+    /// Million single-key present lookups per second. For every scheme
+    /// but the sharded table (the schemes [`gate_lookup_batch`] gates
+    /// and their baselines), measured on a separate DRAM-resident fill
+    /// of the same size ([`dram_lookup_bytes`]).
     pub lookup_mops: f64,
     /// Million present lookups per second through the batched
     /// (prefetch-interleaved) read path, on the same table as
@@ -100,8 +101,8 @@ impl SmokeReport {
     }
 }
 
-/// Bytes of the table the gated schemes' lookup throughput is measured
-/// on: twice the last-level cache named by `l3_size` (the text of
+/// Bytes of the table the single-table schemes' lookup throughput is
+/// measured on: twice the last-level cache named by `l3_size` (the text of
 /// `/sys/devices/system/cpu/cpu0/cache/index3/size`, e.g. `"32768K"`),
 /// so most probes miss to DRAM as in service, or 256 MiB when the size
 /// is unknown. Batching exists to overlap DRAM misses; on a

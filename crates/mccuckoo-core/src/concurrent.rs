@@ -61,17 +61,17 @@
 //! removal on the candidates stage 1 hashed
 //! (`Engine::insert_staged`, `Engine::remove_staged`).
 //!
-//! The engine's `Cell`-based meter is not `Sync`, so the writer
-//! publishes it to relaxed atomics before unlocking. Readers meter
+//! The writer's accesses are metered once, by the engine's own meter,
+//! which [`ConcurrentMcCuckoo::mem_stats`] reads under the writer lock
+//! (a measurement-window call, never on an op's path). Readers meter
 //! nothing: a lookup's reads are what the table records for it (`d`
-//! counter reads and its probe count), so
-//! [`ConcurrentMcCuckoo::mem_stats`] derives them from the table's own
-//! [`Obs`] and never locks. Probes that record nothing are unmetered:
+//! counter reads and its probe count), so `mem_stats` derives them from
+//! the table's own [`Obs`]. Probes that record nothing are unmetered:
 //! maintenance (`clear`, `items`, the validators, the sharded
 //! snapshot's dedup probe) and a probe whose answer the sharded layer
 //! discards to redo the lookup.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hash_kit::{BucketFamily, KeyHash};
@@ -88,42 +88,6 @@ use crate::store::{SeqCells, SeqStore, SlotStore, Word};
 
 /// The writer: a single-slot engine over the seqlocked store.
 pub(crate) type Writer<K, V> = Engine<K, V, SingleLayout, SeqStore<K, V>>;
-
-/// The writer engine's `Cell`-based (not `Sync`) meter, republished with
-/// plain stores under the writer lock: off-chip reads, off-chip writes,
-/// verification reads, on-chip reads, on-chip writes.
-#[derive(Default)]
-struct AccessMeter {
-    writer: [AtomicU64; 5],
-}
-
-impl AccessMeter {
-    /// Republish the writer engine's cumulative meter.
-    fn publish(&self, s: &MemStats) {
-        let fields = [
-            s.offchip_reads,
-            s.offchip_writes,
-            s.verify_reads,
-            s.onchip_reads,
-            s.onchip_writes,
-        ];
-        for (slot, v) in self.writer.iter().zip(fields) {
-            slot.store(v, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> MemStats {
-        let w = |i: usize| self.writer[i].load(Ordering::Relaxed);
-        MemStats {
-            offchip_reads: w(0),
-            offchip_writes: w(1),
-            verify_reads: w(2),
-            onchip_reads: w(3),
-            onchip_writes: w(4),
-            ..MemStats::default()
-        }
-    }
-}
 
 /// Lock-free-read, single-writer multi-copy cuckoo table.
 ///
@@ -155,8 +119,6 @@ pub struct ConcurrentMcCuckoo<K, V> {
     config: McConfig,
     /// Lock-free observability counters (monotonic; survive `clear`).
     obs: Obs,
-    /// The writer's published meter (monotonic; survives `clear`).
-    access: CachePadded<AccessMeter>,
 }
 
 /// Result of [`ConcurrentMcCuckoo::migrate_out`].
@@ -195,7 +157,6 @@ where
             len: CachePadded::new(AtomicUsize::new(0)),
             config,
             obs: Obs::default(),
-            access: CachePadded::new(AccessMeter::default()),
         }
     }
 
@@ -215,14 +176,14 @@ where
 
     /// Snapshot of the modelled memory-access tallies: off-chip bucket
     /// reads/writes (verification reads included) and on-chip counter
-    /// reads/writes. Writes are the writer engine's meter as last
-    /// published; reads are derived from the recorded lookups (the probe
-    /// histogram's sum off-chip, `d` counter reads per lookup on-chip).
-    /// Relaxed atomics: safe to call while readers and writers run. Stash
-    /// fields are always zero: the concurrent table has no stash.
+    /// reads/writes. Writes are the writer engine's meter, read under the
+    /// writer lock; reads are derived from the recorded lookups (the
+    /// probe histogram's sum off-chip, `d` counter reads per lookup
+    /// on-chip). Stash fields are always zero: the concurrent table has
+    /// no stash.
     pub fn mem_stats(&self) -> MemStats {
+        let mut m = self.writer.lock().meter.snapshot();
         let (lookups, probes) = self.obs.lookup_reads();
-        let mut m = self.access.snapshot();
         m.offchip_reads += probes;
         m.onchip_reads += self.d as u64 * lookups;
         m
@@ -250,11 +211,10 @@ where
     }
 
     /// Run `op` on the writer's engine under the writer lock; before
-    /// unlocking, publish the engine's meter and mirror its length.
+    /// unlocking, mirror the engine's length.
     pub(crate) fn write<R>(&self, op: impl FnOnce(&mut Writer<K, V>) -> R) -> R {
         let mut engine = self.writer.lock();
         let out = op(&mut engine);
-        self.access.publish(&engine.meter.snapshot());
         self.len.store(engine.len(), Ordering::Release);
         out
     }

@@ -983,13 +983,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
             CopyProbe::Found { locations, .. } => {
                 self.meter.offchip_write(locations.len() as u64);
                 for &l in locations.as_slice() {
-                    let hints = self.store.entry(l).expect("copy occupied").hints;
-                    let entry = Entry {
-                        key: key.clone(),
-                        value: value.clone(),
-                        hints,
-                    };
-                    self.store.put(l, entry);
+                    self.store.put_value(l, value.clone());
                 }
                 self.check_paranoid();
                 Some(InsertReport::updated(locations.len() as u8))

@@ -178,9 +178,12 @@ impl AtomicHistogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Add a batch-local histogram's buckets, sample count and sum.
+    /// Add a batch-local histogram's buckets, sample count and sum. A
+    /// zero sum means every sample is 0, all in bucket 0, so a kick-free
+    /// write's one-item flush walks one cell, not all of them.
     fn absorb(&self, buckets: &[u64; HIST_BUCKETS], count: u64, sum: u64) {
-        for (cell, &n) in self.buckets.iter().zip(buckets) {
+        let cells = if sum == 0 { 1 } else { HIST_BUCKETS };
+        for (cell, &n) in self.buckets.iter().zip(buckets).take(cells) {
             add(cell, n);
         }
         add(&self.count, count);

@@ -74,7 +74,7 @@
 //! forwarding entry take the per-key routed path, with no lock held.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -128,30 +128,9 @@ fn decode_entry(e: u64) -> (usize, Option<usize>) {
 /// One slot of the grow-only table arena. The table is set once, before
 /// any directory entry (or the table count) names the slot, so a reader
 /// that reaches the slot through either finds it set. Boxed, so an
-/// unused slot costs one pointer.
-struct ShardSlot<K, V> {
-    table: OnceLock<Box<CachePadded<ConcurrentMcCuckoo<K, V>>>>,
-    /// The selector-prefix this table owns (`depth` bits wide).
-    prefix: AtomicU32,
-    /// How many selector bits the prefix spans.
-    depth: AtomicU32,
-}
-
-impl<K, V> ShardSlot<K, V> {
-    fn empty() -> Self {
-        Self {
-            table: OnceLock::new(),
-            prefix: AtomicU32::new(0),
-            depth: AtomicU32::new(0),
-        }
-    }
-
-    /// Set the slot's table; the arena is grow-only, so each slot is set
-    /// at most once.
-    fn publish(&self, table: Box<CachePadded<ConcurrentMcCuckoo<K, V>>>) {
-        assert!(self.table.set(table).is_ok(), "arena slot published twice");
-    }
-}
+/// unused slot costs one pointer. A table's route slice lives in the
+/// directory alone.
+type Slot<K, V> = OnceLock<Box<CachePadded<ConcurrentMcCuckoo<K, V>>>>;
 
 /// Why [`ShardedMcCuckoo::begin_split`] refused to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,7 +264,7 @@ pub struct ShardedMcCuckoo<K, V> {
     /// Grow-only arena of table slots; ids `0..ntables` are live. Each
     /// table is padded to its own cacheline pair, so neighbouring
     /// shards' hot atomics never false-share under multi-writer load.
-    slots: Box<[ShardSlot<K, V>]>,
+    slots: Box<[Slot<K, V>]>,
     /// How many arena slots are live (monotonic; grows on split).
     ntables: AtomicUsize,
     /// The shard count the table was built with (snapshot geometry).
@@ -330,15 +309,18 @@ where
         check_shards(shards).unwrap_or_else(|e| panic!("{e}"));
         let base_bits = shards.trailing_zeros();
         let mut seeds = SplitMix64::new(config.seed ^ SHARD_SEED_SALT);
-        let slots: Box<[ShardSlot<K, V>]> = (0..DIR_SIZE).map(|_| ShardSlot::empty()).collect();
-        for (s, slot) in slots.iter().enumerate().take(shards) {
-            let mut shard_config = config.clone();
-            shard_config.seed = seeds.next_u64();
-            let table = Box::new(CachePadded::new(ConcurrentMcCuckoo::new(shard_config)));
-            slot.prefix.store(s as u32, Ordering::Relaxed);
-            slot.depth.store(base_bits, Ordering::Relaxed);
-            slot.publish(table);
-        }
+        let slots: Box<[Slot<K, V>]> = (0..DIR_SIZE)
+            .map(|s| {
+                if s >= shards {
+                    return OnceLock::new();
+                }
+                let mut shard_config = config.clone();
+                shard_config.seed = seeds.next_u64();
+                OnceLock::from(Box::new(CachePadded::new(ConcurrentMcCuckoo::new(
+                    shard_config,
+                ))))
+            })
+            .collect();
         let dir: Box<[AtomicU64]> = (0..DIR_SIZE)
             .map(|r| AtomicU64::new(encode_entry(r >> (DIR_BITS - base_bits), None)))
             .collect();
@@ -396,10 +378,7 @@ where
     /// The table behind arena slot `tid`.
     #[inline]
     fn table(&self, tid: usize) -> &CachePadded<ConcurrentMcCuckoo<K, V>> {
-        self.slots[tid]
-            .table
-            .get()
-            .expect("table read before publish")
+        self.slots[tid].get().expect("table read before publish")
     }
 
     /// Decoded directory entry for `route`.
@@ -468,9 +447,9 @@ where
     /// from the lookups each shard recorded. A forwarded lookup counts
     /// its probes on both sides, and `d` counter reads, once, at the
     /// shard that records it; a probe discarded for a redo is not
-    /// counted. Safe under concurrent readers and writers (each shard's
-    /// counters are relaxed atomics); the sum is as linearizable as any
-    /// live multi-writer statistic.
+    /// counted. Safe under concurrent readers and writers (it takes each
+    /// shard's writer lock in turn, never two at once); the sum is as
+    /// linearizable as any live multi-writer statistic.
     pub fn mem_stats(&self) -> mem_model::MemStats {
         let mut agg = mem_model::MemStats::default();
         for t in 0..self.shard_count() {
@@ -533,6 +512,8 @@ where
     ) -> Result<InsertReport, (K, V)> {
         loop {
             let snap = self.dir[route].load(Ordering::Acquire);
+            #[cfg(feature = "testhooks")]
+            crate::testhooks::reach(crate::testhooks::Point::UpsertSnapshot);
             let (tid, fwd) = decode_entry(snap);
             // Stale cleanup: an earlier attempt's copy lives in a table
             // the directory no longer points at (serving or forwarding).
@@ -806,27 +787,32 @@ where
         }
         // A directory entry forwarding *to* `shard` means `shard` is a
         // mid-fill child; one forwarding *from* it means an interrupted
-        // drain of `shard` itself — resume it.
-        let mut resume_child = None;
-        for e in self.dir.iter() {
-            let (tid, fwd) = decode_entry(e.load(Ordering::Acquire));
-            if fwd == Some(shard) {
-                resume_child = Some(tid);
-                break;
-            }
-            if tid == shard {
-                if let Some(parent) = fwd {
+        // drain of `shard` itself — resume it. The entries serving `shard`
+        // unforwarded are its route slice: one aligned run of
+        // `2^(DIR_BITS - depth)` routes, the `depth`-bit prefix's.
+        let (mut resume_child, mut first, mut owned) = (None, DIR_SIZE, 0usize);
+        for (r, e) in self.dir.iter().enumerate() {
+            match decode_entry(e.load(Ordering::Acquire)) {
+                (tid, fwd) if fwd == Some(shard) => resume_child = Some(tid),
+                (tid, Some(parent)) if tid == shard => {
                     return Err(SplitError::PendingInbound { shard, parent });
                 }
+                (tid, None) if tid == shard => (first, owned) = (first.min(r), owned + 1),
+                _ => {}
             }
         }
+        debug_assert!(
+            owned.is_power_of_two() && first % owned == 0,
+            "shard {shard}: route slice of {owned} entries at {first}"
+        );
+        let depth = DIR_BITS - owned.trailing_zeros();
         // Checked before the depth leg: at the 256-table ceiling every
         // shard is also depth-exhausted, but the actionable condition is
         // the full directory (no arena slot left to allocate into).
         if resume_child.is_none() && ntables >= DIR_SIZE {
             return Err(SplitError::DirectoryFull { shard });
         }
-        if resume_child.is_none() && self.slots[shard].depth.load(Ordering::Acquire) >= DIR_BITS {
+        if resume_child.is_none() && depth >= DIR_BITS {
             return Err(SplitError::DepthExhausted { shard });
         }
         self.migration.record_split_started();
@@ -834,10 +820,8 @@ where
         let (child, resumed) = match resume_child {
             Some(c) => (c, true),
             None => {
-                let depth = self.slots[shard].depth.load(Ordering::Acquire);
-                let prefix = self.slots[shard].prefix.load(Ordering::Acquire);
                 let child = ntables;
-                let child_prefix = (prefix << 1) | 1;
+                let child_prefix = ((first / owned) as u32) << 1 | 1;
                 let child_depth = depth + 1;
                 let mut cfg = self.config.clone();
                 cfg.seed = SplitMix64::new(
@@ -848,17 +832,13 @@ where
                 )
                 .next_u64();
                 let table = Box::new(CachePadded::new(ConcurrentMcCuckoo::new(cfg)));
-                let (cslot, pslot) = (&self.slots[child], &self.slots[shard]);
-                cslot.prefix.store(child_prefix, Ordering::Relaxed);
-                cslot.depth.store(child_depth, Ordering::Relaxed);
-                cslot.publish(table);
+                let fresh = self.slots[child].set(table).is_ok();
+                assert!(fresh, "arena slot published twice");
                 self.ntables.store(ntables + 1, Ordering::Release);
-                // The parent keeps the 0-suffix half of its old prefix.
-                pslot.prefix.store(prefix << 1, Ordering::Relaxed);
-                pslot.depth.store(child_depth, Ordering::Relaxed);
                 // Flip the child's directory slice: serve from the child,
-                // forward misses to the parent. From this store on, new
-                // writes for the slice land in the child.
+                // forward misses to the parent, which keeps the 0-suffix
+                // half of its old prefix. From this store on, new writes
+                // for the slice land in the child.
                 let shift = DIR_BITS - child_depth;
                 for (r, e) in self.dir.iter().enumerate() {
                     if (r as u32) >> shift == child_prefix {
@@ -1144,6 +1124,8 @@ where
                 if !self.settled(&b, i) {
                     return redo.push((i, None));
                 }
+                #[cfg(feature = "testhooks")]
+                crate::testhooks::reach(crate::testhooks::Point::BatchSettled);
                 let (k, v) = items[i];
                 match w.insert_staged(k, v, cands).map_err(|full| full.evicted) {
                     // The route flipped under a success: redo from this
@@ -1640,6 +1622,80 @@ mod tests {
         }
         assert!(sum.verify_reads > 0, "churn made no verification reads");
         assert_eq!(t.mem_stats(), sum);
+    }
+
+    #[test]
+    fn mem_stats_is_monotone_under_writers_and_a_split() {
+        // `mem_stats` reads each shard's meter under its writer lock, one
+        // lock at a time. A thread looping it while writers, a reader and
+        // a split run must see every field only grow, and its last
+        // snapshot, taken once they are done, must be the quiescent one.
+        let fields = |m: &mem_model::MemStats| {
+            [
+                m.offchip_reads,
+                m.offchip_writes,
+                m.verify_reads,
+                m.onchip_reads,
+                m.onchip_writes,
+                m.stash_reads,
+                m.stash_writes,
+                m.stash_visits,
+            ]
+        };
+        let t = &table(2, 512, 81);
+        let keys = UniqueKeys::new(82).take_vec(1_200);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        // The poller, two writers, a reader and the splitter start at once.
+        let start = &std::sync::Barrier::new(5);
+        let (last, polls) = std::thread::scope(|scope| {
+            let poller = scope.spawn(|| {
+                start.wait();
+                let mut prev = t.mem_stats();
+                for polls in 1u64.. {
+                    let done = stop.load(Ordering::Acquire);
+                    let now = t.mem_stats();
+                    for (f, (a, b)) in fields(&prev).into_iter().zip(fields(&now)).enumerate() {
+                        assert!(b >= a, "poll {polls}: field {f} fell {a} -> {b}");
+                    }
+                    prev = now;
+                    if done {
+                        return (prev, polls);
+                    }
+                }
+                unreachable!()
+            });
+            let mut ops: Vec<_> = keys
+                .chunks(keys.len() / 2)
+                .map(|part| {
+                    scope.spawn(move || {
+                        start.wait();
+                        for &k in part {
+                            t.insert(k, k).unwrap();
+                        }
+                        for &k in part.iter().step_by(3) {
+                            assert_eq!(t.remove(&k), Some(k));
+                        }
+                    })
+                })
+                .collect();
+            ops.push(scope.spawn(|| {
+                start.wait();
+                for &k in keys.iter().chain(&keys) {
+                    t.get(&k);
+                }
+            }));
+            start.wait();
+            t.begin_split(0).unwrap();
+            for op in ops {
+                op.join().unwrap();
+            }
+            stop.store(true, Ordering::Release);
+            poller.join().unwrap()
+        });
+        assert!(polls > 1);
+        assert_eq!(last, t.mem_stats());
+        assert!(last.offchip_writes > 0 && last.onchip_reads > 0);
+        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -2646,6 +2702,67 @@ mod tests {
         for &k in &ks {
             assert_eq!(t.get(&k), Some(k + 9));
         }
+        t.check_invariants().unwrap();
+    }
+
+    /// A one-shard table and a key of the slice its first split hands
+    /// the child (`begin_split(0)` moves routes `128..256`).
+    #[cfg(feature = "testhooks")]
+    fn one_shard_and_a_child_key() -> (std::sync::Arc<ShardedMcCuckoo<u64, u64>>, u64) {
+        let t = std::sync::Arc::new(table(1, 64, 71));
+        let k = (0u64..).find(|k| t.route_of(k) >= DIR_SIZE / 2).unwrap();
+        (t, k)
+    }
+
+    #[cfg(feature = "testhooks")]
+    #[test]
+    fn upsert_rechecks_its_route_under_the_writer_lock() {
+        // Scheduled race: an upsert snapshots the directory, then a whole
+        // split runs and its drain moves the key to the child before the
+        // upsert takes the parent's writer lock. The under-lock re-check
+        // (`current`) must send the write to the child, where it updates
+        // the moved key; without it the parent gets a fresh copy and the
+        // redo reports a placement.
+        use crate::testhooks::{at_point, Point};
+        let (t, k) = one_shard_and_a_child_key();
+        assert_eq!(t.insert(k, 1), Ok(false));
+        let split = t.clone();
+        at_point(Point::UpsertSnapshot, move || {
+            assert_eq!(split.begin_split(0).unwrap().moved, 1);
+        });
+        assert_eq!(
+            t.insert(k, 2),
+            Ok(true),
+            "a moved key's upsert is an update"
+        );
+        crate::testhooks::disarm();
+        assert_eq!(t.shard_count(), 2);
+        assert_eq!(t.get(&k), Some(2));
+        assert_eq!(t.shard(1).get(&k), Some(2));
+        t.check_invariants().unwrap();
+    }
+
+    #[cfg(feature = "testhooks")]
+    #[test]
+    fn batch_write_rechecks_its_route_after_writing() {
+        // Scheduled race: a batch item passes its pre-write `settled`
+        // check under the parent's writer lock, then a whole split runs:
+        // its drain finds the parent empty, moves nothing and needs no
+        // lock the batch holds. The item then writes the parent, whose
+        // slice the child now serves. The post-write check must redo it
+        // on the child; without it the key is stranded in the parent.
+        use crate::testhooks::{at_point, Point};
+        let (t, k) = one_shard_and_a_child_key();
+        let split = t.clone();
+        at_point(Point::BatchSettled, move || {
+            assert_eq!(split.begin_split(0).unwrap().moved, 0);
+        });
+        assert_eq!(t.insert_batch(&[(k, 7)]), vec![Ok(false)]);
+        crate::testhooks::disarm();
+        assert_eq!(t.shard_of(&k), 1);
+        assert_eq!(t.shard(1).get(&k), Some(7), "served from the child");
+        assert_eq!(t.shard(0).get(&k), None, "no parent copy stranded");
+        assert_eq!(t.get(&k), Some(7));
         t.check_invariants().unwrap();
     }
 }

@@ -708,16 +708,39 @@ mod tests {
 
     #[test]
     fn d2_and_d4_configurations_work() {
-        for d in [2usize, 4] {
-            let mut t: McCuckoo<u64, u64> = McCuckoo::new(McConfig::paper(512, 36).with_d(d));
-            let mut keys = UniqueKeys::new(37 + d as u64);
-            let target = d * 512 / 2; // 50% load: safe for d=2
-            for _ in 0..target {
-                let k = keys.next_key();
+        // Fill, then upsert every third key and remove every second, so
+        // the single-slot copy probe's update and removal walks run at
+        // d ≠ 3 under both deletion modes.
+        for (d, mode) in [2usize, 4]
+            .into_iter()
+            .flat_map(|d| [(d, DeletionMode::Reset), (d, DeletionMode::Tombstone)])
+        {
+            let config = McConfig::paper(512, 36).with_d(d).with_deletion(mode);
+            let mut t: McCuckoo<u64, u64> = McCuckoo::new(config);
+            let ks = UniqueKeys::new(37 + d as u64).take_vec(d * 512 / 2); // 50% load: safe for d=2
+            for &k in &ks {
                 t.insert_new(k, k).unwrap();
             }
-            for k in UniqueKeys::new(37 + d as u64).take_vec(target) {
-                assert!(t.contains(&k), "d={d}");
+            for &k in &ks {
+                assert!(t.contains(&k), "d={d} {mode:?}");
+            }
+            for (i, &k) in ks.iter().enumerate() {
+                if i % 3 == 0 {
+                    let rep = t.insert(k, k + 1).unwrap();
+                    assert_eq!(rep.outcome, InsertOutcome::Updated, "d={d} {mode:?}");
+                }
+                if i % 2 == 0 {
+                    let want = if i % 3 == 0 { k + 1 } else { k };
+                    assert_eq!(t.remove(&k), Some(want), "d={d} {mode:?}");
+                }
+            }
+            for (i, &k) in ks.iter().enumerate() {
+                let want = match (i % 2, i % 3) {
+                    (0, _) => None,
+                    (_, 0) => Some(k + 1),
+                    _ => Some(k),
+                };
+                assert_eq!(t.get(&k).copied(), want, "d={d} {mode:?}: key {i}");
             }
             t.check_invariants().unwrap();
         }

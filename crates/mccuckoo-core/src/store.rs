@@ -126,6 +126,8 @@ pub trait SlotStore<K, V> {
     fn entry(&self, i: usize) -> Option<Self::Read<'_>>;
     /// Write `entry` into slot `i`.
     fn put(&mut self, i: usize, entry: Entry<K, V>);
+    /// Rewrite the value of occupied slot `i`, leaving its key and hints.
+    fn put_value(&mut self, i: usize, value: V);
     /// Clear slot `i`, returning its entry.
     fn take(&mut self, i: usize) -> Option<Entry<K, V>>;
     // The defaults describe a store with no stash flags and no
@@ -196,6 +198,10 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
 
     fn put(&mut self, i: usize, entry: Entry<K, V>) {
         self.slots[i] = Some(entry);
+    }
+
+    fn put_value(&mut self, i: usize, value: V) {
+        self.slots[i].as_mut().expect("slot occupied").value = value;
     }
 
     fn take(&mut self, i: usize) -> Option<Entry<K, V>> {
@@ -366,9 +372,9 @@ impl<K: Word, V: Word> SeqStore<K, V> {
         Arc::clone(&self.shared)
     }
 
-    /// Writer-side content write, bracketed by version bumps (odd while
-    /// in flight).
-    fn publish(&mut self, i: usize, content: Option<Entry<K, V>>) {
+    /// Writer-side write of slot `i`'s words by `write`, bracketed by
+    /// version bumps (odd while in flight).
+    fn publish(&mut self, i: usize, write: impl FnOnce(&SeqSlot<K, V>)) {
         let slot = &self.shared.slots[i];
         // One writer (`&mut self`), so the version moves by plain
         // loads/stores; the release fence keeps the odd store ahead of
@@ -377,7 +383,7 @@ impl<K: Word, V: Word> SeqStore<K, V> {
         debug_assert_eq!(v % 2, 0, "bucket {i}: concurrent writers");
         slot.version.store(v + 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        slot.store(content);
+        write(slot);
         slot.version.store(v + 2, Ordering::Release);
     }
 }
@@ -415,12 +421,19 @@ impl<K: Word, V: Word> SlotStore<K, V> for SeqStore<K, V> {
     }
 
     fn put(&mut self, i: usize, entry: Entry<K, V>) {
-        self.publish(i, Some(entry));
+        self.publish(i, |slot| slot.store(Some(entry)));
+    }
+
+    /// The value word alone, in its own version bracket.
+    fn put_value(&mut self, i: usize, value: V) {
+        self.publish(i, |slot| {
+            slot.value.store(value.to_word(), Ordering::Relaxed)
+        });
     }
 
     fn take(&mut self, i: usize) -> Option<Entry<K, V>> {
         let old = self.shared.slots[i].load();
-        self.publish(i, None);
+        self.publish(i, |slot| slot.store(None));
         old
     }
 
@@ -429,7 +442,7 @@ impl<K: Word, V: Word> SlotStore<K, V> for SeqStore<K, V> {
     fn clear(&mut self) {
         for i in 0..self.len() {
             self.shared.counters.store(i, 0);
-            self.publish(i, None);
+            self.publish(i, |slot| slot.store(None));
         }
     }
 

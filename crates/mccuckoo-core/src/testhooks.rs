@@ -35,6 +35,29 @@ thread_local! {
     /// thread panics after its snapshot capture but before the log is
     /// truncated. 0 = inert.
     static PANIC_IN_COMPACTION: Cell<u32> = const { Cell::new(0) };
+
+    /// The closures `at_point` scheduled, one per [`Point`].
+    static AT_POINT: [Scheduled; 2] = const { [Cell::new(None), Cell::new(None)] };
+}
+
+/// A closure a test scheduled at a [`Point`], if any.
+type Scheduled = Cell<Option<Box<dyn FnOnce()>>>;
+
+/// A named point in the sharded table's write paths where a scheduled
+/// test runs a closure (`at_point`): a race, replayed in one thread.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Point {
+    /// `upsert_routed`, right after its directory snapshot.
+    UpsertSnapshot,
+    /// `insert_batch`'s stage 2, right after the pre-write `settled` check.
+    BatchSettled,
+}
+
+/// This thread reached `point`: run the closure scheduled there, if any.
+pub(crate) fn reach(point: Point) {
+    if let Some(f) = AT_POINT.with(|a| a[point as usize].take()) {
+        f();
+    }
 }
 
 /// Arm the fault: the next `n` calls to `McCuckoo::remove` that find the
@@ -98,6 +121,7 @@ pub fn disarm() {
     PANIC_IN_MIGRATION.with(|c| c.set(0));
     FAIL_CHILD_PLACEMENT.with(|c| c.set(0));
     PANIC_IN_COMPACTION.with(|c| c.set(0));
+    AT_POINT.with(|a| a.iter().for_each(|c| drop(c.take())));
 }
 
 /// One use of a per-use hook (skip, kick panic, child failure): `true`
@@ -157,4 +181,11 @@ pub(crate) fn fire_panic_in_migration() {
     if countdown(&PANIC_IN_MIGRATION) {
         panic!("testhooks: injected panic mid-migration");
     }
+}
+
+/// Run `f` once, the next time this thread reaches `point` (a test's
+/// schedule).
+#[cfg(test)]
+pub(crate) fn at_point(point: Point, f: impl FnOnce() + 'static) {
+    AT_POINT.with(|a| a[point as usize].set(Some(Box::new(f))));
 }
