@@ -456,20 +456,6 @@ where
         cands
     }
 
-    /// Unrecorded upsert, if `current()` (the sharded layer's directory
-    /// re-check) still holds under the writer lock; `None`, with nothing
-    /// written, if it does not.
-    pub(crate) fn upsert_while(
-        &self,
-        key: K,
-        value: V,
-        current: impl FnOnce() -> bool,
-    ) -> Option<Result<InsertReport, (K, V)>> {
-        self.write(|w| {
-            current().then(|| w.insert_unrecorded(key, value).map_err(|full| full.evicted))
-        })
-    }
-
     /// Atomic insert-if-absent (unrecorded). `Ok(true)` means the key
     /// was freshly placed; `Ok(false)` means it was already present and
     /// the stored value was left untouched. `Err` returns the pair on a
@@ -503,8 +489,9 @@ where
     /// the local entry only if the transfer reports success. Holding
     /// the lock across the one transfer closes the lost-update window
     /// (a concurrent upsert of the same key blocks until the move
-    /// completes). Only the migration cursor holds two tables' locks at
-    /// once, always source→destination, so no lock cycle can form.
+    /// completes). Locks nest in one order — the split lock, then the
+    /// parent's writer lock, then the child's — here and in the sharded
+    /// layer's forwarded writes, so no lock cycle can form.
     pub(crate) fn migrate_out<F: FnOnce(K, V) -> bool>(
         &self,
         key: &K,

@@ -45,12 +45,13 @@
 //!    two-sided lookups for that slice) and a later `begin_split` of the
 //!    same shard *resumes* the drain.
 //!
-//! Writers that race a route flip re-validate the directory entry under
-//! the serving table's writer lock before each write (so a write lands
-//! only where the key is served, and its verdict stands) and again after
-//! every successful placement, redoing the op on the new serving table
-//! (removing the stale copy), so the linearizable contract of the
-//! single-table API survives migration.
+//! A route's directory entry changes only under the writer lock that its
+//! writes check it under: the parent's, for both the flip and the
+//! forwarding retirement. A write re-checks its entry once, under that
+//! lock, and retries on the new entry if a flip got there first; past
+//! the check it lands where the key is served and its result is final,
+//! so the linearizable contract of the single-table API survives
+//! migration.
 //!
 //! **Per-shard state.** Each shard owns its complete McCuckoo state:
 //! cells, the on-chip copy-counter array, seqlock versions and its own
@@ -58,8 +59,11 @@
 //! master seed by a [`SplitMix64`] stream (split children derive theirs
 //! from their route prefix, so recovery replays reproduce them).
 //! Counters never refer across shards, so ordinary operations touch
-//! exactly one shard; only the migration cursor ever holds locks in two
-//! tables at once (always source→destination, so no cycle can form).
+//! exactly one shard. Only a split's drain and the writes behind its
+//! forwarding entries hold two tables' locks at once, and every lock is
+//! taken in one order: the split lock, then the parent's writer lock,
+//! then the child's (a child's id is above its parent's, so no cycle can
+//! form).
 //! The only global value is `len()`, a sum of per-shard atomic counts
 //! (racy reads of it are as linearizable as any size estimate under
 //! concurrent writers; mid-drain it may transiently double-count the
@@ -67,11 +71,13 @@
 //!
 //! **Batching.** The batched entry points group a caller's operations by
 //! serving table and run one pipeline in shard order, taking a shard's
-//! writer lock **once per batch**. Each item finishes in stage 2, right
-//! after its probe or write: it re-validates its directory entry and is
-//! tallied for its shard, or joins a redo list when a racing route flip
-//! makes its result unsafe. Only the redos and the keys behind an active
-//! forwarding entry take the per-key routed path, with no lock held.
+//! writer lock **once per batch**. Each item finishes in stage 2, with
+//! its probe or write: it checks its directory entry and is tallied for
+//! its shard, or joins a redo list if a split flipped the route first.
+//! A write checks under its shard's writer lock, where the entry cannot
+//! move; a lookup redoes only a miss. Only the redos and the keys
+//! behind an active forwarding entry take the per-key routed path, with
+//! no lock held.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -83,7 +89,9 @@ use jsonlite::{FromJson, Json, JsonError, ToJson};
 use mem_model::{InsertOutcome, InsertReport};
 use parking_lot::Mutex;
 
-use crate::concurrent::{read_pipeline, write_pipeline, ConcurrentMcCuckoo, MigrateOutcome};
+use crate::concurrent::{
+    read_pipeline, write_pipeline, ConcurrentMcCuckoo, MigrateOutcome, Writer,
+};
 use crate::config::McConfig;
 use crate::obs::{
     LookupTally, MaintObs, MigrationObs, Obs, ShardStats, TableStats, Tally, WriteTally,
@@ -463,161 +471,90 @@ where
     // paths; unrecorded unless named so — each public op records once)
     // ------------------------------------------------------------------
 
-    /// Routed removal. Returns the removed value and the serving table
-    /// at the linearization point.
+    /// The one routed write path: run `op(writer, parent)` on `route`'s
+    /// serving table under its writer lock — nested inside the forwarding
+    /// parent's (`parent` is its writer) while the route forwards — once
+    /// the directory entry still reads as it did before the locks were
+    /// taken; otherwise retry on the new entry. Returns `op`'s result and
+    /// the serving table it ran on.
     ///
-    /// Finality: a **removed value** is final even when the entry moved
-    /// (the migrator only relocates live copies — it cannot resurrect a
-    /// removed key, and when both sides transiently hold a copy the
-    /// child's is the newer one and is preferred). A **miss** retries if
-    /// the entry changed, because "not found" while the key merely
-    /// migrated between probes would not be linearizable.
-    fn remove_routed(&self, route: usize, key: &K) -> (Option<V>, usize) {
+    /// A route's entry changes only under the writer lock its writes
+    /// check it under: `begin_split` flips a slice under the parent's,
+    /// and `clear_forwarding` retires it under the forwarding parent's.
+    /// So a write that passes the check lands only where the key is
+    /// served, and its result is final.
+    fn write_routed<R>(
+        &self,
+        route: usize,
+        mut op: impl FnMut(&mut Writer<K, V>, Option<&mut Writer<K, V>>) -> R,
+    ) -> (R, usize) {
         loop {
             let snap = self.dir[route].load(Ordering::Acquire);
+            #[cfg(feature = "testhooks")]
+            crate::testhooks::reach(crate::testhooks::Point::RouteSnapshot);
             let (tid, fwd) = decode_entry(snap);
+            let current = || self.dir[route].load(Ordering::Acquire) == snap;
             let out = match fwd {
-                None => self.table(tid).remove_unrecorded(key),
+                None => self.table(tid).write(|w| current().then(|| op(w, None))),
                 Some(parent) => {
                     self.migration.record_forwarding_hit();
-                    // Parent first, then child; prefer the child's value
-                    // (a concurrent forwarded upsert writes the child
-                    // before evicting the parent copy, so the child is
-                    // never staler).
-                    let pv = self.table(parent).remove_unrecorded(key);
-                    let cv = self.table(tid).remove_unrecorded(key);
-                    cv.or(pv)
+                    self.table(parent).write(|pw| {
+                        self.table(tid)
+                            .write(|w| current().then(|| op(w, Some(pw))))
+                    })
                 }
             };
-            if out.is_some() || self.dir[route].load(Ordering::Acquire) == snap {
+            if let Some(out) = out {
                 return (out, tid);
             }
         }
     }
 
-    /// The routed upsert engine. `first` / `placed_in` resume a batched
-    /// attempt that already succeeded once before the route flipped
-    /// underneath it (`None`/`None` for a fresh op).
-    ///
-    /// The returned report is the **first** successful attempt's — that
-    /// attempt is the linearization point, so its updated/placed verdict
-    /// is the caller's answer even when a redo re-placed the key.
+    /// Routed removal. Returns the removed value and the serving table.
+    /// Under the parent's writer lock the drain cannot move the key, so
+    /// parent and child together hold it at most once.
+    fn remove_routed(&self, route: usize, key: &K) -> (Option<V>, usize) {
+        self.write_routed(route, |w, parent| {
+            let pv = parent.and_then(|pw| pw.remove_unrecorded(key));
+            w.remove_unrecorded(key).or(pv)
+        })
+    }
+
+    /// Routed upsert. Returns the engine's report and the serving table.
+    /// Behind a forwarding entry the op is an update iff parent or child
+    /// holds the key (at most one does, as in [`Self::remove_routed`]).
     fn upsert_routed(
         &self,
         route: usize,
         key: K,
         value: V,
-        mut first: Option<InsertReport>,
-        mut placed_in: Option<usize>,
-    ) -> Result<InsertReport, (K, V)> {
-        loop {
-            let snap = self.dir[route].load(Ordering::Acquire);
-            #[cfg(feature = "testhooks")]
-            crate::testhooks::reach(crate::testhooks::Point::UpsertSnapshot);
-            let (tid, fwd) = decode_entry(snap);
-            // Stale cleanup: an earlier attempt's copy lives in a table
-            // the directory no longer points at (serving or forwarding).
-            if let Some(prev) = placed_in {
-                if prev != tid && fwd != Some(prev) {
-                    self.table(prev).remove_unrecorded(&key);
-                    placed_in = None;
-                }
-            }
-            // Every write re-checks the entry under the serving table's
-            // writer lock, so it lands only where the key is served at
-            // that instant: a drain cannot have moved the key away first,
-            // and the write's verdict (placed or updated) stands.
-            let current = || self.dir[route].load(Ordering::Acquire) == snap;
-            let attempt = match fwd {
-                None => self
-                    .table(tid)
-                    .upsert_while(key, value, current)
-                    .map(|r| r.map(|rep| (rep, tid))),
-                Some(parent) => self.upsert_forwarded(parent, tid, key, value, current),
-            };
-            // The route moved before anything was written: retry on the
-            // new entry.
-            let Some(attempt) = attempt else {
-                continue;
-            };
-            match attempt {
-                Ok((rep, home)) => {
-                    if first.is_none() {
-                        first = Some(rep);
-                    }
-                    placed_in = Some(home);
-                    if self.dir[route].load(Ordering::Acquire) == snap {
-                        return Ok(first.unwrap_or(rep));
-                    }
-                    // The route flipped under a success: loop — the next
-                    // iteration evicts the stale copy and redoes the op
-                    // on the new serving table.
-                }
-                Err(pair) => {
-                    if first.is_some() {
-                        // A redo failed after an earlier attempt stored a
-                        // copy. Evict it so `Err` ("nothing stored") is
-                        // truthful; a first attempt that *updated* an
-                        // existing key cannot reach here, because the
-                        // redo would have found and updated that copy.
-                        if let Some(prev) = placed_in {
-                            self.table(prev).remove_unrecorded(&key);
-                        }
-                    }
-                    return Err(pair);
-                }
-            }
-        }
-    }
-
-    /// One forwarded upsert attempt of [`Self::upsert_routed`]: `None`
-    /// if the route moved first. Under the parent's writer lock the drain
-    /// cannot move the key, so parent and child together hold it at most
-    /// once, and the op is an update iff either does.
-    #[cold]
-    fn upsert_forwarded(
-        &self,
-        parent: usize,
-        tid: usize,
-        key: K,
-        value: V,
-        current: impl FnOnce() -> bool,
-    ) -> Option<Result<(InsertReport, usize), (K, V)>> {
-        self.migration.record_forwarding_hit();
-        self.table(parent).write(|pw| {
-            Some(match self.table(tid).upsert_while(key, value, current)? {
+    ) -> (Result<InsertReport, (K, V)>, usize) {
+        self.write_routed(route, |w, parent| {
+            match (w.insert_unrecorded(key, value), parent) {
+                (out, None) => out.map_err(|full| full.evicted),
                 // Birth in the child, then evict the stale parent copy.
-                Ok(mut rep) => {
+                (Ok(mut rep), Some(pw)) => {
                     if pw.remove_unrecorded(&key).is_some() {
                         rep.outcome = InsertOutcome::Updated;
                     }
-                    Ok((rep, tid))
+                    Ok(rep)
                 }
                 // Child full (so it has no copy): rewrite the parent's
                 // copy in place, if there is one.
-                Err(pair) => {
+                (Err(full), Some(pw)) => {
                     let cands = pw.candidate_buckets(&key);
                     match pw.try_update(&key, &value, &cands) {
-                        Some(_) => Ok((InsertReport::updated(0), parent)),
-                        None => Err(pair),
+                        Some(_) => Ok(InsertReport::updated(0)),
+                        None => Err(full.evicted),
                     }
                 }
-            })
+            }
         })
     }
 
-    /// [`Self::upsert_routed`], recorded once against `route`'s serving
-    /// table when it returns.
-    fn upsert_recorded(
-        &self,
-        route: usize,
-        key: K,
-        value: V,
-        first: Option<InsertReport>,
-        placed_in: Option<usize>,
-    ) -> Result<InsertReport, (K, V)> {
-        let out = self.upsert_routed(route, key, value, first, placed_in);
-        let (tid, _) = self.entry(route);
+    /// [`Self::upsert_routed`], recorded once against the serving table.
+    fn upsert_recorded(&self, route: usize, key: K, value: V) -> Result<InsertReport, (K, V)> {
+        let (out, tid) = self.upsert_routed(route, key, value);
         self.table(tid)
             .obs()
             .record_insert(out.as_ref().unwrap_or(&InsertReport::failed()));
@@ -678,16 +615,14 @@ where
         self.insert_report(key, value).map(updated)
     }
 
-    /// [`Self::insert`] returning the engine's full report (the first
-    /// successful attempt's, under a racing split).
+    /// [`Self::insert`] returning the engine's full report.
     pub(crate) fn insert_report(&self, key: K, value: V) -> Result<InsertReport, (K, V)> {
-        self.upsert_recorded(self.route_of(&key), key, value, None, None)
+        self.upsert_recorded(self.route_of(&key), key, value)
     }
 
     /// Insert a key expected to be absent. Same placement engine as
-    /// [`Self::insert`] (under an active migration the update scan is
-    /// what makes racing redos safe), so a key that does exist is
-    /// updated rather than corrupting the copy bookkeeping.
+    /// [`Self::insert`], so a key that does exist is updated rather than
+    /// corrupting the copy bookkeeping.
     pub fn insert_new(&self, key: K, value: V) -> Result<(), (K, V)> {
         self.insert(key, value).map(|_| ())
     }
@@ -715,8 +650,8 @@ where
     /// directory (every entry must name live tables), and the routing
     /// invariant: every stored key is reachable through the directory —
     /// in its serving table, or in the forwarding parent while its slice
-    /// is (or was last left) mid-drain. The routing leg assumes no
-    /// writer is mid-redo; call at quiescent points.
+    /// is (or was last left) mid-drain. The routing leg assumes no split
+    /// is running; call at quiescent points.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.shard_count();
         for (r, e) in self.dir.iter().enumerate() {
@@ -837,14 +772,18 @@ where
                 self.ntables.store(ntables + 1, Ordering::Release);
                 // Flip the child's directory slice: serve from the child,
                 // forward misses to the parent, which keeps the 0-suffix
-                // half of its old prefix. From this store on, new writes
-                // for the slice land in the child.
+                // half of its old prefix. The stores run under the
+                // parent's writer lock, the one the slice's writes check
+                // their entry under (`write_routed`); from the flip on,
+                // new writes for the slice land in the child.
                 let shift = DIR_BITS - child_depth;
-                for (r, e) in self.dir.iter().enumerate() {
-                    if (r as u32) >> shift == child_prefix {
-                        e.store(encode_entry(child, Some(shard)), Ordering::Release);
+                self.table(shard).write(|_| {
+                    for (r, e) in self.dir.iter().enumerate() {
+                        if (r as u32) >> shift == child_prefix {
+                            e.store(encode_entry(child, Some(shard)), Ordering::Release);
+                        }
                     }
-                }
+                });
                 // Record the allocation (not resumes — the original
                 // entry already covers them) so snapshots can persist
                 // the layout after log compaction.
@@ -873,10 +812,9 @@ where
     /// The migration cursor: ascending bucket-order passes over the
     /// parent, moving every key whose directory entry points at `child`
     /// (deterministic on a quiescent parent, so op-log replays rebuild
-    /// the same child), until a full pass moves nothing (late keys come
-    /// from writers that read the directory just before the flip and are
-    /// caught by their own re-validation — the extra pass shrinks the
-    /// window to "writer currently suspended mid-op").
+    /// the same child), until a full pass moves nothing (a write to the
+    /// parent's own slice can kick a migrating key into a bucket the
+    /// pass has already scanned).
     fn drain(&self, parent: usize, child: usize) -> (u64, u64, u64) {
         let ptab = self.table(parent);
         let ctab = self.table(child);
@@ -927,14 +865,18 @@ where
     }
 
     /// End a split whose drain emptied: the directory entries serving
-    /// from `child` stop forwarding to `parent`.
+    /// from `child` stop forwarding to `parent`. The stores run under
+    /// the parent's writer lock, the outer one that forwarded writes
+    /// check their entry under (`write_routed`).
     fn clear_forwarding(&self, child: usize, parent: usize) {
-        for e in self.dir.iter() {
-            let (tid, fwd) = decode_entry(e.load(Ordering::Acquire));
-            if tid == child && fwd == Some(parent) {
-                e.store(encode_entry(child, None), Ordering::Release);
+        self.table(parent).write(|_| {
+            for e in self.dir.iter() {
+                let (tid, fwd) = decode_entry(e.load(Ordering::Acquire));
+                if tid == child && fwd == Some(parent) {
+                    e.store(encode_entry(child, None), Ordering::Release);
+                }
             }
-        }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1119,36 +1061,28 @@ where
             },
             |w, j, cands| {
                 let i = b.order[j] as usize;
-                // A split flipped the route before the write: leave the
-                // item to the routed path (see `upsert_routed`).
+                // A split flipped the route before the lock: leave the
+                // item to the routed path. Past this check the route
+                // cannot move until the lock drops (see `write_routed`).
                 if !self.settled(&b, i) {
-                    return redo.push((i, None));
+                    return redo.push(i);
                 }
                 #[cfg(feature = "testhooks")]
                 crate::testhooks::reach(crate::testhooks::Point::BatchSettled);
                 let (k, v) = items[i];
-                match w.insert_staged(k, v, cands).map_err(|full| full.evicted) {
-                    // The route flipped under a success: redo from this
-                    // attempt's state once the pipeline is done.
-                    Ok(rep) if !self.settled(&b, i) => redo.push((i, Some(rep))),
-                    // A reject mutated nothing: final regardless of route
-                    // motion (same contract as a single-op reject).
-                    res => {
-                        self.tally_at(&mut tally, b.gids[i])
-                            .record_insert(res.as_ref().unwrap_or(&InsertReport::failed()));
-                        out[i] = res.map(updated);
-                    }
-                }
+                let res = w.insert_staged(k, v, cands).map_err(|full| full.evicted);
+                self.tally_at(&mut tally, b.gids[i])
+                    .record_insert(res.as_ref().unwrap_or(&InsertReport::failed()));
+                out[i] = res.map(updated);
             },
         );
         self.table(tally.0).obs().absorb(&tally.1);
         // The redos, and the keys behind a forwarding entry (the routed
         // path's two-sided placement), with no lock held.
-        for (i, first) in redo.into_iter().chain(b.slow().map(|i| (i, None))) {
+        for i in redo.into_iter().chain(b.slow()) {
             let (k, v) = items[i];
-            let placed_in = first.map(|_| b.gids[i] as usize);
             out[i] = self
-                .upsert_recorded(b.routes[i] as usize, k, v, first, placed_in)
+                .upsert_recorded(b.routes[i] as usize, k, v)
                 .map(updated);
         }
         out
@@ -1209,8 +1143,9 @@ where
             |w, j, cands| {
                 let i = b.order[j] as usize;
                 let removed = w.remove_staged(&keys[i], cands);
-                // A removed value is final even when the entry moved (see
-                // `remove_routed`); a miss under a racing flip is redone.
+                // A removed value is final even if a flip beat the lock:
+                // under the parent's lock the child cannot also hold the
+                // key. A miss under a flipped route is redone.
                 if removed.is_some() || self.settled(&b, i) {
                     self.tally_at(&mut tally, b.gids[i])
                         .record_remove(removed.is_some());
@@ -1259,8 +1194,9 @@ where
                     // Parent-side copy: superseded if the child has one.
                     self.table(tid).get_unrecorded(&k).0.is_none()
                 } else {
-                    // Stranded copy (a dying writer's leftovers) — not
-                    // reachable through the directory, so not state.
+                    // A copy the drain moved on, and whose forwarding was
+                    // retired, after this scan: the child's scan, later
+                    // in this loop, emits it.
                     false
                 };
                 if include {
@@ -1395,7 +1331,8 @@ where
             match rec {
                 OpRecord::Insert { key, value } => {
                     let route = t.route_of(key);
-                    t.upsert_routed(route, *key, *value, None, None)
+                    t.upsert_routed(route, *key, *value)
+                        .0
                         .map_err(|_| RecoverError::InsertOverflow { index })?;
                 }
                 OpRecord::Remove { key } => {
@@ -2722,12 +2659,12 @@ mod tests {
         // upsert takes the parent's writer lock. The under-lock re-check
         // (`current`) must send the write to the child, where it updates
         // the moved key; without it the parent gets a fresh copy and the
-        // redo reports a placement.
+        // upsert reports a placement.
         use crate::testhooks::{at_point, Point};
         let (t, k) = one_shard_and_a_child_key();
         assert_eq!(t.insert(k, 1), Ok(false));
         let split = t.clone();
-        at_point(Point::UpsertSnapshot, move || {
+        at_point(Point::RouteSnapshot, move || {
             assert_eq!(split.begin_split(0).unwrap().moved, 1);
         });
         assert_eq!(
@@ -2744,25 +2681,162 @@ mod tests {
 
     #[cfg(feature = "testhooks")]
     #[test]
-    fn batch_write_rechecks_its_route_after_writing() {
-        // Scheduled race: a batch item passes its pre-write `settled`
-        // check under the parent's writer lock, then a whole split runs:
-        // its drain finds the parent empty, moves nothing and needs no
-        // lock the batch holds. The item then writes the parent, whose
-        // slice the child now serves. The post-write check must redo it
-        // on the child; without it the key is stranded in the parent.
+    fn remove_rechecks_its_route_under_the_writer_lock() {
+        // Scheduled race: a remove snapshots the directory, then a whole
+        // split moves the key to the child before the remove takes the
+        // parent's writer lock. The under-lock re-check (`current`) must
+        // send the remove to the child; without it the parent misses and
+        // the key survives.
         use crate::testhooks::{at_point, Point};
         let (t, k) = one_shard_and_a_child_key();
+        assert_eq!(t.insert(k, 5), Ok(false));
         let split = t.clone();
+        at_point(Point::RouteSnapshot, move || {
+            assert_eq!(split.begin_split(0).unwrap().moved, 1);
+        });
+        assert_eq!(t.remove(&k), Some(5));
+        crate::testhooks::disarm();
+        assert_eq!(t.get(&k), None);
+        t.check_invariants().unwrap();
+    }
+
+    #[cfg(feature = "testhooks")]
+    #[test]
+    fn route_flip_waits_for_the_batch_holding_the_parent_lock() {
+        // Scheduled race: a batch item passes its `settled` check under
+        // the parent's writer lock, then a second thread starts a split.
+        // Its flip must wait for that lock, so the item lands while the
+        // parent still serves the slice and the drain then moves it. A
+        // flip outside the lock hands the slice to the child while the
+        // batch is about to write the parent.
+        use crate::testhooks::{at_point, Point};
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let (t, k) = one_shard_and_a_child_key();
+        let split = Rc::new(Cell::new(None));
+        let (t2, split2) = (t.clone(), split.clone());
         at_point(Point::BatchSettled, move || {
-            assert_eq!(split.begin_split(0).unwrap().moved, 0);
+            let t3 = t2.clone();
+            split2.set(Some(std::thread::spawn(move || t3.begin_split(0))));
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            assert_eq!(t2.shard_of(&k), 0, "the flip waits for the parent's lock");
         });
         assert_eq!(t.insert_batch(&[(k, 7)]), vec![Ok(false)]);
         crate::testhooks::disarm();
+        let report = split.take().expect("the batch reached its point");
+        assert_eq!(report.join().unwrap().unwrap().moved, 1);
         assert_eq!(t.shard_of(&k), 1);
         assert_eq!(t.shard(1).get(&k), Some(7), "served from the child");
         assert_eq!(t.shard(0).get(&k), None, "no parent copy stranded");
         assert_eq!(t.get(&k), Some(7));
         t.check_invariants().unwrap();
+    }
+
+    /// `table(1, 16, 81)` holding 30 keys, split with every child
+    /// placement failing: the child-slice keys stay in the parent behind
+    /// live forwarding. Returns the table and those parent-resident keys.
+    #[cfg(feature = "testhooks")]
+    fn forwarded_table() -> (ShardedMcCuckoo<u64, u64>, Vec<u64>) {
+        let t = table(1, 16, 81);
+        for k in 0u64..30 {
+            assert_eq!(t.insert(k, k), Ok(false));
+        }
+        crate::testhooks::arm_fail_child_placement(u32::MAX);
+        let report = t.begin_split(0).unwrap();
+        crate::testhooks::disarm();
+        let held: Vec<u64> = (0u64..30).filter(|k| t.shard_of(k) == 1).collect();
+        assert!(!report.forwarding_cleared);
+        // Every copy of a held key is one failed visit.
+        assert_eq!(report.moved, 0);
+        assert!(report.failed >= held.len() as u64);
+        assert!(held.iter().all(|&k| t.shard(0).get(&k) == Some(k)));
+        t.check_invariants().unwrap();
+        (t, held)
+    }
+
+    /// Fresh keys (none of `forwarded_table`'s) routed to the child.
+    #[cfg(feature = "testhooks")]
+    fn fresh_child_keys(t: &ShardedMcCuckoo<u64, u64>) -> impl Iterator<Item = u64> + '_ {
+        (1_000u64..).filter(|k| t.shard_of(k) == 1)
+    }
+
+    #[cfg(feature = "testhooks")]
+    #[test]
+    fn forwarded_writes_reach_both_sides_of_a_retained_split() {
+        let (t, held) = forwarded_table();
+        assert!(held.len() >= 4, "{} parent-resident keys", held.len());
+        // An upsert is born in the child and evicts the parent's copy.
+        assert_eq!(t.insert(held[0], 100), Ok(true));
+        assert_eq!(t.shard(1).get(&held[0]), Some(100));
+        assert_eq!(t.shard(0).get(&held[0]), None);
+        t.check_invariants().unwrap();
+        // A remove takes the parent's copy.
+        assert_eq!(t.remove(&held[1]), Some(held[1]));
+        assert_eq!(t.shard(0).get(&held[1]), None);
+        assert_eq!(t.shard(1).get(&held[1]), None);
+        t.check_invariants().unwrap();
+        // Fill the child until it holds one key per bucket, so no insert
+        // into it can succeed.
+        let cap = t.shard(1).capacity();
+        let (mut placed, mut rejected) = (0, 0);
+        for k in fresh_child_keys(&t).take(1_000) {
+            if t.shard(1).len() == cap {
+                break;
+            }
+            match t.insert(k, k) {
+                Ok(updated) => (placed, rejected) = (placed + usize::from(!updated), rejected),
+                Err(_) => rejected += 1,
+            }
+        }
+        assert_eq!(
+            t.shard(1).len(),
+            cap,
+            "{placed} placed, {rejected} rejected"
+        );
+        assert!(rejected > 0);
+        t.check_invariants().unwrap();
+        // Child full: an upsert rewrites the parent's copy in place.
+        for &k in &held[2..] {
+            assert_eq!(t.insert(k, k + 1), Ok(true));
+            assert_eq!(t.shard(0).get(&k), Some(k + 1), "rewritten in the parent");
+            assert_eq!(t.shard(1).get(&k), None);
+        }
+        t.check_invariants().unwrap();
+    }
+
+    #[cfg(feature = "testhooks")]
+    #[test]
+    fn forwarded_batches_match_a_loop_of_single_ops() {
+        // Twin tables in the same retained-forwarding state: batches on
+        // one, single ops on the other. Every key routes to the child, so
+        // each batch runs wholly in the slow group; enough fresh keys
+        // fill the child that later upserts take the child-full branch.
+        let (single, held) = forwarded_table();
+        let (batched, _) = forwarded_table();
+        let fresh: Vec<u64> = fresh_child_keys(&single).take(60).collect();
+        let half = held.len() / 2;
+        let items: Vec<(u64, u64)> = (held[..half].iter())
+            .chain(&fresh)
+            .chain(&held[half..])
+            .chain(&held[..2])
+            .map(|&k| (k, k + 7))
+            .collect();
+        let want: Vec<_> = items.iter().map(|&(k, v)| single.insert(k, v)).collect();
+        assert_eq!(batched.insert_batch(&items), want);
+        assert!(want.iter().any(|r| r.is_err()), "the child filled up");
+        single.check_invariants().unwrap();
+        batched.check_invariants().unwrap();
+        let keys: Vec<u64> = (held.iter().step_by(2))
+            .chain(fresh.iter().step_by(3))
+            .chain(&[held[0], 999_999])
+            .copied()
+            .collect();
+        let want: Vec<_> = keys.iter().map(|k| single.remove(k)).collect();
+        assert_eq!(batched.remove_batch(&keys), want);
+        for &(k, _) in &items {
+            assert_eq!(batched.get(&k), single.get(&k), "key {k}");
+        }
+        single.check_invariants().unwrap();
+        batched.check_invariants().unwrap();
     }
 }

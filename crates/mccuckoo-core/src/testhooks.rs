@@ -44,11 +44,13 @@ thread_local! {
 type Scheduled = Cell<Option<Box<dyn FnOnce()>>>;
 
 /// A named point in the sharded table's write paths where a scheduled
-/// test runs a closure (`at_point`): a race, replayed in one thread.
+/// test runs a closure (`at_point`): a race, replayed in one thread or
+/// held open while a second thread runs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Point {
-    /// `upsert_routed`, right after its directory snapshot.
-    UpsertSnapshot,
+    /// `write_routed`, right after its directory snapshot (every routed
+    /// write passes it).
+    RouteSnapshot,
     /// `insert_batch`'s stage 2, right after the pre-write `settled` check.
     BatchSettled,
 }
