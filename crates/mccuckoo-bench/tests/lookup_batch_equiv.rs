@@ -4,7 +4,7 @@
 //! batched read path is *semantically invisible*: same results in
 //! order, same hit/miss tallies, same probe histogram and the same
 //! metered access counts as issuing the keys one at a time. The batch
-//! machinery (the stage-1 window, software prefetch, batch-local tallying) may
+//! machinery (the stage-1 window, software prefetch, per-batch stat stripe) may
 //! only change *when* work happens, never *what* is counted.
 //!
 //! Covered implementors — all eight tables that implement [`McTable`]:

@@ -80,7 +80,7 @@ use parking_lot::Mutex;
 
 use crate::config::{DeletionMode, McConfig, StashPolicy};
 use crate::engine::{candidate_buckets, Engine, MAX_D};
-use crate::obs::{LookupTally, Obs, TableStats, WriteTally};
+use crate::obs::{Obs, TableStats};
 use crate::pad::CachePadded;
 use crate::prefetch::Window;
 use crate::single::SingleLayout;
@@ -235,10 +235,9 @@ where
 
     /// [`Self::get`] body with the candidate buckets precomputed: stage 2
     /// of the batched pipeline, whose stage 1 hashed the key up front.
-    /// Returns the probe count instead of recording it — the batched
-    /// path tallies a whole batch locally and flushes the observability
-    /// atomics once ([`Obs::absorb`]). Meters nothing: the reads are
-    /// counted where the caller records the lookup (see
+    /// Returns the probe count instead of recording it, so the caller
+    /// records against the table that served the key. Meters nothing:
+    /// the reads are counted where the caller records the lookup (see
     /// [`Self::mem_stats`]).
     fn get_with_cands(&self, key: &K, cands: &[usize; MAX_D]) -> (Option<V>, u64) {
         let cells = &*self.cells;
@@ -294,18 +293,17 @@ where
     /// over [`Self::get`], including the modelled access counts: stage 1
     /// reads nothing.
     pub fn get_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        self.obs.record_batch(keys.len());
-        let mut tally = LookupTally::default();
+        let rec = self.obs.local();
+        rec.batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         read_pipeline(
             keys.len(),
             |i| (self, &keys[i]),
             |_, found, probes| {
-                tally.record(found.is_some(), probes);
+                rec.lookup(found.is_some(), probes);
                 out.push(found);
             },
         );
-        self.obs.absorb(&tally);
         out
     }
 
@@ -343,8 +341,8 @@ where
     /// remain lock-free throughout — they observe the batch item by item.
     /// The one-table case of `write_pipeline`.
     pub fn insert_batch(&self, items: &[(K, V)]) -> Vec<Result<bool, (K, V)>> {
-        self.obs.record_batch(items.len());
-        let mut tally = WriteTally::default();
+        let rec = self.obs.local();
+        rec.batch(items.len());
         let mut out = Vec::with_capacity(items.len());
         write_pipeline(
             items.len(),
@@ -352,11 +350,10 @@ where
             |w, i, cands| {
                 let (k, v) = items[i];
                 let r = w.insert_staged(k, v, cands).map_err(|full| full.evicted);
-                tally.record_insert(r.as_ref().unwrap_or(&InsertReport::failed()));
+                rec.insert(r.as_ref().unwrap_or(&InsertReport::failed()));
                 out.push(r.map(|rep| matches!(rep.outcome, InsertOutcome::Updated)));
             },
         );
-        self.obs.absorb(&tally);
         out
     }
 
@@ -388,19 +385,18 @@ where
     /// [`Self::remove`] would have returned for `keys[i]` (duplicates in
     /// the batch see the earlier removal — only the first wins).
     pub fn remove_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        self.obs.record_batch(keys.len());
-        let mut tally = WriteTally::default();
+        let rec = self.obs.local();
+        rec.batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         write_pipeline(
             keys.len(),
             |i| (self, &keys[i]),
             |w, i, cands| {
                 let r = w.remove_staged(&keys[i], cands);
-                tally.record_remove(r.is_some());
+                rec.remove(r.is_some());
                 out.push(r);
             },
         );
-        self.obs.absorb(&tally);
         out
     }
 

@@ -57,7 +57,7 @@ use mem_model::{InsertOutcome, InsertReport, MemMeter};
 
 use crate::config::{DeletionMode, KickPolicyKind, McConfig};
 use crate::kick::{self, EvictionGraph};
-use crate::obs::{LookupTally, Obs, TableStats};
+use crate::obs::{Obs, TableStats};
 use crate::prefetch::Window;
 use crate::stash::Stash;
 use crate::store::{Entry, PlainStore, SlotHint, SlotStore};
@@ -1292,9 +1292,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     }
 
     /// `Engine::probe` plus the stash on a screened miss. Returns the
-    /// probe count (bucket and stash reads) instead of recording it: the
-    /// batched path tallies per-key outcomes locally and flushes the
-    /// whole batch's observability in one [`Obs::absorb`] pass.
+    /// probe count (bucket and stash reads) instead of recording it, so
+    /// the batched path can record into cells it resolved once.
     pub(crate) fn get_planned(
         &self,
         key: &K,
@@ -1337,17 +1336,16 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
     /// [`Engine::get`]'s own plan and probe on the staged candidates.
     /// Stage 1 reads nothing, so the access counts cannot change.
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        self.obs.record_batch(keys.len());
+        let rec = self.obs.local();
+        rec.batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
-        let mut tally = LookupTally::default();
         let mut window = Window::new(keys.len(), |j| self.stage(&keys[j]));
         for (j, key) in keys.iter().enumerate() {
             let cands = window.cands(j);
             let (found, probes) = self.get_planned(key, cands, &L::plan_probe(self, cands));
-            tally.record(found.is_some(), probes);
+            rec.lookup(found.is_some(), probes);
             out.push(found.cloned());
         }
-        self.obs.absorb(&tally);
         out
     }
 

@@ -3,9 +3,10 @@
 //! Every table in the workspace exposes
 //! [`McTable::stats`](crate::McTable::stats), which returns a plain-data
 //! [`TableStats`] snapshot assembled from an [`Obs`] recorder embedded in
-//! the table. The recorder is a set of monotonic relaxed atomics — safe
-//! to bump from the concurrent table's lock-free read path and cheap
-//! enough to leave on unconditionally:
+//! the table. The recorder is a set of monotonic relaxed atomics, striped
+//! per thread so that each cell has one writer — safe to bump from the
+//! concurrent table's lock-free read path and cheap enough to leave on
+//! unconditionally:
 //!
 //! * **op counters** ([`OpStats`]): inserts / in-place updates / failed
 //!   inserts / stash spills / lookup hits + misses / removes (hit and
@@ -14,6 +15,19 @@
 //!   lookup, kick-walk length per fresh insert, and batch size for the
 //!   batched entry points. Bucket 0 holds exact zeroes; bucket *i* ≥ 1
 //!   holds values in `[2^(i-1), 2^i)`, with the last bucket open-ended.
+//!
+//! **Stripes.** A thread claims one of `STRIPES` process-wide stripe ids
+//! on its first record (a bit in a static bitmap, claimed by CAS and
+//! released when the thread exits). Each recorder holds one set of cells
+//! per stripe id, made on the id owner's first record into that recorder
+//! (the one allocation recording may make), and only that owner writes
+//! them, with a plain load and store instead of a locked RMW. A thread
+//! that finds every id taken, or records while its thread-locals are
+//! being torn down, bumps the recorder's shared cells with `fetch_add`.
+//! A snapshot sums the shared cells and every made stripe. Each cell only
+//! grows, so each summed field does too. An id's next owner continues
+//! from its last owner's counts: the release of the id (a `Release`
+//! clear of its bit) happens before its next claim (an `Acquire` CAS).
 //!
 //! Counters are *monotonic for the lifetime of the table* — they are not
 //! reset by [`clear`](crate::McTable::clear) — so differential harnesses
@@ -29,6 +43,7 @@
 //! in benchmark JSON reports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use jsonlite::impl_json_struct;
 use mem_model::{InsertOutcome, InsertReport};
@@ -41,6 +56,7 @@ use crate::pad::CachePadded;
 pub const HIST_BUCKETS: usize = 16;
 
 /// Index of the log2 bucket that `value` falls into.
+#[inline]
 fn bucket_of(value: u64) -> usize {
     if value == 0 {
         0
@@ -49,156 +65,31 @@ fn bucket_of(value: u64) -> usize {
     }
 }
 
-/// A fixed-size log2-bucketed histogram with relaxed-atomic cells.
+/// A fixed-size log2-bucketed histogram with relaxed-atomic cells. The
+/// sample count is not stored: it is the sum of the buckets.
 #[derive(Debug, Default)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
-}
-
-/// A batch-local tally: plain counters a batched path fills per item and
-/// [`Obs::absorb`]s once, so it pays its atomic RMWs once per batch, not
-/// a few per item (a large share of an op that hits cache).
-pub(crate) trait Tally: Default {
-    /// Add the tally's non-zero cells to `obs`.
-    fn absorb_into(&self, obs: &Obs);
-}
-
-/// Write bookkeeping: a batch's tally, or one item's, which is how
-/// [`Obs::record_insert`] and [`Obs::record_remove`] record.
-#[derive(Debug, Default)]
-pub(crate) struct WriteTally {
-    inserts: u64,
-    updates: u64,
-    failed_inserts: u64,
-    stash_spills: u64,
-    removes: u64,
-    remove_misses: u64,
-    kicks: u64,
-    kick_buckets: [u64; HIST_BUCKETS],
-    kick_count: u64,
-    kick_sum: u64,
-}
-
-impl WriteTally {
-    /// Count one insert/upsert outcome. An in-place update is not a
-    /// walk, so only fresh placement attempts reach the kick histogram.
-    pub(crate) fn record_insert(&mut self, report: &InsertReport) {
-        match report.outcome {
-            InsertOutcome::Placed => self.inserts += 1,
-            InsertOutcome::Updated => {
-                self.updates += 1;
-                return;
-            }
-            InsertOutcome::Stashed => {
-                self.inserts += 1;
-                self.stash_spills += 1;
-            }
-            InsertOutcome::Failed => self.failed_inserts += 1,
-        }
-        self.kicks += report.kickouts as u64;
-        self.kick_buckets[bucket_of(report.kickouts as u64)] += 1;
-        self.kick_count += 1;
-        self.kick_sum += report.kickouts as u64;
-    }
-
-    /// Count one remove.
-    pub(crate) fn record_remove(&mut self, hit: bool) {
-        if hit {
-            self.removes += 1;
-        } else {
-            self.remove_misses += 1;
-        }
-    }
-}
-
-impl Tally for WriteTally {
-    #[inline]
-    fn absorb_into(&self, obs: &Obs) {
-        let w = &obs.write;
-        add(&w.inserts, self.inserts);
-        add(&w.updates, self.updates);
-        add(&w.failed_inserts, self.failed_inserts);
-        add(&w.stash_spills, self.stash_spills);
-        add(&w.removes, self.removes);
-        add(&w.remove_misses, self.remove_misses);
-        add(&w.kicks, self.kicks);
-        w.kick_hist
-            .absorb(&self.kick_buckets, self.kick_count, self.kick_sum);
-    }
-}
-
-/// Batch-local lookup bookkeeping: the mirror of [`Obs::record_lookup`].
-#[derive(Debug, Default)]
-pub(crate) struct LookupTally {
-    hits: u64,
-    misses: u64,
-    probe_buckets: [u64; HIST_BUCKETS],
-    probe_count: u64,
-    probe_sum: u64,
-}
-
-impl LookupTally {
-    /// Mirror of [`Obs::record_lookup`] against the local tally.
-    pub(crate) fn record(&mut self, hit: bool, probes: u64) {
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.probe_buckets[bucket_of(probes)] += 1;
-        self.probe_count += 1;
-        self.probe_sum += probes;
-    }
-}
-
-impl Tally for LookupTally {
-    fn absorb_into(&self, obs: &Obs) {
-        let r = &obs.read;
-        add(&r.lookup_hits, self.hits);
-        add(&r.lookup_misses, self.misses);
-        r.probe_hist
-            .absorb(&self.probe_buckets, self.probe_count, self.probe_sum);
-    }
-}
-
-/// Add `n` to `cell`, skipping the RMW when there is nothing to add.
-fn add(cell: &AtomicU64, n: u64) {
-    if n > 0 {
-        cell.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 impl AtomicHistogram {
     /// Record one sample.
     pub fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// Add a batch-local histogram's buckets, sample count and sum. A
-    /// zero sum means every sample is 0, all in bucket 0, so a kick-free
-    /// write's one-item flush walks one cell, not all of them.
-    fn absorb(&self, buckets: &[u64; HIST_BUCKETS], count: u64, sum: u64) {
-        let cells = if sum == 0 { 1 } else { HIST_BUCKETS };
-        for (cell, &n) in self.buckets.iter().zip(buckets).take(cells) {
-            add(cell, n);
-        }
-        add(&self.count, count);
-        add(&self.sum, sum);
     }
 
     /// Plain-data snapshot of the current cell values.
     pub fn snapshot(&self) -> Histogram {
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         Histogram {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
@@ -357,7 +248,7 @@ pub struct MigrationStats {
     /// (removed, or moved by a forwarded client upsert).
     pub keys_skipped: u64,
     /// Keys the sibling could not absorb (left in the parent behind a
-    /// permanent forwarding entry).
+    /// permanent forwarding entry), each counted once per drain.
     pub move_failures: u64,
     /// Operations that consulted the forwarding map and touched the
     /// parent side of an in-flight split.
@@ -642,117 +533,238 @@ impl TableStats {
     }
 }
 
-/// Counters bumped by mutating operations (the writer-side half).
+/// Most threads that record with plain stores at once; later threads
+/// share a recorder's `fetch_add` cells until an id is released.
+const STRIPES: usize = 16;
+
+/// Stripe ids held by live threads, one bit each.
+static CLAIMED: AtomicU64 = AtomicU64::new(0);
+
+/// A thread's hold on one stripe id (`None`: every id was taken), given
+/// back when the thread exits.
+struct Claim(Option<usize>);
+
+impl Claim {
+    /// Take the lowest free id, if any, by CAS.
+    fn take() -> Self {
+        let free = |held: u64| (!held & ((1 << STRIPES) - 1)).trailing_zeros() as usize;
+        let claim = CLAIMED.fetch_update(Ordering::Acquire, Ordering::Relaxed, |held| {
+            (free(held) < STRIPES).then(|| held | 1 << free(held))
+        });
+        Claim(claim.ok().map(free))
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if let Some(id) = self.0 {
+            CLAIMED.fetch_and(!(1 << id), Ordering::Release);
+        }
+    }
+}
+
+thread_local! {
+    static CLAIM: Claim = Claim::take();
+}
+
+/// The calling thread's stripe id, claimed on its first call; `None`
+/// when every id is taken or the thread's locals are being torn down.
+/// A batch resolves it once and hands it to [`Obs::at`] for every
+/// recorder it touches.
+pub(crate) fn stripe() -> Option<usize> {
+    CLAIM.try_with(|c| c.0).ok().flatten()
+}
+
+/// One set of recorder cells: the shared set, or one stripe's.
 #[derive(Debug, Default)]
-struct WriteObs {
+struct Cells {
     inserts: AtomicU64,
     updates: AtomicU64,
     failed_inserts: AtomicU64,
     stash_spills: AtomicU64,
+    lookup_hits: AtomicU64,
+    lookup_misses: AtomicU64,
     removes: AtomicU64,
     remove_misses: AtomicU64,
     kicks: AtomicU64,
+    probe_hist: AtomicHistogram,
     kick_hist: AtomicHistogram,
     batch_hist: AtomicHistogram,
 }
 
-/// Counters bumped by the lock-free read path (the reader-side half).
-#[derive(Debug, Default)]
-struct ReadObs {
-    lookup_hits: AtomicU64,
-    lookup_misses: AtomicU64,
-    probe_hist: AtomicHistogram,
+/// One thread's cells in one recorder: its stripe's, which only it
+/// writes, bumped with a plain load and store; or the shared cells,
+/// bumped with `fetch_add`.
+#[derive(Clone, Copy)]
+pub(crate) struct Recorder<'a> {
+    cells: &'a Cells,
+    owned: bool,
 }
 
-/// The in-table recorder: one cell per counter, all relaxed atomics.
+impl Recorder<'_> {
+    #[inline]
+    fn add(&self, cell: &AtomicU64, n: u64) {
+        if self.owned {
+            cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        } else {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    fn sample(&self, hist: &AtomicHistogram, value: u64) {
+        self.add(&hist.buckets[bucket_of(value)], 1);
+        if value > 0 {
+            self.add(&hist.sum, value);
+        }
+    }
+
+    /// Count one insert/upsert outcome. An in-place update is not a
+    /// walk, so only fresh placement attempts reach the kick histogram.
+    #[inline]
+    pub(crate) fn insert(&self, report: &InsertReport) {
+        let c = self.cells;
+        match report.outcome {
+            InsertOutcome::Placed => self.add(&c.inserts, 1),
+            InsertOutcome::Updated => return self.add(&c.updates, 1),
+            InsertOutcome::Stashed => {
+                self.add(&c.inserts, 1);
+                self.add(&c.stash_spills, 1);
+            }
+            InsertOutcome::Failed => self.add(&c.failed_inserts, 1),
+        }
+        let kicks = u64::from(report.kickouts);
+        self.sample(&c.kick_hist, kicks);
+        if kicks > 0 {
+            self.add(&c.kicks, kicks);
+        }
+    }
+
+    /// Count one lookup and how many buckets it probed.
+    #[inline]
+    pub(crate) fn lookup(&self, hit: bool, probes: u64) {
+        let c = self.cells;
+        let outcome = if hit {
+            &c.lookup_hits
+        } else {
+            &c.lookup_misses
+        };
+        self.add(outcome, 1);
+        self.sample(&c.probe_hist, probes);
+    }
+
+    /// Count one remove.
+    #[inline]
+    pub(crate) fn remove(&self, hit: bool) {
+        let c = self.cells;
+        let outcome = if hit { &c.removes } else { &c.remove_misses };
+        self.add(outcome, 1);
+    }
+
+    /// Count one batched call of `len` items.
+    #[inline]
+    pub(crate) fn batch(&self, len: usize) {
+        self.sample(&self.cells.batch_hist, len as u64);
+    }
+}
+
+/// The in-table recorder: one cell per counter per stripe, all relaxed
+/// atomics.
 ///
 /// Embed one per table; bump from the outermost public operations only
 /// (internal re-insert paths — stash refresh, rehash, snapshot restore —
 /// must go through unrecorded inner variants so one logical op is never
 /// counted twice).
 ///
-/// The cells are split into a writer half and a reader half, each padded
-/// to its own cacheline pair: lock-free readers hammering `probe_hist`
-/// must not bounce the line a concurrent writer's `inserts` counter
-/// lives on (and in the sharded table, neighbouring shards' recorders
-/// must not share lines either).
+/// The cells are striped by thread (see the module docs): each stripe,
+/// and the shared set, is padded to its own cacheline pairs, so threads
+/// recording into one table never bounce each other's lines (and in the
+/// sharded table, neighbouring shards' recorders do not share lines
+/// either). A stripe is allocated on its owner's first record into this
+/// recorder, so a table one thread uses pays for one stripe.
 #[derive(Debug, Default)]
 pub struct Obs {
-    write: CachePadded<WriteObs>,
-    read: CachePadded<ReadObs>,
+    shared: CachePadded<Cells>,
+    stripes: [OnceLock<Box<CachePadded<Cells>>>; STRIPES],
 }
 
 impl Obs {
-    /// Record the outcome of one public insert/upsert call: a one-item
-    /// `WriteTally`, which holds the one mapping from reports to
-    /// counters.
+    /// The cells `stripe`'s owner records into.
+    #[inline]
+    pub(crate) fn at(&self, stripe: Option<usize>) -> Recorder<'_> {
+        match stripe {
+            Some(id) => Recorder {
+                cells: self.stripes[id].get_or_init(Box::default),
+                owned: true,
+            },
+            None => Recorder {
+                cells: &self.shared,
+                owned: false,
+            },
+        }
+    }
+
+    /// The calling thread's cells.
+    #[inline]
+    pub(crate) fn local(&self) -> Recorder<'_> {
+        self.at(stripe())
+    }
+
+    /// Record the outcome of one public insert/upsert call.
     pub fn record_insert(&self, report: &InsertReport) {
-        let mut t = WriteTally::default();
-        t.record_insert(report);
-        self.absorb(&t);
+        self.local().insert(report);
     }
 
     /// Record one public lookup and how many buckets it probed.
     pub fn record_lookup(&self, hit: bool, probes: u64) {
-        if hit {
-            self.read.lookup_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.read.lookup_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.read.probe_hist.record(probes);
+        self.local().lookup(hit, probes);
     }
 
-    /// Record one public remove (a one-item `WriteTally`).
+    /// Record one public remove.
     pub fn record_remove(&self, hit: bool) {
-        let mut t = WriteTally::default();
-        t.record_remove(hit);
-        self.absorb(&t);
+        self.local().remove(hit);
     }
 
     /// Record the size of one batched call.
     pub fn record_batch(&self, len: usize) {
-        self.write.batch_hist.record(len as u64);
+        self.local().batch(len);
     }
 
-    /// Flush a batch-local tally in one pass: every counter and
-    /// histogram cell lands exactly as if each item had been recorded
-    /// individually.
-    pub(crate) fn absorb(&self, t: &impl Tally) {
-        t.absorb_into(self);
+    /// The shared cells and every stripe made so far.
+    fn all_cells(&self) -> impl Iterator<Item = &Cells> {
+        let stripes = self.stripes.iter().filter_map(|s| s.get());
+        std::iter::once(&*self.shared).chain(stripes.map(|c| &***c))
     }
 
     /// Lookups recorded and the buckets they probed (the probe
     /// histogram's count and sum), for the concurrent table's meter.
     pub(crate) fn lookup_reads(&self) -> (u64, u64) {
-        let h = &self.read.probe_hist;
-        (
-            h.count.load(Ordering::Relaxed),
-            h.sum.load(Ordering::Relaxed),
-        )
+        let h = self.snapshot().probe_hist;
+        (h.count, h.sum)
     }
 
-    /// Plain-data snapshot of every counter and histogram.
+    /// Plain-data snapshot of every counter and histogram, summed over
+    /// the shared cells and every stripe.
     pub fn snapshot(&self) -> TableStats {
-        TableStats {
-            ops: OpStats {
-                inserts: self.write.inserts.load(Ordering::Relaxed),
-                updates: self.write.updates.load(Ordering::Relaxed),
-                failed_inserts: self.write.failed_inserts.load(Ordering::Relaxed),
-                stash_spills: self.write.stash_spills.load(Ordering::Relaxed),
-                lookup_hits: self.read.lookup_hits.load(Ordering::Relaxed),
-                lookup_misses: self.read.lookup_misses.load(Ordering::Relaxed),
-                removes: self.write.removes.load(Ordering::Relaxed),
-                remove_misses: self.write.remove_misses.load(Ordering::Relaxed),
-                kicks: self.write.kicks.load(Ordering::Relaxed),
-            },
-            probe_hist: self.read.probe_hist.snapshot(),
-            kick_hist: self.write.kick_hist.snapshot(),
-            batch_hist: self.write.batch_hist.snapshot(),
-            shards: Vec::new(),
-            kick_policy: String::new(),
-            migration: MigrationStats::default(),
-            maint: MaintStats::default(),
+        let mut s = TableStats::default();
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        for c in self.all_cells() {
+            s.ops.merge(&OpStats {
+                inserts: load(&c.inserts),
+                updates: load(&c.updates),
+                failed_inserts: load(&c.failed_inserts),
+                stash_spills: load(&c.stash_spills),
+                lookup_hits: load(&c.lookup_hits),
+                lookup_misses: load(&c.lookup_misses),
+                removes: load(&c.removes),
+                remove_misses: load(&c.remove_misses),
+                kicks: load(&c.kicks),
+            });
+            s.probe_hist.merge(&c.probe_hist.snapshot());
+            s.kick_hist.merge(&c.kick_hist.snapshot());
+            s.batch_hist.merge(&c.batch_hist.snapshot());
         }
+        s
     }
 }
 

@@ -150,7 +150,7 @@ fn writer_differential_with_batched_reader_storm() {
     // The same three decidable checks as `writer_differential_with_
     // reader_storm`, but every reader goes through the *batched* read
     // path (`get_batch`): the batch machinery (shared hashing pass,
-    // batch-local stat tally, prefetch hints) must not weaken seqlock
+    // per-batch stat stripe, prefetch hints) must not weaken seqlock
     // reads. The monotone key is planted at several positions of each
     // batch; positions are resolved in order, so the observed sequence
     // across positions and batches must still be non-decreasing.

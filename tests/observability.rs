@@ -4,9 +4,10 @@
 //! access meter.
 
 use cuckoo_baselines::{Bcht, BchtConfig, BloomGuidedCuckoo, CuckooConfig, DaryCuckoo};
+use mccuckoo_core::obs::HIST_BUCKETS;
 use mccuckoo_core::{
-    BlockedConfig, BlockedMcCuckoo, ConcurrentMcCuckoo, McConfig, McCuckoo, McMap, McTable,
-    ShardedMcCuckoo, TableStats,
+    BlockedConfig, BlockedMcCuckoo, ConcurrentMcCuckoo, Histogram, McConfig, McCuckoo, McMap,
+    McTable, OpStats, ShardedMcCuckoo, TableStats,
 };
 use mem_model::InsertOutcome;
 use proptest::prelude::*;
@@ -170,5 +171,265 @@ proptest! {
         let counters = if kind == 1 { 6 } else { 3 };
         prop_assert_eq!(dm.onchip_reads, counters * ds.0, "d·l counter reads per lookup");
         prop_assert_eq!(ds.2, hits);
+    }
+}
+
+/// Threads per round: more than the recorder's 16 stripe ids, so at
+/// least four threads share the fetch_add cells while the rest own a
+/// stripe each.
+const STRIPED_THREADS: usize = 20;
+
+/// One thread's expected recorder deltas for one table.
+#[derive(Default)]
+struct Expect {
+    ops: OpStats,
+    shard_ops: Vec<OpStats>,
+    batch_hist: Histogram,
+}
+
+impl Expect {
+    /// Apply `f` to the aggregate and, on the sharded table, to `shard`'s
+    /// own counters.
+    fn bump(&mut self, shard: Option<usize>, f: impl Fn(&mut OpStats)) {
+        f(&mut self.ops);
+        if let Some(s) = shard {
+            f(&mut self.shard_ops[s]);
+        }
+    }
+
+    fn insert(&mut self, shard: Option<usize>, res: &Result<bool, (u64, u64)>) {
+        self.bump(shard, |o| match res {
+            Ok(true) => o.updates += 1,
+            Ok(false) => o.inserts += 1,
+            Err(_) => o.failed_inserts += 1,
+        });
+    }
+
+    fn lookup(&mut self, shard: Option<usize>, hit: bool) {
+        self.bump(shard, |o| {
+            if hit {
+                o.lookup_hits += 1
+            } else {
+                o.lookup_misses += 1
+            }
+        });
+    }
+
+    fn remove(&mut self, shard: Option<usize>, hit: bool) {
+        self.bump(shard, |o| {
+            if hit {
+                o.removes += 1
+            } else {
+                o.remove_misses += 1
+            }
+        });
+    }
+
+    /// One batch-size sample of `len`.
+    fn batch(&mut self, len: usize) {
+        let v = len as u64;
+        let mut buckets = vec![0; HIST_BUCKETS];
+        buckets[if v == 0 {
+            0
+        } else {
+            (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
+        }] = 1;
+        self.batch_hist.merge(&Histogram {
+            buckets,
+            count: 1,
+            sum: v,
+        });
+    }
+
+    /// A sharded batch: the caller-level sample plus one per shard the
+    /// batch reaches, of that shard's share.
+    fn sharded_batch(&mut self, t: &ShardedMcCuckoo<u64, u64>, keys: &[u64]) {
+        self.batch(keys.len());
+        for s in 0..t.shard_count() {
+            let share = keys.iter().filter(|k| t.shard_of(k) == s).count();
+            if share > 0 {
+                self.batch(share);
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &Expect) {
+        self.ops.merge(&other.ops);
+        self.shard_ops
+            .resize(other.shard_ops.len(), OpStats::default());
+        for (mine, theirs) in self.shard_ops.iter_mut().zip(&other.shard_ops) {
+            mine.merge(theirs);
+        }
+        self.batch_hist.merge(&other.batch_hist);
+    }
+}
+
+/// Thread `id`'s mix on both tables: single and batched upserts, hit and
+/// miss lookups, and removes, over keys no other thread touches. With
+/// `lookups_only` it issues only lookups (the meter's read-only window).
+fn striped_mix(
+    sharded: &ShardedMcCuckoo<u64, u64>,
+    conc: &ConcurrentMcCuckoo<u64, u64>,
+    id: u64,
+    lookups_only: bool,
+    start: &std::sync::Barrier,
+) -> (Expect, Expect) {
+    let mut es = Expect {
+        shard_ops: vec![OpStats::default(); sharded.shard_count()],
+        ..Expect::default()
+    };
+    let mut ec = Expect::default();
+    let base = id << 32;
+    let keys: Vec<u64> = (base..base + 240).collect();
+    // Record once, then wait for the whole round: every thread of the
+    // round holds its stripe id (or found none) at the same time.
+    let shard = |k: &u64| Some(sharded.shard_of(k));
+    es.lookup(shard(&base), sharded.get(&base).is_some());
+    ec.lookup(None, conc.get(&base).is_some());
+    start.wait();
+    if !lookups_only {
+        for &k in &keys[..80] {
+            es.insert(shard(&k), &sharded.insert(k, k));
+            ec.insert(None, &conc.insert(k, k));
+        }
+        // Half fresh, half updates of the single inserts above.
+        let items: Vec<(u64, u64)> = keys[40..160].iter().map(|&k| (k, k + 1)).collect();
+        es.sharded_batch(sharded, &keys[40..160]);
+        for (res, &(k, _)) in sharded.insert_batch(&items).iter().zip(&items) {
+            es.insert(shard(&k), res);
+        }
+        ec.batch(items.len());
+        for res in conc.insert_batch(&items) {
+            ec.insert(None, &res);
+        }
+    }
+    // Present and absent keys, singly and in 32-key batches.
+    let probes: Vec<u64> = keys.iter().map(|&k| k + (k & 1) * 1_000).collect();
+    for k in &probes[..100] {
+        es.lookup(shard(k), sharded.get(k).is_some());
+        ec.lookup(None, conc.get(k).is_some());
+    }
+    for chunk in probes.chunks(32) {
+        es.sharded_batch(sharded, chunk);
+        for (got, k) in sharded.lookup_batch(chunk).iter().zip(chunk) {
+            es.lookup(shard(k), got.is_some());
+        }
+        ec.batch(chunk.len());
+        for got in conc.get_batch(chunk) {
+            ec.lookup(None, got.is_some());
+        }
+    }
+    if !lookups_only {
+        for k in probes[..60].iter().step_by(2) {
+            es.remove(shard(k), sharded.remove(k).is_some());
+            ec.remove(None, conc.remove(k).is_some());
+        }
+        let gone = &probes[100..200];
+        es.sharded_batch(sharded, gone);
+        for (got, k) in sharded.remove_batch(gone).iter().zip(gone) {
+            es.remove(shard(k), got.is_some());
+        }
+        ec.batch(gone.len());
+        for got in conc.remove_batch(gone) {
+            ec.remove(None, got.is_some());
+        }
+    }
+    (es, ec)
+}
+
+/// `STRIPED_THREADS` threads per round, each exiting at the round's end,
+/// so the next round's threads reclaim released stripe ids. Returns the
+/// summed expectations.
+fn striped_round(
+    sharded: &ShardedMcCuckoo<u64, u64>,
+    conc: &ConcurrentMcCuckoo<u64, u64>,
+    round: u64,
+    lookups_only: bool,
+) -> (Expect, Expect) {
+    let start = &std::sync::Barrier::new(STRIPED_THREADS);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..STRIPED_THREADS as u64)
+            .map(|t| {
+                let id = round * STRIPED_THREADS as u64 + t;
+                scope.spawn(move || striped_mix(sharded, conc, id, lookups_only, start))
+            })
+            .collect();
+        let (mut es, mut ec) = (Expect::default(), Expect::default());
+        // Joined explicitly: a joined thread has run its thread-local
+        // destructors, so its stripe id is free for the next round.
+        for h in handles {
+            let (s, c) = h.join().unwrap();
+            es.merge(&s);
+            ec.merge(&c);
+        }
+        (es, ec)
+    })
+}
+
+/// The recorder's counts are exact, not sampled: with more threads than
+/// stripes, threads exiting and new ones reclaiming their ids, every
+/// counter and histogram of both served tables equals the sum of what
+/// the threads issued, in aggregate and per shard, and the lookup reads
+/// `mem_stats` derives from the stripes match the probe histogram.
+#[test]
+fn striped_counts_are_exact_across_threads_and_reclaimed_stripes() {
+    let sharded = ShardedMcCuckoo::new(4, McConfig::paper(2_048, 91));
+    let conc = ConcurrentMcCuckoo::new(McConfig::paper(8_192, 92));
+    let (mut es, mut ec) = (Expect::default(), Expect::default());
+    for round in 0..3 {
+        let (s, c) = striped_round(&sharded, &conc, round, false);
+        es.merge(&s);
+        ec.merge(&c);
+    }
+    let fresh_attempts = |o: &OpStats| o.inserts + o.failed_inserts;
+    let lookups = |o: &OpStats| o.lookup_hits + o.lookup_misses;
+    let no_kicks = |o: OpStats| OpStats { kicks: 0, ..o };
+    let check = |name: &str, s: &TableStats, e: &Expect| {
+        assert_eq!(no_kicks(s.ops), e.ops, "{name}: op counters");
+        assert_eq!(s.batch_hist, e.batch_hist, "{name}: batch sizes");
+        assert_eq!(s.probe_hist.count, lookups(&e.ops), "{name}: probe samples");
+        assert_eq!(s.kick_hist.count, fresh_attempts(&e.ops), "{name}: walks");
+        assert_eq!(s.kick_hist.sum, s.ops.kicks, "{name}: kicks");
+    };
+    let s = sharded.stats();
+    check("sharded", &s, &es);
+    assert_eq!(s.shards.len(), es.shard_ops.len());
+    for (shard, want) in s.shards.iter().zip(&es.shard_ops) {
+        assert_eq!(no_kicks(shard.ops), *want, "shard {}", shard.shard);
+    }
+    check("concurrent", &conc.stats(), &ec);
+
+    // A read-only round: the meters' reads grow by exactly the probes and
+    // `d` = 3 counter reads per lookup the recorders summed, and nothing
+    // else moves.
+    let m0 = (sharded.mem_stats(), conc.mem_stats());
+    let p0 = (sharded.stats().probe_hist, conc.stats().probe_hist);
+    let (s, c) = striped_round(&sharded, &conc, 3, true);
+    for (name, m0, m1, p0, p1, e) in [
+        (
+            "sharded",
+            m0.0,
+            sharded.mem_stats(),
+            &p0.0,
+            sharded.stats().probe_hist,
+            &s,
+        ),
+        (
+            "concurrent",
+            m0.1,
+            conc.mem_stats(),
+            &p0.1,
+            conc.stats().probe_hist,
+            &c,
+        ),
+    ] {
+        let n = lookups(&e.ops);
+        assert_eq!(p1.count - p0.count, n, "{name}: lookups recorded");
+        let want = mem_model::MemStats {
+            offchip_reads: p1.sum - p0.sum,
+            onchip_reads: 3 * n,
+            ..mem_model::MemStats::default()
+        };
+        assert_eq!(m1 - m0, want, "{name}: derived lookup reads");
     }
 }
