@@ -24,17 +24,21 @@
 //! miss is only reported once a full pass observes identical, even
 //! versions before and after probing.
 //!
-//! Readers probe **conservatively**: the only counter-derived shortcut
-//! they use is skipping counter-zero buckets (sound, because a counter
-//! only becomes non-zero *after* its content is written). The
-//! single-slot partition pruning is deliberately not used by concurrent
-//! readers — a reader racing a counter update could otherwise prune away
-//! the bucket that still holds the key. See `DESIGN.md` §4.
+//! Readers probe **conservatively** and read **no counter**: they probe
+//! every candidate record and skip an empty one by its occupied byte,
+//! which sits on the line the probe loads anyway. The engine keeps
+//! `counter = 0 ⇔ vacant` (a removal zeroes the counters, then empties
+//! every copy), so a stable empty record is exactly the paper's
+//! counter-zero skip, and an occupied one counts as one probe, as a
+//! non-zero counter did. The single-slot partition pruning is
+//! deliberately not used by concurrent readers — a reader racing a
+//! counter update could otherwise prune away the bucket that still
+//! holds the key. See `DESIGN.md` §4.
 //!
 //! Batched reads run one two-stage pipeline (`read_pipeline`), shared
 //! with the sharded table: stage 1 hashes a window of keys and hints
-//! their candidates' slot records and counter words toward the cache,
-//! deciding nothing; stage 2 runs the single-key probe above on each.
+//! their candidates' slot records toward the cache, deciding nothing;
+//! stage 2 runs the single-key probe above on each.
 //!
 //! # The writer is the engine
 //!
@@ -239,6 +243,10 @@ where
     /// records against the table that served the key. Meters nothing:
     /// the reads are counted where the caller records the lookup (see
     /// [`Self::mem_stats`]).
+    ///
+    /// Reads the `d` slot records and no counter: an occupied record is
+    /// one probe, and a stable empty one is skipped as the paper skips a
+    /// counter-zero bucket (the engine keeps `counter = 0 ⇔ vacant`).
     fn get_with_cands(&self, key: &K, cands: &[usize; MAX_D]) -> (Option<V>, u64) {
         let cells = &*self.cells;
         loop {
@@ -255,20 +263,18 @@ where
             let mut probes = 0u64;
             let mut torn = false;
             for i in 0..self.d {
-                let c = cands[i];
-                // Counter becomes non-zero only after content is written,
-                // so skipping zero is the one safe counter shortcut.
-                if cells.counters.get(c) == 0 {
-                    continue;
-                }
-                probes += 1;
-                match cells.read_at(c, pre[i]) {
+                match cells.read_at(cands[i], pre[i]) {
                     None => {
                         torn = true;
                         break;
                     }
-                    Some(Some(e)) if e.key == *key => return (Some(e.value), probes),
-                    Some(_) => {}
+                    Some(None) => {}
+                    Some(Some(e)) => {
+                        probes += 1;
+                        if e.key == *key {
+                            return (Some(e.value), probes);
+                        }
+                    }
                 }
             }
             if !torn {
@@ -297,9 +303,10 @@ where
         rec.batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         read_pipeline(
-            keys.len(),
-            |i| (self, &keys[i]),
-            |_, found, probes| {
+            keys,
+            |_| (Some(self), ()),
+            |_, (), probed| {
+                let (found, probes) = probed.expect("every key is routed here");
                 rec.lookup(found.is_some(), probes);
                 out.push(found);
             },
@@ -439,15 +446,18 @@ where
     }
 
     /// Stage 1 of the batched pipelines: `key`'s candidate buckets, with
-    /// a prefetch hint for each one's slot record and counter word. It
-    /// reads only immutable geometry and decides nothing: stage 2
-    /// ([`Self::get_with_cands`], or the writer's staged op) probes
-    /// every candidate as if no hint had been issued.
-    pub(crate) fn stage(&self, key: &K) -> [usize; MAX_D] {
+    /// a prefetch hint for each one's slot record, and for its counter
+    /// word when `counters` is set (writes: the engine reads counters;
+    /// the readers do not). It reads only immutable geometry and decides
+    /// nothing: stage 2 ([`Self::get_with_cands`], or the writer's staged
+    /// op) probes every candidate as if no hint had been issued.
+    fn stage(&self, key: &K, counters: bool) -> [usize; MAX_D] {
         let cands = candidate_buckets(&self.family, self.d, self.n, key);
         for &c in &cands[..self.d] {
             self.cells.prefetch(c);
-            self.cells.counters.prefetch(c);
+            if counters {
+                self.cells.counters.prefetch(c);
+            }
         }
         cands
     }
@@ -560,36 +570,45 @@ where
     }
 }
 
-/// The batched read pipeline, over `jobs` lookups that may each name a
-/// different table (`job(j)` is lookup `j`'s table and key). Stage 1,
-/// [`ConcurrentMcCuckoo::stage`], runs a window ahead (`Window`); stage
-/// 2 probes each job in order ([`ConcurrentMcCuckoo::get_with_cands`])
-/// and hands `emit(j, found, probes)` its answer, unrecorded.
-pub(crate) fn read_pipeline<'a, K, V>(
-    jobs: usize,
-    job: impl Fn(usize) -> (&'a ConcurrentMcCuckoo<K, V>, &'a K),
-    mut emit: impl FnMut(usize, Option<V>, u64),
+/// The batched read pipeline over `keys`, whose lookups may each name a
+/// different table. Stage 1 runs a window ahead (`Window`): `route(key)`
+/// names the table serving the key (`None` leaves the key to the
+/// caller) and a tag stage 2 hands back, and the routed key's candidates
+/// are staged ([`ConcurrentMcCuckoo::stage`], slot records only). Stage
+/// 2 probes each key in caller order
+/// ([`ConcurrentMcCuckoo::get_with_cands`]) and hands
+/// `emit(i, tag, probed)` its answer and probe count, unrecorded
+/// (`probed` is `None` for a key left to the caller).
+pub(crate) fn read_pipeline<'a, K, V, T>(
+    keys: &[K],
+    mut route: impl FnMut(&K) -> (Option<&'a ConcurrentMcCuckoo<K, V>>, T),
+    mut emit: impl FnMut(usize, T, Option<(Option<V>, u64)>),
 ) where
     K: KeyHash + Eq + Word + 'a,
     V: Word + 'a,
+    T: Copy + Default,
 {
-    let mut window = Window::new(jobs, |j| {
-        let (table, key) = job(j);
-        table.stage(key)
+    let mut window = Window::new(keys.len(), |i| {
+        let (table, tag) = route(&keys[i]);
+        (table.map(|t| (t, t.stage(&keys[i], false))), tag)
     });
-    for j in 0..jobs {
-        let (table, key) = job(j);
-        let (found, probes) = table.get_with_cands(key, window.cands(j));
-        emit(j, found, probes);
+    for (i, key) in keys.iter().enumerate() {
+        let &(served, tag) = window.get(i);
+        emit(
+            i,
+            tag,
+            served.map(|(t, cands)| t.get_with_cands(key, &cands)),
+        );
     }
 }
 
 /// The batched write pipeline, over `jobs` writes that may each name a
 /// different table (`job(j)` is write `j`'s table and key). Jobs on one
 /// table must be consecutive: each run of them takes that table's
-/// writer lock once. Stage 1, [`ConcurrentMcCuckoo::stage`], runs a
-/// window ahead (`Window`); stage 2, `op(writer, j, cands)`, writes
-/// each job in order on the candidates stage 1 hashed. A window opening
+/// writer lock once. Stage 1, [`ConcurrentMcCuckoo::stage`] with the
+/// counter words hinted too, runs a window ahead (`Window`); stage 2,
+/// `op(writer, j, cands)`, writes each job in order on the candidates
+/// stage 1 hashed. A window opening
 /// at a run's first job is staged before that run's lock, any other
 /// inside the lock of the run that reaches it (stage 1 reads only
 /// immutable geometry), so a request-sized batch is wholly in flight
@@ -604,7 +623,7 @@ pub(crate) fn write_pipeline<'a, K, V>(
 {
     let mut window = Window::new(jobs, |j| {
         let (table, key) = job(j);
-        table.stage(key)
+        table.stage(key, true)
     });
     let mut lo = 0;
     while lo < jobs {
@@ -612,10 +631,10 @@ pub(crate) fn write_pipeline<'a, K, V>(
         let hi = (lo + 1..jobs)
             .find(|&j| !std::ptr::eq(job(j).0, table))
             .unwrap_or(jobs);
-        window.cands(lo);
+        window.get(lo);
         table.write(|w| {
             for j in lo..hi {
-                op(w, j, window.cands(j));
+                op(w, j, window.get(j));
             }
         });
         lo = hi;

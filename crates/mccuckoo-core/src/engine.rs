@@ -1341,7 +1341,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
         let mut out = Vec::with_capacity(keys.len());
         let mut window = Window::new(keys.len(), |j| self.stage(&keys[j]));
         for (j, key) in keys.iter().enumerate() {
-            let cands = window.cands(j);
+            let cands = window.get(j);
             let (found, probes) = self.get_planned(key, cands, &L::plan_probe(self, cands));
             rec.lookup(found.is_some(), probes);
             out.push(found.cloned());

@@ -16,8 +16,6 @@
 //! (*Cuckoo Hashing with Pages*, arXiv 1104.5111, counts pages, not
 //! buckets). It too is advisory only.
 
-use crate::engine::MAX_D;
-
 /// Jobs per window of the batched pipelines: a 32-key request is staged
 /// whole, so all its DRAM misses overlap, while a longer batch (a bulk
 /// load) is windowed so its hints are still cached when stage 2 reaches
@@ -25,40 +23,41 @@ use crate::engine::MAX_D;
 pub(crate) const PIPELINE_WINDOW: usize = 32;
 
 /// Stage 1 of a pipeline over jobs `0..jobs` (`stage(j)` stages job
-/// `j` and returns its candidates), run a window ahead of stage 2: each
+/// `j` and returns its staged record: its candidates, plus whatever else
+/// stage 1 learned for stage 2), run a window ahead of stage 2: each
 /// job is staged once, before its stage 2, and at most one window ahead.
-pub(crate) struct Window<F> {
+pub(crate) struct Window<T, F> {
     jobs: usize,
     /// Jobs `..staged` have been staged.
     staged: usize,
     stage: F,
-    cands: [[usize; MAX_D]; PIPELINE_WINDOW],
+    records: [T; PIPELINE_WINDOW],
 }
 
-impl<F: FnMut(usize) -> [usize; MAX_D]> Window<F> {
+impl<T: Copy + Default, F: FnMut(usize) -> T> Window<T, F> {
     pub(crate) fn new(jobs: usize, stage: F) -> Self {
         Window {
             jobs,
             staged: 0,
             stage,
-            cands: [[usize::MAX; MAX_D]; PIPELINE_WINDOW],
+            records: [T::default(); PIPELINE_WINDOW],
         }
     }
 
-    /// Job `j`'s candidates, staging `j`'s whole window first if `j`
+    /// Job `j`'s staged record, staging `j`'s whole window first if `j`
     /// opens it. Asking again stages nothing; asking out of order panics,
     /// as it would hand a writer another job's candidates.
     #[inline]
-    pub(crate) fn cands(&mut self, j: usize) -> &[usize; MAX_D] {
+    pub(crate) fn get(&mut self, j: usize) -> &T {
         if j == self.staged {
             let hi = self.jobs.min(j + PIPELINE_WINDOW);
-            for (i, c) in (j..hi).zip(self.cands.iter_mut()) {
-                *c = (self.stage)(i);
+            for (i, r) in (j..hi).zip(self.records.iter_mut()) {
+                *r = (self.stage)(i);
             }
             self.staged = hi;
         }
         assert!(j < self.staged && self.staged - j <= PIPELINE_WINDOW);
-        &self.cands[j % PIPELINE_WINDOW]
+        &self.records[j % PIPELINE_WINDOW]
     }
 }
 
@@ -149,6 +148,7 @@ fn advise_huge(_start: usize, _bytes: usize) {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MAX_D;
 
     #[derive(Debug, PartialEq)]
     enum Call {
@@ -165,7 +165,7 @@ mod tests {
             [i; MAX_D]
         });
         for j in 0..jobs {
-            let cands = *window.cands(j);
+            let cands = *window.get(j);
             assert_eq!(cands, [j; MAX_D], "job {j} got another job's candidates");
             log.borrow_mut().push(Call::Stage2(j));
         }

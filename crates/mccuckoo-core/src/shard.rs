@@ -69,15 +69,17 @@
 //! concurrent writers; mid-drain it may transiently double-count the
 //! one in-flight key).
 //!
-//! **Batching.** The batched entry points group a caller's operations by
+//! **Batching.** The batched writes group a caller's operations by
 //! serving table and run one pipeline in shard order, taking a shard's
 //! writer lock **once per batch**. Each item finishes in stage 2, with
-//! its probe or write: it checks its directory entry and is tallied for
-//! its shard, or joins a redo list if a split flipped the route first.
-//! A write checks under its shard's writer lock, where the entry cannot
-//! move; a lookup redoes only a miss. Only the redos and the keys
-//! behind an active forwarding entry take the per-key routed path, with
-//! no lock held.
+//! its write: it checks its directory entry under its shard's writer
+//! lock, where the entry cannot move, and is tallied for its shard, or
+//! joins a redo list if a split flipped the route first. Only the redos
+//! and the keys behind an active forwarding entry take the per-key
+//! routed path, with no lock held. Batched lookups do not group: stage 1
+//! routes each key on its own directory load, and stage 2 probes in
+//! caller order, redoing through [`ShardedMcCuckoo::get`] only a miss
+//! whose entry moved, or a key behind a forwarding entry.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -970,27 +972,28 @@ where
 
     /// Counting-sort `items`' positions into `groups` buckets. Returns
     /// `(order, offsets)`: `order[offsets[g]..offsets[g + 1]]` holds the
-    /// caller positions assigned to group `g`, and `order` as a whole is
-    /// a permutation of `0..items.len()`. Two flat allocations, no
-    /// per-group `Vec` growth.
+    /// caller positions assigned to group `g` in caller order (repeated
+    /// keys in one batch rely on it), and `order` as a whole is a
+    /// permutation of `0..items.len()`. Two flat allocations, no
+    /// per-group `Vec` growth: `offsets[g]` starts as group `g`'s end and
+    /// walks back to its start as the group fills back to front.
     fn group_positions(gids: &[u32], groups: usize) -> (Vec<u32>, Vec<u32>) {
         let mut offsets: Vec<u32> = vec![0; groups + 1];
         let mut order: Vec<u32> = vec![0; gids.len()];
         for &g in gids {
-            offsets[g as usize + 1] += 1;
+            offsets[g as usize] += 1;
         }
-        for g in 0..groups {
-            offsets[g + 1] += offsets[g];
+        for g in 1..=groups {
+            offsets[g] += offsets[g - 1];
         }
-        let mut cursor = offsets.clone();
-        for (i, &g) in gids.iter().enumerate() {
-            order[cursor[g as usize] as usize] = i as u32;
-            cursor[g as usize] += 1;
+        for (i, &g) in gids.iter().enumerate().rev() {
+            offsets[g as usize] -= 1;
+            order[offsets[g as usize] as usize] = i as u32;
         }
         (order, offsets)
     }
 
-    /// Every batched op's prologue: resolve the caller's stripe, record
+    /// Every batched write's prologue: resolve the caller's stripe, record
     /// the batch, route each of its `n` items once (`key(i)` is item
     /// `i`'s key) on one snapshot per touched directory entry (so equal
     /// keys share a group even mid-flip), group them and record each
@@ -1097,35 +1100,56 @@ where
     }
 
     /// Look up a batch. Lock-free; results are positional. One read
-    /// pipeline (`read_pipeline`) runs over every routed key of the
-    /// request, across all shards: per window, stage 1 hints every key's
-    /// lines, then stage 2 probes each key in shard order, so the whole
-    /// window's DRAM misses overlap whichever shards the keys hit.
-    /// Misses raced by a shard split are transparently re-probed through
-    /// the forwarding map.
+    /// pipeline (`read_pipeline`) runs over the request's keys in caller
+    /// order, across all shards: per window, stage 1 routes every key
+    /// (its selector hash and one directory load) and hints its slot
+    /// records, then stage 2 probes each key, so the whole window's DRAM
+    /// misses overlap whichever shards the keys hit. A key behind a
+    /// forwarding entry, and a miss raced by a shard split, is looked up
+    /// through [`Self::get`] in its place.
     pub fn lookup_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        let b = self.route_batch(keys.len(), |i| &keys[i]);
-        let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        let mut redo = Vec::new();
+        let stripe = obs::stripe();
+        self.obs.at(stripe).batch(keys.len());
+        let ntables = self.shard_count();
+        // Keys per serving table, for its batch-size sample.
+        let mut shares = [0u32; DIR_SIZE];
+        let mut out = Vec::with_capacity(keys.len());
         read_pipeline(
-            b.fast,
-            |j| {
-                let i = b.order[j] as usize;
-                (&**self.table(b.gids[i] as usize), &keys[i])
+            keys,
+            |key| {
+                let route = self.route_of(key);
+                let snap = self.dir[route].load(Ordering::Acquire);
+                let (tid, fwd) = decode_entry(snap);
+                // The slow group: behind a forwarding entry (the parent
+                // probe goes first), or a table newer than the batch.
+                let table = (fwd.is_none() && tid < ntables).then(|| {
+                    shares[tid] += 1;
+                    &**self.table(tid)
+                });
+                (table, (route, snap))
             },
-            |j, found, probes| {
-                let i = b.order[j] as usize;
-                // A miss under a racing flip may be a key mid-move.
-                if found.is_some() || self.settled(&b, i) {
-                    self.recorder(&b, i).lookup(found.is_some(), probes);
-                    out[i] = found;
-                } else {
-                    redo.push(i);
-                }
+            |i, (route, snap), probed| {
+                out.push(match probed {
+                    Some((found, probes))
+                        if found.is_some() || self.dir[route].load(Ordering::Acquire) == snap =>
+                    {
+                        let tid = decode_entry(snap).0;
+                        self.table(tid)
+                            .obs()
+                            .at(stripe)
+                            .lookup(found.is_some(), probes);
+                        found
+                    }
+                    // The slow group, or a miss under a racing flip,
+                    // which may be a key mid-move.
+                    _ => self.get(&keys[i]),
+                });
             },
         );
-        for i in redo.into_iter().chain(b.slow()) {
-            out[i] = self.get(&keys[i]);
+        for (tid, &n) in shares[..ntables].iter().enumerate() {
+            if n > 0 {
+                self.table(tid).obs().at(stripe).batch(n as usize);
+            }
         }
         out
     }
@@ -1730,6 +1754,27 @@ mod tests {
             let removed = t.remove_batch(&victims);
             for (k, r) in victims.iter().zip(removed) {
                 assert_eq!(r, model.remove(k), "remove {k} in round {round}");
+            }
+            // Every removed key misses and every live key hits through
+            // each served read path. Readers skip a record by its
+            // occupied byte, not its counter, so content left behind
+            // zeroed counters would be found here.
+            let all: Vec<u64> = (0..500).collect();
+            let want: Vec<Option<u64>> = all.iter().map(|k| model.get(k).copied()).collect();
+            assert_eq!(t.lookup_batch(&all), want, "lookup_batch in round {round}");
+            let got: Vec<Option<u64>> = all.iter().map(|k| t.get(k)).collect();
+            assert_eq!(got, want, "get in round {round}");
+            for s in 0..t.shard_count() {
+                let (mine, want): (Vec<u64>, Vec<Option<u64>>) = all
+                    .iter()
+                    .zip(&want)
+                    .filter(|(k, _)| t.shard_of(k) == s)
+                    .unzip();
+                assert_eq!(
+                    t.shard(s).get_batch(&mine),
+                    want,
+                    "shard {s} in round {round}"
+                );
             }
             t.check_invariants().unwrap();
         }
