@@ -37,6 +37,14 @@ const FILL_RUNS: usize = 5;
 /// of a shared host.
 const DRAM_RUNS: u64 = 5;
 
+/// Rounds of [`measure_lookup_throughput`] on the cache-resident smoke
+/// table (the sharded table's ungated columns), each column the best of
+/// them. One CI-mode round times one 7,500-key pass per column, about
+/// half a millisecond, so with one round a single descheduling decides
+/// the batched/single ratio. Rounds reuse their keys, which costs
+/// nothing on a table that stays in cache.
+const SMOKE_LOOKUP_ROUNDS: usize = 15;
+
 /// Bytes of one slot record of the sequential tables
 /// (`Option<Entry<u64, u64>>`). Their flag and counter planes add more,
 /// so a table of `bytes / SLOT_BYTES` slots holds at least `bytes`.
@@ -93,7 +101,13 @@ fn main() {
             );
             dram_lookup_mops(scheme, &cfg, target_load, dram_bytes)
         } else {
-            measure_lookup_throughput(&t, fill_seed, t.len() as u64, cfg.lookups, cfg.runs)
+            (0..SMOKE_LOOKUP_ROUNDS)
+                .map(|_| {
+                    measure_lookup_throughput(&t, fill_seed, t.len() as u64, cfg.lookups, cfg.runs)
+                })
+                .fold((0.0, 0.0), |(s, b), (s1, b1)| {
+                    (f64::max(s, s1), f64::max(b, b1))
+                })
         };
 
         schemes.push(SchemeSmoke {

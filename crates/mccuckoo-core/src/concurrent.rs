@@ -13,8 +13,9 @@
 //! Readers are genuinely lock-free. Each bucket is one 32 B slot record
 //! of four atomic words: a seqlock version, bumped to odd before and
 //! back to even after every content write, then the key, the value and
-//! the occupancy plus slot hints ([`Word`] encodes keys and values), so
-//! a probe touches one cache line. A probe loads the words and keeps
+//! a meta word of occupancy, slot hints and the bucket's copy counter
+//! ([`Word`] encodes keys and values), so a probe touches one cache
+//! line. A probe loads the words and keeps
 //! them only if the version is unchanged and even around the loads, so
 //! a torn read is discarded and readers never observe a half-written
 //! entry. A probe that *misses* must additionally prove
@@ -26,14 +27,15 @@
 //!
 //! Readers probe **conservatively** and read **no counter**: they probe
 //! every candidate record and skip an empty one by its occupied byte,
-//! which sits on the line the probe loads anyway. The engine keeps
-//! `counter = 0 ⇔ vacant` (a removal zeroes the counters, then empties
-//! every copy), so a stable empty record is exactly the paper's
-//! counter-zero skip, and an occupied one counts as one probe, as a
-//! non-zero counter did. The single-slot partition pruning is
-//! deliberately not used by concurrent readers — a reader racing a
-//! counter update could otherwise prune away the bucket that still
-//! holds the key. See `DESIGN.md` §4.
+//! which sits on the line the probe loads anyway. The writer's
+//! counter-only stores leave that byte and the hints as they are, so
+//! they need no version bump. The engine keeps `counter = 0 ⇔ vacant`
+//! (a removal zeroes the counters, then empties every copy), so a
+//! stable empty record is exactly the paper's counter-zero skip, and an
+//! occupied one counts as one probe, as a non-zero counter did. The
+//! single-slot partition pruning is deliberately not used by concurrent
+//! readers — a reader racing a counter update could otherwise prune
+//! away the bucket that still holds the key. See `DESIGN.md` §4.
 //!
 //! Batched reads run one two-stage pipeline (`read_pipeline`), shared
 //! with the sharded table: stage 1 hashes a window of keys and hints
@@ -45,8 +47,8 @@
 //! Every write runs the shared [`Engine`] — the insertion principles,
 //! copy-set maintenance through the Fig. 5 slot hints, the pruned copy
 //! probe, the chain executor, update, deletion and the validator of
-//! [`crate::McCuckoo`] — over the seqlocked slot store, whose cells and
-//! counters the readers share. The engine sits
+//! [`crate::McCuckoo`] — over the seqlocked slot store, whose slot
+//! records the readers share. The engine sits
 //! behind one cacheline-padded, unpoisonable writer mutex (MemC3), which
 //! also guards its RNG and distinct count; a writer that panics (see
 //! `testhooks`) releases it on unwind. The engine deletes by counter
@@ -59,10 +61,11 @@
 //!
 //! Batched writes run the same stage 1 as batched reads
 //! (`write_pipeline`): foresighted insertion places a key from its
-//! candidates' counters and slots alone, so every line a fresh insert
-//! touches is known from the key's hash before the lock is taken. Stage
-//! 1 hints a window of keys' lines; stage 2 is the engine's upsert or
-//! removal on the candidates stage 1 hashed
+//! candidates' counters and slots alone, and each candidate's counter
+//! sits in its slot record, so the `d` records a read hints are every
+//! line a fresh insert touches, known from the key's hash before the
+//! lock is taken. Stage 1 hints a window of keys' records; stage 2 is
+//! the engine's upsert or removal on the candidates stage 1 hashed
 //! (`Engine::insert_staged`, `Engine::remove_staged`).
 //!
 //! The writer's accesses are metered once, by the engine's own meter,
@@ -113,7 +116,7 @@ pub struct ConcurrentMcCuckoo<K, V> {
     family: BucketFamily,
     d: usize,
     n: usize,
-    /// The readers' handle on the writer's seqlocked cells and counters.
+    /// The readers' handle on the writer's seqlocked slot records.
     cells: Arc<SeqCells<K, V>>,
     /// The one writer lock, guarding the engine that does every write.
     writer: CachePadded<Mutex<Writer<K, V>>>,
@@ -205,7 +208,7 @@ where
 
     /// Total bucket count.
     pub fn capacity(&self) -> usize {
-        self.cells.counters.len()
+        self.cells.slots.len()
     }
 
     /// True when no writer holds the table's writer lock (test support:
@@ -446,18 +449,15 @@ where
     }
 
     /// Stage 1 of the batched pipelines: `key`'s candidate buckets, with
-    /// a prefetch hint for each one's slot record, and for its counter
-    /// word when `counters` is set (writes: the engine reads counters;
-    /// the readers do not). It reads only immutable geometry and decides
-    /// nothing: stage 2 ([`Self::get_with_cands`], or the writer's staged
-    /// op) probes every candidate as if no hint had been issued.
-    fn stage(&self, key: &K, counters: bool) -> [usize; MAX_D] {
+    /// a prefetch hint for each one's slot record, which holds everything
+    /// a read or the writer's engine reads of the bucket (its counter
+    /// included). It reads only immutable geometry and decides nothing:
+    /// stage 2 ([`Self::get_with_cands`], or the writer's staged op)
+    /// probes every candidate as if no hint had been issued.
+    fn stage(&self, key: &K) -> [usize; MAX_D] {
         let cands = candidate_buckets(&self.family, self.d, self.n, key);
         for &c in &cands[..self.d] {
             self.cells.prefetch(c);
-            if counters {
-                self.cells.counters.prefetch(c);
-            }
         }
         cands
     }
@@ -484,9 +484,6 @@ where
     /// table bucket by bucket with this and re-validates each key under
     /// the writer lock in [`Self::migrate_out`].
     pub(crate) fn key_at(&self, bucket: usize) -> Option<K> {
-        if self.cells.counters.get(bucket) == 0 {
-            return None;
-        }
         self.cells.read_stable(bucket).map(|e| e.key)
     }
 
@@ -526,7 +523,7 @@ where
     pub(crate) fn items_live(&self) -> Vec<(K, V)> {
         let cells = &*self.cells;
         let mut out = Vec::new();
-        for i in 0..cells.counters.len() {
+        for i in 0..cells.slots.len() {
             let Some(e) = cells.read_stable(i) else {
                 continue;
             };
@@ -535,9 +532,6 @@ where
             let cands = candidate_buckets(&self.family, self.d, self.n, &e.key);
             let mut first = usize::MAX;
             for &b in cands.iter().take(self.d) {
-                if cells.counters.get(b) == 0 {
-                    continue;
-                }
                 if cells.read_stable(b).is_some_and(|be| be.key == e.key) {
                     first = first.min(b);
                 }
@@ -562,11 +556,11 @@ where
         out
     }
 
-    /// Table-owned memory in bytes: the slot records (version and cell)
-    /// and the counter words. Engine scratch and the table's own fixed
-    /// fields are not counted.
+    /// Table-owned memory in bytes: the slot records (version, content
+    /// and counter). Engine scratch and the table's own fixed fields are
+    /// not counted.
     pub fn mem_bytes(&self) -> usize {
-        self.cells.mem_bytes()
+        std::mem::size_of_val(&*self.cells.slots)
     }
 }
 
@@ -574,7 +568,7 @@ where
 /// different table. Stage 1 runs a window ahead (`Window`): `route(key)`
 /// names the table serving the key (`None` leaves the key to the
 /// caller) and a tag stage 2 hands back, and the routed key's candidates
-/// are staged ([`ConcurrentMcCuckoo::stage`], slot records only). Stage
+/// are staged ([`ConcurrentMcCuckoo::stage`]). Stage
 /// 2 probes each key in caller order
 /// ([`ConcurrentMcCuckoo::get_with_cands`]) and hands
 /// `emit(i, tag, probed)` its answer and probe count, unrecorded
@@ -590,7 +584,7 @@ pub(crate) fn read_pipeline<'a, K, V, T>(
 {
     let mut window = Window::new(keys.len(), |i| {
         let (table, tag) = route(&keys[i]);
-        (table.map(|t| (t, t.stage(&keys[i], false))), tag)
+        (table.map(|t| (t, t.stage(&keys[i]))), tag)
     });
     for (i, key) in keys.iter().enumerate() {
         let &(served, tag) = window.get(i);
@@ -605,8 +599,8 @@ pub(crate) fn read_pipeline<'a, K, V, T>(
 /// The batched write pipeline, over `jobs` writes that may each name a
 /// different table (`job(j)` is write `j`'s table and key). Jobs on one
 /// table must be consecutive: each run of them takes that table's
-/// writer lock once. Stage 1, [`ConcurrentMcCuckoo::stage`] with the
-/// counter words hinted too, runs a window ahead (`Window`); stage 2,
+/// writer lock once. Stage 1, [`ConcurrentMcCuckoo::stage`] as for
+/// reads, runs a window ahead (`Window`); stage 2,
 /// `op(writer, j, cands)`, writes each job in order on the candidates
 /// stage 1 hashed. A window opening
 /// at a run's first job is staged before that run's lock, any other
@@ -623,7 +617,7 @@ pub(crate) fn write_pipeline<'a, K, V>(
 {
     let mut window = Window::new(jobs, |j| {
         let (table, key) = job(j);
-        table.stage(key, true)
+        table.stage(key)
     });
     let mut lo = 0;
     while lo < jobs {
@@ -950,14 +944,14 @@ mod tests {
     }
 
     #[test]
-    fn mem_bytes_counts_slot_records_and_counter_words() {
+    fn mem_bytes_counts_slot_records() {
         // One shard of the 16-shard DRAM benchmark table: 3 × 680,000
-        // buckets, each a 32 B slot record, plus 2-bit counters packed
-        // 32 to a 64-bit word. Writes allocate nothing the count covers.
+        // buckets, each a 32 B slot record that holds its bucket's
+        // counter too. Writes allocate nothing the count covers.
         let t = table(680_000, 1);
-        let want = 2_040_000 * 32 + 2_040_000 / 32 * 8;
+        let want = 2_040_000 * 32;
         assert_eq!(t.mem_bytes(), want);
-        assert_eq!(want, 65_790_000);
+        assert_eq!(want, 65_280_000);
         t.insert(1, 1).unwrap();
         assert_eq!(t.mem_bytes(), want);
     }

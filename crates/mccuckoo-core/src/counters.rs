@@ -6,20 +6,15 @@
 //! of d = 3, each counter costs only 2 bits"); counters are packed into
 //! 64-bit words exactly as an SRAM implementation would.
 //!
-//! The words are atomics, so the concurrent table's lock-free readers
-//! and its one writer share the same type: single-writer `Release`
-//! stores through `&self` and `Relaxed` loads (plain moves on x86). A
-//! reader synchronises on its bucket's seqlock version; a counter only
-//! steers which buckets it probes. `Acquire` loads measured ~8 % slower
-//! on the write path: they stop the compiler keeping this array's
-//! fields in registers.
+//! The array serves the sequential stores (`store::PlainStore`) only:
+//! it is their on-chip model and what `McCuckoo::onchip_bytes` counts.
+//! The concurrent table keeps each bucket's counter in a byte of the
+//! bucket's slot record instead, on the line its writer loads anyway.
 //!
 //! Tombstones (deletion solution 2, §III.B.3) need one extra state beyond
 //! `0..=d`. Rather than widening every counter, a separate packed bit
 //! plane is allocated lazily the first time a tombstone is set — tables
 //! configured without tombstone deletion pay nothing.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::prefetch::huge_plane;
 
@@ -33,9 +28,9 @@ pub struct CounterArray {
     /// `max_value ≤ 3`), so a counter's word is found by shift.
     word_shift: Option<u32>,
     len: usize,
-    words: Box<[AtomicU64]>,
+    words: Box<[u64]>,
     /// Lazily allocated tombstone bit plane (1 bit per counter).
-    tombs: Option<Box<[AtomicU64]>>,
+    tombs: Option<Box<[u64]>>,
     max_value: u8,
 }
 
@@ -58,7 +53,7 @@ impl CounterArray {
                 .is_power_of_two()
                 .then(|| per_word.trailing_zeros()),
             len,
-            words: huge_plane(len.div_ceil(per_word), || AtomicU64::new(0)).into_boxed_slice(),
+            words: huge_plane(len.div_ceil(per_word), || 0).into_boxed_slice(),
             tombs: None,
             max_value,
         }
@@ -100,7 +95,7 @@ impl CounterArray {
     #[inline]
     pub fn get(&self, i: usize) -> u8 {
         let (w, off) = self.locate(i);
-        ((self.words[w].load(Ordering::Relaxed) >> off) & self.mask) as u8
+        ((self.words[w] >> off) & self.mask) as u8
     }
 
     /// Prefetch the word holding counter `i`.
@@ -112,31 +107,16 @@ impl CounterArray {
     /// Set counter `i` to `v`, clearing any tombstone.
     #[inline]
     pub fn set(&mut self, i: usize, v: u8) {
-        self.store(i, v);
-    }
-
-    /// [`CounterArray::set`] through `&self` for the one writer (a load
-    /// and a `Release` store: concurrent callers could lose an update).
-    #[inline]
-    pub(crate) fn store(&self, i: usize, v: u8) {
         debug_assert!(
             v <= self.max_value,
             "counter value {v} exceeds max {}",
             self.max_value
         );
         let (w, off) = self.locate(i);
-        let word = &self.words[w];
-        let old = word.load(Ordering::Relaxed);
-        word.store(
-            (old & !(self.mask << off)) | ((v as u64) << off),
-            Ordering::Release,
-        );
-        if let Some(t) = &self.tombs {
-            let bit = 1u64 << (i % 64);
-            let old = t[i / 64].load(Ordering::Relaxed);
-            if old & bit != 0 {
-                t[i / 64].store(old & !bit, Ordering::Release);
-            }
+        let word = &mut self.words[w];
+        *word = (*word & !(self.mask << off)) | ((v as u64) << off);
+        if let Some(t) = &mut self.tombs {
+            t[i / 64] &= !(1u64 << (i % 64));
         }
     }
 
@@ -146,7 +126,7 @@ impl CounterArray {
         debug_assert!(i < self.len);
         self.tombs
             .as_ref()
-            .is_some_and(|t| t[i / 64].load(Ordering::Relaxed) >> (i % 64) & 1 == 1)
+            .is_some_and(|t| t[i / 64] >> (i % 64) & 1 == 1)
     }
 
     /// Mark counter `i` as deleted: value forced to 0, tombstone bit set.
@@ -156,8 +136,8 @@ impl CounterArray {
         let len = self.len;
         let t = self
             .tombs
-            .get_or_insert_with(|| (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect());
-        *t[i / 64].get_mut() |= 1u64 << (i % 64);
+            .get_or_insert_with(|| vec![0; len.div_ceil(64)].into_boxed_slice());
+        t[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Convenience for the insertion rules: counter reads as *empty*
@@ -178,9 +158,9 @@ impl CounterArray {
     /// Reset every counter (and tombstone) to 0 — what a table `clear`
     /// or flag refresh does.
     pub fn reset(&mut self) {
-        let tombs = self.tombs.iter_mut().flat_map(|t| t.iter_mut());
-        for w in self.words.iter_mut().chain(tombs) {
-            *w.get_mut() = 0;
+        self.words.fill(0);
+        if let Some(t) = &mut self.tombs {
+            t.fill(0);
         }
     }
 

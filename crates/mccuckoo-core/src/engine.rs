@@ -14,9 +14,10 @@
 //! "Concurrency").
 //!
 //! Layout: `d` sub-tables of `n` buckets of `l` slots off-chip, plus a
-//! 1-bit stash flag per *bucket* that travels with the bucket; and an
-//! on-chip [`CounterArray`](crate::CounterArray) with one counter per
-//! *slot* recording how many live copies the slot's occupant has.
+//! 1-bit stash flag per *bucket* that travels with the bucket; and one
+//! copy counter per *slot* recording how many live copies the slot's
+//! occupant has: an on-chip [`CounterArray`](crate::CounterArray) in the
+//! sequential tables, a byte of each slot record in the concurrent one.
 //!
 //! ## Insertion principles (§III.B.1, Algorithm 1)
 //! 1. copy into **every** candidate bucket with a free slot;
@@ -376,17 +377,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         self.redundant_writes
     }
 
-    /// On-chip bytes consumed by the counter array (plus the kick
-    /// history under [`KickPolicyKind::MinCounter`], 5 bits per bucket
-    /// rounded up to whole bytes).
-    pub fn onchip_bytes(&self) -> usize {
-        self.store.counters().onchip_bytes()
-            + self
-                .kick_history
-                .as_ref()
-                .map_or(0, |k| (k.len() * 5).div_ceil(8))
-    }
-
     /// Buckets per sub-table (`n`).
     pub fn buckets_per_table(&self) -> usize {
         self.n
@@ -423,7 +413,7 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// Raw copy counter of slot `i`.
     #[inline]
     pub(crate) fn counter(&self, i: usize) -> u8 {
-        self.store.counters().get(i)
+        self.store.counter(i)
     }
 
     /// The plan that reads every non-empty candidate bucket in
@@ -1041,19 +1031,6 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
         )
     }
 
-    /// Stage 1 of the batched lookup: `key`'s candidate buckets, with a
-    /// prefetch hint for each one's first slot line and counter word. It
-    /// reads nothing and decides nothing.
-    pub(crate) fn stage(&self, key: &K) -> [usize; MAX_D] {
-        let cands = self.candidate_buckets(key);
-        for &c in &cands[..self.d] {
-            let first = self.slot_idx(c, 0);
-            self.store.prefetch(first);
-            self.store.counters().prefetch(first);
-        }
-        cands
-    }
-
     /// Number of live copies of `key` in the main table (0 if absent or
     /// stashed). Unmetered diagnostic.
     pub fn copy_count(&self, key: &K) -> u8 {
@@ -1210,10 +1187,8 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
     /// every mutation under the `paranoid` feature.
     pub fn check_invariants(&self) -> Result<(), String> {
         let l = self.layout.slots();
-        if self.store.counters().len() != self.store.len()
-            || self.store.len() != self.d * self.n * l
-        {
-            return Err("length mismatch between planes".into());
+        if self.store.len() != self.d * self.n * l {
+            return Err("slot count does not match the geometry".into());
         }
         let mut distinct_seen = 0usize;
         for idx in 0..self.store.len() {
@@ -1282,6 +1257,30 @@ impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout, S: SlotStore<K, V>> Eng
 /// rehash/resize path rebuilds the store from scratch (unmetered except
 /// through the callers that model it, see `rehash`).
 impl<K: KeyHash + Eq + Clone, V: Clone, L: BucketLayout> Engine<K, V, L> {
+    /// On-chip bytes consumed by the counter array (plus the kick
+    /// history under [`KickPolicyKind::MinCounter`], 5 bits per bucket
+    /// rounded up to whole bytes).
+    pub fn onchip_bytes(&self) -> usize {
+        self.store.counters.onchip_bytes()
+            + self
+                .kick_history
+                .as_ref()
+                .map_or(0, |k| (k.len() * 5).div_ceil(8))
+    }
+
+    /// Stage 1 of the batched lookup: `key`'s candidate buckets, with a
+    /// prefetch hint for each one's first slot line and counter word. It
+    /// reads nothing and decides nothing.
+    pub(crate) fn stage(&self, key: &K) -> [usize; MAX_D] {
+        let cands = self.candidate_buckets(key);
+        for &c in &cands[..self.d] {
+            let first = self.slot_idx(c, 0);
+            self.store.prefetch(first);
+            self.store.counters.prefetch(first);
+        }
+        cands
+    }
+
     /// Look up `key` using the layout's probe order and the stash
     /// screening rules (§III.E–F).
     pub fn get(&self, key: &K) -> Option<&V> {

@@ -54,8 +54,8 @@
 //! migration.
 //!
 //! **Per-shard state.** Each shard owns its complete McCuckoo state:
-//! cells, the on-chip copy-counter array, seqlock versions and its own
-//! writer lock, built from a per-shard seed derived from the
+//! slot records (seqlock versions, content and copy counters) and its
+//! own writer lock, built from a per-shard seed derived from the
 //! master seed by a [`SplitMix64`] stream (split children derive theirs
 //! from their route prefix, so recovery replays reproduce them).
 //! Counters never refer across shards, so ordinary operations touch
@@ -443,8 +443,8 @@ where
     }
 
     /// Table-owned memory in bytes: every live table's
-    /// [`ConcurrentMcCuckoo::mem_bytes`] (slot records and counter
-    /// words) plus the route directory.
+    /// [`ConcurrentMcCuckoo::mem_bytes`] (its slot records) plus the
+    /// route directory.
     pub fn mem_bytes(&self) -> usize {
         let tables: usize = (0..self.shard_count())
             .map(|t| self.table(t).mem_bytes())
@@ -1675,19 +1675,18 @@ mod tests {
 
     #[test]
     fn mem_bytes_sums_every_table_and_the_directory() {
-        // 16 shards of 3 × 1,000 buckets: 32 B slot records and 2-bit
-        // counters per table, plus the 256-entry directory. A split adds
-        // its child's arrays.
+        // 16 shards of 3 × 1,000 buckets: 32 B slot records per table,
+        // plus the 256-entry directory. A split adds its child's records.
         let t = table(16, 1_000, 5);
-        let per_table = 3_000 * 32 + 3_000usize.div_ceil(32) * 8;
+        let per_table = 3_000 * 32;
         assert_eq!(t.shard(0).mem_bytes(), per_table);
         assert_eq!(t.mem_bytes(), 16 * per_table + DIR_SIZE * 8);
         t.begin_split(3).unwrap();
         assert_eq!(t.mem_bytes(), 17 * per_table + DIR_SIZE * 8);
         // The 16 × 3 × 680,000-bucket DRAM benchmark table, whose one
-        // shard `concurrent::tests` pins at 65,790,000 B: 40.31 B per
+        // shard `concurrent::tests` pins at 65,280,000 B: 40.00 B per
         // key at its 26,112,000-key preload.
-        assert_eq!(16 * 65_790_000 + DIR_SIZE * 8, 1_052_642_048);
+        assert_eq!(16 * 65_280_000 + DIR_SIZE * 8, 1_044_482_048);
     }
 
     #[test]

@@ -185,7 +185,7 @@ fn rule1_miss<K: KeyHash + Eq + Clone, V: Clone, S: SlotStore<K, V>>(
         DeletionMode::Reset => false,
         // Tombstones read as non-zero for lookups.
         DeletionMode::Tombstone => {
-            (0..t.d).any(|i| cvals[i] == 0 && !t.store.counters().is_tombstone(cands[i]))
+            (0..t.d).any(|i| cvals[i] == 0 && !t.store.is_tombstone(cands[i]))
         }
     }
 }

@@ -1,17 +1,18 @@
 //! Slot storage: the one seam through which the
 //! [`Engine`](crate::engine::Engine) reaches its slots and counters.
 //! [`PlainStore`] holds the sequential tables' planes (slots, stash
-//! flags, [`CounterArray`]). [`SeqStore`] is the concurrent table's
-//! writer handle on [`SeqCells`] — one [`SeqSlot`] record per bucket,
-//! four atomic words (seqlock version, key, value, occupancy plus slot
-//! hints) so a probe costs one line, plus the counters, shared through
-//! an `Arc` with the lock-free readers; every content write is one
-//! version bracket. Keys and values live in those words through
-//! [`Word`], so no read is ever a data race: a torn read decodes
-//! garbage that the version check then discards. The plain store lends
-//! its entries; the seqlocked one hands out decoded copies. Neither
-//! store keeps a fingerprint tag: probes confirm a slot by the key in
-//! its entry.
+//! flags, the packed on-chip [`CounterArray`]). [`SeqStore`] is the
+//! concurrent table's writer handle on [`SeqCells`] — one [`SeqSlot`]
+//! record per bucket, four atomic words (seqlock version, key, value,
+//! and a meta word holding occupancy, slot hints and the bucket's copy
+//! counter) so a probe, and every counter read the writer makes, costs
+//! one line — shared through an `Arc` with the lock-free readers; every
+//! content write is one version bracket. Keys and values live in those
+//! words through [`Word`], so no read is ever a data race: a torn read
+//! decodes garbage that the version check then discards. The plain store
+//! lends its entries; the seqlocked one hands out decoded copies.
+//! Neither store keeps a fingerprint tag: probes confirm a slot by the
+//! key in its entry.
 
 use std::marker::PhantomData;
 use std::ops::Deref;
@@ -58,11 +59,12 @@ impl SlotHint {
 }
 
 /// A key or value the concurrent table stores as one atomic word, so a
-/// slot record is four `u64` words (version, key, value, occupancy plus
-/// hints) and the served tables hold pointer-sized `Copy` payloads only;
-/// index fat values through an arena, as [`crate::MultisetIndex`] does.
-/// `from_word` must accept any word: a reader racing a write may decode
-/// a torn one, which its version check then discards.
+/// slot record is four `u64` words (version, key, value, and a meta word
+/// of occupancy, hints and counter) and the served tables hold
+/// pointer-sized `Copy` payloads only; index fat values through an
+/// arena, as [`crate::MultisetIndex`] does. `from_word` must accept any
+/// word: a reader racing a write may decode a torn one, which its
+/// version check then discards.
 pub trait Word: Copy {
     /// This value as a word.
     fn to_word(self) -> u64;
@@ -115,11 +117,9 @@ pub trait SlotStore<K, V> {
     /// counters hold `0..=max_count`.
     fn new(slots: usize, buckets: usize, max_count: u8) -> Self;
     /// Number of slots.
-    fn len(&self) -> usize {
-        self.counters().len()
-    }
-    /// The on-chip copy counters.
-    fn counters(&self) -> &CounterArray;
+    fn len(&self) -> usize;
+    /// Copy counter of slot `i`.
+    fn counter(&self, i: usize) -> u8;
     /// Set counter `i` (clears a tombstone).
     fn set_counter(&mut self, i: usize, v: u8);
     /// The entry in slot `i`.
@@ -135,6 +135,10 @@ pub trait SlotStore<K, V> {
     /// Tombstone counter `i`.
     fn set_tombstone(&mut self, _i: usize) {
         unreachable!("this store deletes by counter reset");
+    }
+    /// Whether counter `i` carries a tombstone.
+    fn is_tombstone(&self, _i: usize) -> bool {
+        false
     }
     /// Stash flag of `bucket`.
     fn flag(&self, _bucket: usize) -> bool {
@@ -180,8 +184,13 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
         }
     }
 
-    fn counters(&self) -> &CounterArray {
-        &self.counters
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    #[inline]
+    fn counter(&self, i: usize) -> u8 {
+        self.counters.get(i)
     }
 
     fn set_counter(&mut self, i: usize, v: u8) {
@@ -190,6 +199,11 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
 
     fn set_tombstone(&mut self, i: usize) {
         self.counters.set_tombstone(i);
+    }
+
+    #[inline]
+    fn is_tombstone(&self, i: usize) -> bool {
+        self.counters.is_tombstone(i)
     }
 
     fn entry(&self, i: usize) -> Option<&Entry<K, V>> {
@@ -231,10 +245,10 @@ impl<K, V> SlotStore<K, V> for PlainStore<K, V> {
     }
 }
 
-/// One seqlocked slot: the bucket's version and its content in one
-/// record of four atomic words, so a probe's version check and content
-/// read share a cache line. Aligned to 32 B: two slots fill a 64 B line
-/// and none straddles two.
+/// One seqlocked slot: the bucket's version, content and copy counter
+/// in one record of four atomic words, so a probe's version check and
+/// content read, and the writer's counter read, share a cache line.
+/// Aligned to 32 B: two slots fill a 64 B line and none straddles two.
 #[repr(C, align(32))]
 pub(crate) struct SeqSlot<K, V> {
     /// Seqlock version: odd while a content write is in flight.
@@ -242,10 +256,15 @@ pub(crate) struct SeqSlot<K, V> {
     key: AtomicU64,
     value: AtomicU64,
     /// Byte 0: 1 when the slot is occupied, 0 when empty; byte `1 + t`:
-    /// the hint for candidate table `t`.
+    /// the hint for candidate table `t`; byte 5: the bucket's copy
+    /// counter, which only the writer reads.
     meta: AtomicU64,
     _payload: PhantomData<fn() -> (K, V)>,
 }
+
+/// The meta word's counter byte (byte 5), as a shift and a mask.
+const COUNTER_SHIFT: u32 = 40;
+const COUNTER_MASK: u64 = 0xff << COUNTER_SHIFT;
 
 impl<K, V> SeqSlot<K, V> {
     fn empty() -> Self {
@@ -272,7 +291,8 @@ impl<K: Word, V: Word> SeqSlot<K, V> {
         })
     }
 
-    /// Relaxed stores of the content words (empty: the meta word alone).
+    /// Relaxed stores of the content words (empty: the meta word alone),
+    /// keeping the counter byte.
     #[inline]
     fn store(&self, content: Option<Entry<K, V>>) {
         let meta = content.map_or(0, |e| {
@@ -281,16 +301,16 @@ impl<K: Word, V: Word> SeqSlot<K, V> {
             let [h0, h1, h2, h3] = e.hints.map(|h| h as u8);
             u64::from_le_bytes([1, h0, h1, h2, h3, 0, 0, 0])
         });
-        self.meta.store(meta, Ordering::Relaxed);
+        let counter = self.meta.load(Ordering::Relaxed) & COUNTER_MASK;
+        self.meta.store(meta | counter, Ordering::Relaxed);
     }
 }
 
-/// The seqlocked slot records and counters the concurrent table's
-/// writer and readers share (one slot per bucket). Every field is
-/// atomic, so sharing it needs no argument.
+/// The seqlocked slot records the concurrent table's writer and
+/// readers share (one slot per bucket). Every field is atomic, so
+/// sharing it needs no argument.
 pub(crate) struct SeqCells<K, V> {
     pub(crate) slots: Box<[SeqSlot<K, V>]>,
-    pub(crate) counters: CounterArray,
 }
 
 impl<K: Word, V: Word> SeqCells<K, V> {
@@ -324,14 +344,10 @@ impl<K: Word, V: Word> SeqCells<K, V> {
         }
     }
 
-    /// Prefetch slot `i`'s record (version and content: one line).
+    /// Prefetch slot `i`'s record (version, content and counter: one
+    /// line).
     pub(crate) fn prefetch(&self, i: usize) {
         crate::prefetch::prefetch_index(&self.slots, i);
-    }
-
-    /// Bytes of the slot records plus the counter words.
-    pub(crate) fn mem_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.slots) + self.counters.onchip_bytes()
     }
 
     /// Whether every version is even (no write in flight).
@@ -395,22 +411,32 @@ impl<K: Word, V: Word> SlotStore<K, V> for SeqStore<K, V> {
     where
         Self: 'a;
 
-    fn new(slots: usize, buckets: usize, max_count: u8) -> Self {
+    fn new(slots: usize, buckets: usize, _max_count: u8) -> Self {
         debug_assert_eq!(slots, buckets, "one slot per bucket");
         Self {
             shared: Arc::new(SeqCells {
                 slots: huge_plane(slots, SeqSlot::empty).into_boxed_slice(),
-                counters: CounterArray::new(slots, max_count),
             }),
         }
     }
 
-    fn counters(&self) -> &CounterArray {
-        &self.shared.counters
+    fn len(&self) -> usize {
+        self.shared.slots.len()
     }
 
+    #[inline]
+    fn counter(&self, i: usize) -> u8 {
+        (self.shared.slots[i].meta.load(Ordering::Relaxed) >> COUNTER_SHIFT) as u8
+    }
+
+    /// A plain store to the meta word, with no version bump: readers
+    /// decode only the occupied byte and the hints, which it leaves as
+    /// they are, so a read racing it is whole either way.
+    #[inline]
     fn set_counter(&mut self, i: usize, v: u8) {
-        self.shared.counters.store(i, v);
+        let meta = &self.shared.slots[i].meta;
+        let rest = meta.load(Ordering::Relaxed) & !COUNTER_MASK;
+        meta.store(rest | u64::from(v) << COUNTER_SHIFT, Ordering::Relaxed);
     }
 
     /// The writer's own read: no write is in flight while it holds
@@ -437,11 +463,11 @@ impl<K: Word, V: Word> SlotStore<K, V> for SeqStore<K, V> {
         old
     }
 
-    /// Counters first, then each cell in its own bracket, so a racing
+    /// Each counter, then its cell in its own bracket, so a racing
     /// reader sees every bucket either intact or empty.
     fn clear(&mut self) {
         for i in 0..self.len() {
-            self.shared.counters.store(i, 0);
+            self.set_counter(i, 0);
             self.publish(i, |slot| slot.store(None));
         }
     }
@@ -493,6 +519,80 @@ mod tests {
     fn consistent(e: &Entry<u64, u64>) -> bool {
         let want = entry_for(e.key);
         e.value == want.value && e.hints == want.hints
+    }
+
+    /// Slot `i`'s raw words: version, key, value, meta.
+    fn words(store: &SeqStore<u64, u64>, i: usize) -> [u64; 4] {
+        let s = &store.shared.slots[i];
+        [&s.version, &s.key, &s.value, &s.meta].map(|w| w.load(Ordering::Relaxed))
+    }
+
+    fn seq_store(slots: usize) -> SeqStore<u64, u64> {
+        <SeqStore<u64, u64> as SlotStore<u64, u64>>::new(slots, slots, 3)
+    }
+
+    /// A counter-only store rewrites the counter byte and nothing else:
+    /// no version bump, and the occupied byte, hints, key and value of
+    /// the slot, empty or occupied, stay as they were.
+    #[test]
+    fn set_counter_moves_only_the_counter_byte() {
+        let mut store = seq_store(2);
+        store.put(1, entry_for(0xDEAD_BEEF));
+        for i in 0..2 {
+            for v in [3, 1, 0, 2] {
+                let before = words(&store, i);
+                store.set_counter(i, v);
+                let after = words(&store, i);
+                assert_eq!(store.counter(i), v, "slot {i}");
+                assert_eq!(
+                    after[..3],
+                    before[..3],
+                    "slot {i}: version, key or value moved"
+                );
+                assert_eq!(
+                    after[3] & !COUNTER_MASK,
+                    before[3] & !COUNTER_MASK,
+                    "slot {i}: occupied byte or hints moved"
+                );
+            }
+        }
+        assert_eq!(store.entry(0).map(|e| e.key), None);
+        assert!(consistent(&store.entry(1).unwrap()));
+        assert_eq!(store.share().quiescent(), Ok(()));
+    }
+
+    /// Content writes keep the counter byte: the engine's explicit
+    /// counter stores are the only ones.
+    #[test]
+    fn content_writes_keep_the_counter_byte() {
+        let mut store = seq_store(1);
+        for v in 1..=3 {
+            store.set_counter(0, v);
+            store.put(0, entry_for(u64::from(v) << 40 | 7));
+            assert_eq!(store.counter(0), v, "put");
+            store.put_value(0, 99);
+            assert_eq!(store.counter(0), v, "put_value");
+            assert_eq!(store.entry(0).unwrap().value, 99);
+            assert!(store.take(0).is_some());
+            assert_eq!(store.counter(0), v, "take");
+            assert!(store.entry(0).is_none());
+        }
+    }
+
+    /// `clear` empties every slot and zeroes every counter byte.
+    #[test]
+    fn clear_zeroes_the_counter_byte() {
+        let mut store = seq_store(4);
+        for i in 0..4 {
+            store.put(i, entry_for(i as u64 + 1));
+            store.set_counter(i, 3);
+        }
+        store.clear();
+        for i in 0..4 {
+            assert_eq!(store.counter(i), 0, "slot {i}");
+            assert!(store.entry(i).is_none(), "slot {i}");
+            assert_eq!(words(&store, i)[3], 0, "slot {i}: meta word");
+        }
     }
 
     /// One writer republishes one slot between entries that differ in
